@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,33 +71,6 @@ def _write_json(path: Path, doc: dict) -> Path:
 
 # --- configuration -----------------------------------------------------------
 
-_DEFAULTS = {
-    "prices": None,
-    "prices_eval": None,
-    "risk": "var",
-    "threshold_b": 0.0,
-    "target_return": None,
-    "lam": None,
-    "ga": False,
-    "generations": 500,
-    "population": None,
-    "seed": 0,
-    "capital": None,
-    "buy_cost": (0.0,),
-    "sell_cost": (0.0,),
-    "risk_free": 0.0,
-    "horizon": 251,
-    "lot_size": 1,
-    "cloud": None,
-    "points": 40,
-    "two_asset": False,
-    "out": "out",
-    "format": "json",
-    "periods_expectation": 251,
-    "periods_evaluation": 250,
-    "market": None,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -131,6 +104,9 @@ class RunConfig:
     periods_expectation: int = 251
     periods_evaluation: int = 250
     market: dict | None = None
+
+
+_DEFAULTS = {field.name: field.default for field in fields(RunConfig)}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -193,14 +169,21 @@ def _build_model(cfg: RunConfig):
     return model, returns
 
 
-def _market_params(cfg: RunConfig, n_assets: int, cost_index: int = 0) -> MarketParams | None:
+def _market_params(
+    cfg: RunConfig, n_assets: int, cost_index: int | None = None
+) -> MarketParams | None:
     """Market parameters from the config, or None for the frictionless model.
 
     Current prices come from an explicit ``market`` config block when
     given, otherwise from the first row of the evaluation price file.
+    A cost-ladder level (``cost_index``) takes its buy cost rate from
+    ``--buy-cost``, replacing the block's rate when a block is given.
     """
     if cfg.market is not None:
-        return market_params_from_dict(cfg.market, n_assets)
+        block = dict(cfg.market)
+        if cost_index is not None:
+            block["buy_cost_rates"] = cfg.buy_cost[cost_index]
+        return market_params_from_dict(block, n_assets)
     if cfg.capital is None:
         return None
     if not cfg.prices_eval:
@@ -209,6 +192,7 @@ def _market_params(cfg: RunConfig, n_assets: int, cost_index: int = 0) -> Market
             "current price) or an explicit market config block"
         )
     eval_table = fill_missing(_load_table(cfg.prices_eval, "--prices-eval"))
+    cost_index = cost_index or 0
     return MarketParams(
         capital=float(cfg.capital),
         prices=eval_table.values[0],
@@ -363,39 +347,30 @@ def cmd_frontier(cfg: RunConfig) -> list[Path]:
     model, _ = _build_model(cfg)
     out = _out_dir(cfg)
     n_points = int(cfg.points)
-    written: list[Path] = []
 
-    if cfg.ga:
+    if not cfg.ga:
+        sweeps = [("frontier.csv", frontier_mod.efficient_frontier(model, n_points))]
+    else:
         market = _market_params(cfg, model.n_assets)
         if market is not None and len(cfg.buy_cost) > 1:
-            for index, level in enumerate(cfg.buy_cost):
-                ladder_market = _market_params(cfg, model.n_assets, cost_index=index)
-                points = ga_mod.ga_frontier(model, _ga_params(cfg), ladder_market, n_points)
-                written.append(
-                    _write_csv(
-                        out / f"frontier_ga_cost_{level}.csv",
-                        ["parameter", "risk", "return"],
-                        [(p.parameter, p.risk, p.expected_return) for p in points],
-                    )
-                )
+            markets = [
+                (f"frontier_ga_cost_{level}.csv", _market_params(cfg, model.n_assets, index))
+                for index, level in enumerate(cfg.buy_cost)
+            ]
         else:
-            points = ga_mod.ga_frontier(model, _ga_params(cfg), market, n_points)
-            written.append(
-                _write_csv(
-                    out / "frontier_ga.csv",
-                    ["parameter", "risk", "return"],
-                    [(p.parameter, p.risk, p.expected_return) for p in points],
-                )
-            )
-    else:
-        points = frontier_mod.efficient_frontier(model, n_points)
-        written.append(
-            _write_csv(
-                out / "frontier.csv",
-                ["parameter", "risk", "return"],
-                [(p.parameter, p.risk, p.expected_return) for p in points],
-            )
+            markets = [("frontier_ga.csv", market)]
+        sweeps = [
+            (name, ga_mod.ga_frontier(model, _ga_params(cfg), m, n_points))
+            for name, m in markets
+        ]
+    written = [
+        _write_csv(
+            out / name,
+            ["parameter", "risk", "return"],
+            [(p.parameter, p.risk, p.expected_return) for p in points],
         )
+        for name, points in sweeps
+    ]
 
     if cfg.cloud:
         cloud = frontier_mod.random_portfolio_cloud(

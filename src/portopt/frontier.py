@@ -1,11 +1,11 @@
 """Frontier sweeps, opportunity-set geometry and out-of-sample fit.
 
 Sweep ranges mirror the reference behavior: target returns run from
-``min(mu) + |min(mu)| * 0.005`` to ``max(mu) - max(mu) * 0.005`` (note the
-asymmetry when ``min(mu) < 0``: the lower bound moves toward zero), every
-swept parameter is rounded to 6 decimals, and the default point counts
-are 40 for frontiers, 30 for two-asset curves and 10000 for random
-clouds.
+``min(mu) + |min(mu)| * 0.005`` to ``max(mu) - |max(mu)| * 0.005``, so both
+ends move inward whatever the signs of the means; every swept parameter
+is rounded to 6 decimals and then clipped into ``[min(mu), max(mu)]``, and
+the default point counts are 40 for frontiers, 30 for two-asset curves
+and 10000 for random clouds.
 """
 
 from __future__ import annotations
@@ -53,9 +53,10 @@ class FitReport:
 
 
 def _target_range(mu: np.ndarray, n_points: int, low: float | None = None) -> np.ndarray:
-    lo = low if low is not None else float(mu.min()) + abs(float(mu.min())) * RANGE_CLIP
-    hi = float(mu.max()) - float(mu.max()) * RANGE_CLIP
-    return np.round(np.linspace(lo, hi, n_points), PARAMETER_DECIMALS)
+    mu_min, mu_max = float(mu.min()), float(mu.max())
+    lo = low if low is not None else mu_min + abs(mu_min) * RANGE_CLIP
+    hi = mu_max - abs(mu_max) * RANGE_CLIP
+    return np.clip(np.round(np.linspace(lo, hi, n_points), PARAMETER_DECIMALS), mu_min, mu_max)
 
 
 def efficient_frontier(model: RiskModel, n_points: int = 40) -> list[FrontierPoint]:

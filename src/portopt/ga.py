@@ -1,6 +1,6 @@
 """Elitist genetic algorithm for the portfolio tradeoff objectives.
 
-Two problem bindings share one loop structure:
+Two problem bindings share one elitist loop:
 
 * continuous weights on the simplex, objective
   ``lam * mu'w - (1 - lam) * w'Sw``;
@@ -12,13 +12,15 @@ Two problem bindings share one loop structure:
 Per generation: roulette selection over shifted fitness, one escalating
 mutation per pair (applied to the first parent), single-point crossover,
 then a merge of parents and children keeping the best half - so the best
-fitness trace is nondecreasing by construction.
+fitness trace is nondecreasing by construction.  A binding supplies only
+its initial population, fitness, mutated-gene value and recombination.
 
 Reproducibility: one seeded generator drives each run and draws in a
 fixed order (selection uniforms for the whole population, then per pair:
 mutation check, mutated gene and value if the check fires, crossover
-cut).  Frontier sweeps derive one independent child seed per point from
-the master seed.
+cut - redrawn while a continuous child has zero mass, absent for a
+one-asset integer run).  Frontier sweeps derive one independent child
+seed per point from the master seed.
 """
 
 from __future__ import annotations
@@ -41,11 +43,9 @@ MIN_POPULATION = 30
 #: Generations without improvement tolerated before an early stop.
 EARLY_STOP_WINDOW = 30
 
-#: Escalation added to the base mutation rate by the final generation.
-MUTATION_RAMP_CONTINUOUS = 0.5
-MUTATION_RAMP_INTEGER = 0.3
-
-_DEFAULT_MUTATION = {"continuous": 0.2, "integer": 0.3}
+#: Per binding: base mutation rate, and the escalation added to it by the
+#: final generation.
+_MUTATION = {"continuous": (0.2, 0.5), "integer": (0.3, 0.3)}
 
 
 class ZeroMassChild(PortfolioError):
@@ -80,7 +80,7 @@ class GaParams:
     def mutation_base(self, binding: str) -> float:
         if self.base_mutation_rate is not None:
             return self.base_mutation_rate
-        return _DEFAULT_MUTATION[binding]
+        return _MUTATION[binding][0]
 
 
 @dataclass(frozen=True)
@@ -94,20 +94,23 @@ class GaTrace:
 # --- operators ---------------------------------------------------------------
 
 
-def _selection_probabilities(fitness: np.ndarray) -> np.ndarray:
-    """Roulette weights from possibly-negative fitness values.
-
-    Fitness is shifted by its minimum (plus a tiny offset) so every
-    individual keeps nonzero probability; a degenerate all-equal
-    population falls back to uniform selection.
-    """
-    fitness = np.asarray(fitness, dtype=float)
+def _shifted(fitness: np.ndarray) -> np.ndarray:
+    """Fitness shifted by its minimum (plus a tiny offset) so every
+    individual keeps nonzero roulette mass."""
     fmin = float(fitness.min())
-    shifted = fitness - fmin + (1e-12 * abs(fmin) + 1e-15)
-    total = shifted.sum()
+    return fitness - fmin + (1e-12 * abs(fmin) + 1e-15)
+
+
+def _roulette_indices(mass: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` indices drawn with probability mass_i / sum(mass);
+    degenerate mass (zero or non-finite total) selects uniformly."""
+    total = mass.sum()
     if not np.isfinite(total) or total <= 0.0:
-        return np.full(fitness.shape[0], 1.0 / fitness.shape[0])
-    return shifted / total
+        probs = np.full(mass.shape[0], 1.0 / mass.shape[0])
+    else:
+        probs = mass / total
+    cum = np.cumsum(probs)
+    return np.minimum(np.searchsorted(cum, rng.random(count), side="left"), cum.shape[0] - 1)
 
 
 def roulette_select(fitness: np.ndarray, rng: np.random.Generator) -> int:
@@ -119,20 +122,8 @@ def roulette_select(fitness: np.ndarray, rng: np.random.Generator) -> int:
     """
     f = np.asarray(fitness, dtype=float)
     if f.size and f.min() < 0.0:
-        f = f - f.min() + (1e-12 * abs(f.min()) + 1e-15)
-    total = f.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        probs = np.full(f.shape[0], 1.0 / f.shape[0])
-    else:
-        probs = f / total
-    cum = np.cumsum(probs)
-    return int(min(np.searchsorted(cum, rng.random(), side="left"), cum.shape[0] - 1))
-
-
-def _roulette_indices(fitness: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(_selection_probabilities(fitness))
-    draws = rng.random(count)
-    return np.minimum(np.searchsorted(cum, draws, side="left"), cum.shape[0] - 1)
+        f = _shifted(f)
+    return int(_roulette_indices(f, 1, rng)[0])
 
 
 def crossover_continuous(
@@ -157,6 +148,19 @@ def crossover_continuous(
     return child1 / s1, child2 / s2
 
 
+def _mutate(genes, generation_j: int, params: GaParams, binding: str, draw_value, rng):
+    """Escalating one-gene mutation shared by both bindings: fires with
+    probability ``mr + (j/m) * ramp`` and writes ``draw_value()`` into a
+    random gene of a copy."""
+    ramp = _MUTATION[binding][1]
+    rate = params.mutation_base(binding) + (generation_j / params.generations) * ramp
+    out = np.array(genes)
+    if rng.random() < rate:
+        gene = int(rng.integers(out.shape[0]))
+        out[gene] = draw_value()
+    return out
+
+
 def mutate_continuous(
     w: np.ndarray, generation_j: int, params: GaParams, rng: np.random.Generator
 ) -> np.ndarray:
@@ -165,26 +169,53 @@ def mutate_continuous(
 
     Renormalization happens at crossover, not here.
     """
-    out = np.array(w, dtype=float)
-    rate = params.mutation_base("continuous") + (
-        generation_j / params.generations
-    ) * MUTATION_RAMP_CONTINUOUS
-    if rng.random() < rate:
-        gene = int(rng.integers(out.shape[0]))
-        out[gene] = rng.uniform(0.0, 2.0)
-    return out
+    w = np.asarray(w, dtype=float)
+    return _mutate(w, generation_j, params, "continuous", lambda: rng.uniform(0.0, 2.0), rng)
 
 
-def _cross_resampling(w1, w2, rng: np.random.Generator, n: int):
+def _cross_resampling(w1, w2, rng: np.random.Generator):
     # Zero-mass children only arise from exactly-zero gene blocks, which
     # evolved populations never contain; bounded retries then parents as-is.
     for _ in range(64):
-        cut = int(rng.integers(1, n))
+        cut = int(rng.integers(1, w1.shape[0]))
         try:
             return crossover_continuous(w1, w2, cut)
         except ZeroMassChild:
             continue
     return w1 / w1.sum(), w2 / w2.sum()
+
+
+# --- the shared loop ---------------------------------------------------------
+
+
+def _evolve(population, fitness, mutate, recombine, params: GaParams, rng):
+    """Run the elitist generations; returns the best individual and the trace.
+
+    ``fitness`` scores a population, ``mutate(genes, j)`` acts on the first
+    parent of each pair and ``recombine`` turns a pair into two children.
+    """
+    pop = population.shape[0]
+    fit = fitness(population)
+    order = np.argsort(fit, kind="stable")
+    population, fit = population[order], fit[order]
+    best = [float(fit[-1])]
+
+    for j in range(2, params.generations + 1):
+        chosen = _roulette_indices(_shifted(fit), pop, rng)
+        children = np.empty_like(population)
+        for i in range(0, pop, 2):
+            parent1 = mutate(population[chosen[i]], j)
+            children[i], children[i + 1] = recombine(parent1, population[chosen[i + 1]])
+        merged_fit = np.concatenate([fit, fitness(children)])
+        keep = np.argsort(merged_fit, kind="stable")[pop:]
+        population = np.vstack([population, children])[keep]
+        fit = merged_fit[keep]
+        best.append(float(fit[-1]))
+        if params.early_stop and len(best) > EARLY_STOP_WINDOW:
+            if best[-1] <= best[-1 - EARLY_STOP_WINDOW]:
+                break
+
+    return population[-1], GaTrace(np.array(best), fit.copy())
 
 
 # --- continuous binding ------------------------------------------------------
@@ -212,34 +243,17 @@ def ga_lambda_portfolio(
         trace = GaTrace(f.copy(), f.copy())
         return portfolio_from_weights(model, w[0], params.report_threshold), trace
 
-    pop = params.population_for(n)
-    m = params.generations
-    weights = rng.random((pop, n))
+    weights = rng.random((params.population_for(n), n))
     weights /= weights.sum(axis=1, keepdims=True)
-    fit = _continuous_fitness(weights, model, lam)
-    order = np.argsort(fit, kind="stable")
-    weights, fit = weights[order], fit[order]
-    best = [float(fit[-1])]
-
-    for j in range(2, m + 1):
-        chosen = _roulette_indices(fit, pop, rng)
-        children = np.empty_like(weights)
-        for i in range(0, pop, 2):
-            parent1 = mutate_continuous(weights[chosen[i]], j, params, rng)
-            parent2 = weights[chosen[i + 1]]
-            children[i], children[i + 1] = _cross_resampling(parent1, parent2, rng, n)
-        child_fit = _continuous_fitness(children, model, lam)
-        merged_fit = np.concatenate([fit, child_fit])
-        keep = np.argsort(merged_fit, kind="stable")[pop:]
-        weights = np.vstack([weights, children])[keep]
-        fit = merged_fit[keep]
-        best.append(float(fit[-1]))
-        if params.early_stop and len(best) > EARLY_STOP_WINDOW:
-            if best[-1] <= best[-1 - EARLY_STOP_WINDOW]:
-                break
-
-    trace = GaTrace(np.array(best), fit.copy())
-    return portfolio_from_weights(model, weights[-1], params.report_threshold), trace
+    w, trace = _evolve(
+        weights,
+        lambda pop: _continuous_fitness(pop, model, lam),
+        lambda genes, j: mutate_continuous(genes, j, params, rng),
+        lambda w1, w2: _cross_resampling(w1, w2, rng),
+        params,
+        rng,
+    )
+    return portfolio_from_weights(model, w, params.report_threshold), trace
 
 
 # --- integer binding ---------------------------------------------------------
@@ -294,6 +308,15 @@ def _initial_integer_population(
     return counts
 
 
+def _cross_integer(n1, n2, market: MarketParams, rng: np.random.Generator):
+    """Single-point crossover (no cut for one asset), then repair both children."""
+    n = n1.shape[0]
+    if n > 1:
+        cut = int(rng.integers(1, n))
+        n1, n2 = np.concatenate([n1[:cut], n2[cut:]]), np.concatenate([n2[:cut], n1[cut:]])
+    return repair_integer(n1, market), repair_integer(n2, market)
+
+
 def ga_lambda_n_portfolio(
     model: RiskModel,
     lam: float,
@@ -308,48 +331,20 @@ def ga_lambda_n_portfolio(
     if market.n_assets != model.n_assets:
         raise ValueError("market and model asset counts differ")
     params = params or GaParams()
-    n = model.n_assets
     rng = np.random.default_rng(params.seed)
-    pop = params.population_for(n)
-    m = params.generations
     mutation_cap = max(2 * int(market.capital // market.effective_prices.min()), 1)
 
-    counts = _initial_integer_population(pop, market, rng)
-    fit = np.asarray(mkt.fitness(counts, model, market, lam))
-    order = np.argsort(fit, kind="stable")
-    counts, fit = counts[order], fit[order]
-    best = [float(fit[-1])]
-
-    for j in range(2, m + 1):
-        chosen = _roulette_indices(fit, pop, rng)
-        children = np.empty_like(counts)
-        for i in range(0, pop, 2):
-            n1 = counts[chosen[i]].copy()
-            n2 = counts[chosen[i + 1]]
-            rate = params.mutation_base("integer") + (j / m) * MUTATION_RAMP_INTEGER
-            if rng.random() < rate:
-                gene = int(rng.integers(n))
-                n1[gene] = int(rng.integers(1, mutation_cap + 1))
-            if n > 1:
-                cut = int(rng.integers(1, n))
-                c1 = np.concatenate([n1[:cut], n2[cut:]])
-                c2 = np.concatenate([n2[:cut], n1[cut:]])
-            else:
-                c1, c2 = n1, n2.copy()
-            children[i] = repair_integer(c1, market)
-            children[i + 1] = repair_integer(c2, market)
-        child_fit = np.asarray(mkt.fitness(children, model, market, lam))
-        merged_fit = np.concatenate([fit, child_fit])
-        keep = np.argsort(merged_fit, kind="stable")[pop:]
-        counts = np.vstack([counts, children])[keep]
-        fit = merged_fit[keep]
-        best.append(float(fit[-1]))
-        if params.early_stop and len(best) > EARLY_STOP_WINDOW:
-            if best[-1] <= best[-1 - EARLY_STOP_WINDOW]:
-                break
-
-    trace = GaTrace(np.array(best), fit.copy())
-    solution = mkt.evaluate(counts[-1], model, market, lam, params.report_threshold)
+    counts, trace = _evolve(
+        _initial_integer_population(params.population_for(model.n_assets), market, rng),
+        lambda pop: np.asarray(mkt.fitness(pop, model, market, lam)),
+        lambda genes, j: _mutate(
+            genes, j, params, "integer", lambda: rng.integers(1, mutation_cap + 1), rng
+        ),
+        lambda n1, n2: _cross_integer(n1, n2, market, rng),
+        params,
+        rng,
+    )
+    solution = mkt.evaluate(counts, model, market, lam, params.report_threshold)
     return solution, trace
 
 

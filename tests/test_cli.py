@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from portopt.cli import main
-from portopt.ga import GaParams, ga_lambda_n_portfolio
-from portopt.market import MarketParams
+from portopt.ga import GaParams, ga_frontier, ga_lambda_n_portfolio
+from portopt.market import MarketParams, market_params_from_dict
 from portopt.market_data import assets_return, fill_missing, load_prices
 from portopt.risk_models import RiskKind, build_risk_model, semicovariance_estrada
 
@@ -188,6 +188,36 @@ class TestFrontier:
         assert code == 0
         assert (out / "frontier_ga_cost_0.01.csv").exists()
         assert (out / "frontier_ga_cost_0.05.csv").exists()
+
+    def test_cost_ladder_overrides_market_block(self, price_files, tmp_path):
+        # each ladder level replaces the block's buy cost rate
+        prices, _ = price_files
+        block = {
+            "capital": 400,
+            "prices": [11.0, 23.0, 5.5],
+            "buy_cost_rates": 0.02,
+            "sell_cost_rates": 0.01,
+            "horizon": 251,
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prices": str(prices), "market": block}), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            ["--config", str(cfg), "frontier", "--ga", "--buy-cost", "0.01", "0.05",
+             "--points", "3", "--generations", "20", "--seed", "5", "--out", str(out)]
+        )
+        assert code == 0
+        texts = {
+            rate: (out / f"frontier_ga_cost_{rate}.csv").read_text(encoding="utf-8")
+            for rate in (0.01, 0.05)
+        }
+        assert texts[0.01] != texts[0.05]
+        model = build_risk_model(assets_return(fill_missing(load_prices(prices))))
+        for rate, text in texts.items():
+            market = market_params_from_dict({**block, "buy_cost_rates": rate}, 3)
+            points = ga_frontier(model, GaParams(generations=20, seed=5), market, n_points=3)
+            rows = [[float(c) for c in line.split(",")] for line in text.splitlines()[1:]]
+            assert rows == [[p.parameter, p.risk, p.expected_return] for p in points]
 
 
 class TestFit:

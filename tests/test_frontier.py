@@ -16,7 +16,7 @@ from portopt.frontier import (
 )
 from portopt.market_data import ReturnsMatrix
 from portopt.optimizers import ObjectiveParams, markowitz_portfolio
-from portopt.risk_models import build_risk_model
+from portopt.risk_models import RiskKind, build_risk_model
 
 from conftest import random_model, random_returns, simplex_grid
 
@@ -195,3 +195,36 @@ class TestFrontierFit:
         report = frontier_fit(model, returns, n_points=9)
         first_expected = report.pairs[0][0]
         assert first_expected == pytest.approx(base.expected_return, abs=1e-6)
+
+
+def returns_with_means(rng, means, periods: int = 250) -> ReturnsMatrix:
+    """Factor-model panel shifted so each asset's sample mean is ``means``."""
+    returns = random_returns(rng, len(means), periods)
+    values = returns.values - returns.values.mean(axis=0) + np.asarray(means)
+    return ReturnsMatrix(assets=returns.assets, values=values)
+
+
+class TestSweepRangeInsideMeans:
+    """Every swept target lies inside [min(mu), max(mu)], whatever the signs."""
+
+    @pytest.mark.parametrize("kind", list(RiskKind))
+    @pytest.mark.parametrize(
+        "means",
+        [
+            pytest.param([-0.003, -0.0021, -0.0012, -0.0005, -0.0001], id="all_negative"),
+            pytest.param([-7.77e-6, 0.0004, 0.0011, 0.002, 0.0028], id="near_zero_min"),
+        ],
+    )
+    def test_frontier_and_fit_stay_in_range(self, rng, kind, means):
+        returns = returns_with_means(rng, means)
+        model = build_risk_model(returns, kind=kind)
+        lo, hi = float(model.mu.min()), float(model.mu.max())
+        points = efficient_frontier(model, n_points=12)
+        assert len(points) == 12
+        for point in points:
+            assert lo <= point.parameter <= hi
+            assert point.expected_return == pytest.approx(point.parameter, abs=1e-8)
+        report = frontier_fit(model, returns, n_points=12)
+        assert len(report.pairs) == 12
+        for expected, _ in report.pairs:
+            assert lo - 1e-12 <= expected <= hi + 1e-12

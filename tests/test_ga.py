@@ -346,3 +346,55 @@ class TestGaFrontier:
         direct, _ = ga_lambda_portfolio(model, 0.5, params)
         # same lam=0.5 but a derived seed: almost surely a different draw path
         assert not np.array_equal(points[1].portfolio.weights, direct.weights)
+
+
+class TestSeededPins:
+    """Seeded results pinned across commits, not only across reruns.
+
+    A change to the documented RNG draw order must update these values
+    and say so in CHANGES.md.
+    """
+
+    def test_integer_model3(self, model3):
+        market = MarketParams(
+            capital=200.0,
+            prices=np.array([7.0, 5.0, 3.0]),
+            buy_cost_rates=0.02,
+            sell_cost_rates=0.01,
+            risk_free_rate=0.0001,
+            horizon=251,
+        )
+        solution, trace = ga_lambda_n_portfolio(
+            model3, 0.05, GaParams(generations=150, seed=31), market
+        )
+        assert solution.shares.tolist() == [5, 7, 7]
+        assert len(trace.best_fitness_per_generation) == 150
+        assert trace.best_fitness_per_generation[-1] == pytest.approx(
+            5.081062998007978e-06, rel=1e-12
+        )
+
+    def test_integer_random_model(self, rng):
+        model = random_model(rng, 8)
+        market = MarketParams(
+            capital=10_000.0,
+            prices=np.linspace(4.0, 60.0, 8),
+            buy_cost_rates=0.01,
+            sell_cost_rates=0.01,
+            horizon=251,
+        )
+        solution, trace = ga_lambda_n_portfolio(
+            model, 0.05, GaParams(generations=120, seed=8), market
+        )
+        assert solution.shares.tolist() == [0, 257, 26, 0, 0, 86, 48, 0]
+        assert len(trace.best_fitness_per_generation) == 120
+        assert trace.best_fitness_per_generation[-1] == pytest.approx(
+            7.884191488584166e-05, rel=1e-12
+        )
+
+    def test_continuous_random_model(self, rng):
+        model = random_model(rng, 8)
+        _, trace = ga_lambda_portfolio(model, 0.05, GaParams(generations=120, seed=8))
+        assert len(trace.best_fitness_per_generation) == 120
+        assert trace.best_fitness_per_generation[-1] == pytest.approx(
+            8.184236106500845e-05, rel=1e-12
+        )
