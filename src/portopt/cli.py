@@ -9,19 +9,20 @@ Options may come from a JSON config file (``--config`` or the
 precedence.  All numeric output is written with 17 significant digits,
 and a fixed seed makes every command byte-reproducible.
 
-Exit codes: 0 success, 2 ingestion failure, 3 infeasible program or
-target out of range, 4 asset misalignment, 1 anything else.
+Exit codes: 0 success, 2 ingestion failure or malformed config file,
+3 infeasible program or target out of range, 4 asset misalignment,
+1 anything else.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +36,9 @@ from .errors import (
     QpError,
     TargetOutOfRange,
 )
-from .market import MarketParams, market_params_from_dict
-from .market_data import assets_return, fill_missing, load_prices
-from .optimizers import ObjectiveParams, lambda_portfolio, markowitz_portfolio
+from .market import IntegerSolution, MarketParams, market_params_from_dict
+from .market_data import PriceTable, assets_return, fill_missing, load_prices
+from .optimizers import ObjectiveParams, Portfolio, lambda_portfolio, markowitz_portfolio
 from .risk_models import AnnualizationConvention, RiskKind, build_risk_model
 
 CONFIG_ENV_VAR = "PORTOPT_CONFIG"
@@ -47,6 +48,13 @@ EXIT_ERROR = 1
 EXIT_INGESTION = 2
 EXIT_INFEASIBLE = 3
 EXIT_ALIGNMENT = 4
+
+#: Exit code per error class, first match wins; other errors exit 1.
+_EXIT_CODES = (
+    (IngestionError, EXIT_INGESTION),
+    ((QpError, TargetOutOfRange), EXIT_INFEASIBLE),
+    (AssetAlignmentError, EXIT_ALIGNMENT),
+)
 
 
 def _fmt(x) -> str:
@@ -72,12 +80,13 @@ def _write_json(path: Path, doc: dict) -> Path:
 # --- configuration -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """One reproducible run: data paths, model choice, objective, output.
 
     Built by layering defaults, then a JSON config file, then explicit
-    command-line flags.
+    command-line flags.  An empty ``sell_cost`` means no sell rate was
+    given: the rate is 0, or the ``market`` block's.
     """
 
     prices: str | None = None
@@ -92,7 +101,7 @@ class RunConfig:
     seed: int = 0
     capital: float | None = None
     buy_cost: tuple[float, ...] = (0.0,)
-    sell_cost: tuple[float, ...] = (0.0,)
+    sell_cost: tuple[float, ...] = ()
     risk_free: float = 0.0
     horizon: int = 251
     lot_size: int = 1
@@ -106,7 +115,7 @@ class RunConfig:
     market: dict | None = None
 
 
-_DEFAULTS = {field.name: field.default for field in fields(RunConfig)}
+_DEFAULTS = {field.name: field.default for field in dataclasses.fields(RunConfig)}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -121,9 +130,16 @@ def _load_config_file(path: str | None) -> dict:
         raise IngestionError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise IngestionError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise IngestionError(f"config file {path} does not hold a JSON object")
     unknown = set(doc) - set(_DEFAULTS)
     if unknown:
         raise IngestionError(f"unknown config keys: {sorted(unknown)}")
+    market = doc.get("market")
+    if market is not None and not (
+        isinstance(market, dict) and {"capital", "prices"} <= set(market)
+    ):
+        raise IngestionError("config key 'market' must be an object with 'capital' and 'prices'")
     return doc
 
 
@@ -135,10 +151,13 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             merged[key] = value
     for key in ("buy_cost", "sell_cost"):
-        if np.isscalar(merged[key]):
-            merged[key] = (float(merged[key]),)
-        else:
-            merged[key] = tuple(float(v) for v in merged[key])
+        rates = merged[key]
+        try:
+            merged[key] = (float(rates),) if np.isscalar(rates) else tuple(map(float, rates))
+        except (TypeError, ValueError):
+            raise IngestionError(f"{key} must be a rate or a list of rates") from None
+    if not merged["buy_cost"]:
+        raise IngestionError("buy_cost needs at least one rate")
     return RunConfig(**merged)
 
 
@@ -149,17 +168,17 @@ def _convention(cfg: RunConfig) -> AnnualizationConvention:
     )
 
 
-def _load_table(path: str | None, label: str):
+def _load_table(path: str | None, label: str) -> PriceTable:
+    """The price file at ``path`` with its gaps carried forward."""
     if not path:
         raise IngestionError(f"no price file configured for {label}")
     if not Path(path).exists():
         raise IngestionError(f"price file not found: {path}")
-    return load_prices(path)
+    return fill_missing(load_prices(path))
 
 
 def _build_model(cfg: RunConfig):
-    table = fill_missing(_load_table(cfg.prices, "--prices"))
-    returns = assets_return(table)
+    returns = assets_return(_load_table(cfg.prices, "--prices"))
     model = build_risk_model(
         returns,
         kind=RiskKind(cfg.risk),
@@ -169,39 +188,34 @@ def _build_model(cfg: RunConfig):
     return model, returns
 
 
-def _market_params(
-    cfg: RunConfig, n_assets: int, cost_index: int | None = None
-) -> MarketParams | None:
-    """Market parameters from the config, or None for the frictionless model.
+def _market_params(cfg: RunConfig, n_assets: int) -> MarketParams | None:
+    """Market parameters of a single run, or None for the frictionless model.
 
-    Current prices come from an explicit ``market`` config block when
-    given, otherwise from the first row of the evaluation price file.
-    A cost-ladder level (``cost_index``) takes its buy cost rate from
-    ``--buy-cost``, replacing the block's rate when a block is given.
+    They come from an explicit ``market`` config block when given, taken
+    as it stands.  Otherwise the flags give them, with the first
+    ``--buy-cost`` and ``--sell-cost`` rates and the current prices from
+    the first row of the evaluation price file.
     """
     if cfg.market is not None:
-        block = dict(cfg.market)
-        if cost_index is not None:
-            block["buy_cost_rates"] = cfg.buy_cost[cost_index]
-        return market_params_from_dict(block, n_assets)
-    if cfg.capital is None:
+        doc = cfg.market
+    elif cfg.capital is None:
         return None
-    if not cfg.prices_eval:
+    elif not cfg.prices_eval:
         raise IngestionError(
             "integer optimization needs --prices-eval (its first row is the "
             "current price) or an explicit market config block"
         )
-    eval_table = fill_missing(_load_table(cfg.prices_eval, "--prices-eval"))
-    cost_index = cost_index or 0
-    return MarketParams(
-        capital=float(cfg.capital),
-        prices=eval_table.values[0],
-        buy_cost_rates=cfg.buy_cost[cost_index],
-        sell_cost_rates=cfg.sell_cost[min(cost_index, len(cfg.sell_cost) - 1)],
-        risk_free_rate=float(cfg.risk_free),
-        horizon=int(cfg.horizon),
-        lot_sizes=int(cfg.lot_size),
-    )
+    else:
+        doc = {
+            "capital": cfg.capital,
+            "prices": _load_table(cfg.prices_eval, "--prices-eval").values[0],
+            "buy_cost_rates": cfg.buy_cost[0],
+            "sell_cost_rates": cfg.sell_cost[0] if cfg.sell_cost else 0.0,
+            "risk_free_rate": cfg.risk_free,
+            "horizon": cfg.horizon,
+            "lot_sizes": cfg.lot_size,
+        }
+    return market_params_from_dict(doc, n_assets)
 
 
 def _ga_params(cfg: RunConfig) -> ga_mod.GaParams:
@@ -221,74 +235,61 @@ def _out_dir(cfg: RunConfig) -> Path:
 # --- documents ---------------------------------------------------------------
 
 
-def _portfolio_doc(portfolio, convention: AnnualizationConvention) -> dict:
+def _result_doc(result: Portfolio | IntegerSolution, convention: AnnualizationConvention) -> dict:
+    """JSON document of a portfolio or an integer solution; its key order
+    is part of the output."""
     periods = convention.daily_to_annual_expectation
+    if isinstance(result, IntegerSolution):
+        body = {
+            "shares": [int(c) for c in result.shares],
+            "implied_weights": [float(w) for w in result.implied_weights],
+            "sparse_weights": result.sparse_weights,
+            "sparse_shares": result.sparse_shares,
+            "residual": result.residual,
+            "fitness": result.fitness,
+        }
+    else:
+        body = {"weights": [float(w) for w in result.weights], "sparse_view": result.sparse_view}
     return {
-        "assets": list(portfolio.assets),
-        "weights": [float(w) for w in portfolio.weights],
-        "sparse_view": portfolio.sparse_view,
+        "assets": list(result.assets),
+        **body,
         "expected_return": {
-            "daily": portfolio.expected_return,
-            "annual": portfolio.expected_return * periods,
+            "daily": result.expected_return,
+            "annual": result.expected_return * periods,
         },
         "risk": {
-            "daily": portfolio.risk,
+            "daily": result.risk,
             # Display-only sqrt-of-periods scaling; optimization is daily.
-            "annual_sqrt_scaled": portfolio.risk * math.sqrt(periods),
+            "annual_sqrt_scaled": result.risk * math.sqrt(periods),
         },
     }
 
 
-def _solution_doc(solution, convention: AnnualizationConvention) -> dict:
-    periods = convention.daily_to_annual_expectation
-    return {
-        "assets": list(solution.assets),
-        "shares": [int(c) for c in solution.shares],
-        "implied_weights": [float(w) for w in solution.implied_weights],
-        "sparse_weights": solution.sparse_weights,
-        "sparse_shares": solution.sparse_shares,
-        "residual": solution.residual,
-        "fitness": solution.fitness,
-        "expected_return": {
-            "daily": solution.expected_return,
-            "annual": solution.expected_return * periods,
-        },
-        "risk": {
-            "daily": solution.risk,
-            "annual_sqrt_scaled": solution.risk * math.sqrt(periods),
-        },
-    }
-
-
-def _write_portfolio(out: Path, stem: str, doc: dict, fmt: str) -> list[Path]:
-    if fmt == "json":
+def _write_result(
+    out: Path, stem: str, result: Portfolio | IntegerSolution, cfg: RunConfig
+) -> list[Path]:
+    """``<stem>.json``, or ``<stem>.csv`` (asset, weight) plus
+    ``<stem>_summary.csv``, and ``<stem>_shares.csv`` for an integer solution."""
+    doc = _result_doc(result, _convention(cfg))
+    if cfg.format == "json":
         return [_write_json(out / f"{stem}.json", doc)]
-    rows = list(zip(doc["assets"], doc["weights"]))
-    written = [_write_csv(out / f"{stem}.csv", ["asset", "weight"], rows)]
-    summary_keys = {
+    integer = isinstance(result, IntegerSolution)
+    weights = doc["implied_weights" if integer else "weights"]
+    written = [_write_csv(out / f"{stem}.csv", ["asset", "weight"], zip(doc["assets"], weights))]
+    summary = {
         "expected_return_daily": doc["expected_return"]["daily"],
         "expected_return_annual": doc["expected_return"]["annual"],
         "risk_daily": doc["risk"]["daily"],
         "risk_annual_sqrt_scaled": doc["risk"]["annual_sqrt_scaled"],
     }
-    if "residual" in doc:
-        summary_keys["residual"] = doc["residual"]
-        summary_keys["fitness"] = doc["fitness"]
+    if integer:
+        summary.update(residual=doc["residual"], fitness=doc["fitness"])
     written.append(
-        _write_csv(
-            out / f"{stem}_summary.csv",
-            list(summary_keys),
-            [list(summary_keys.values())],
-        )
+        _write_csv(out / f"{stem}_summary.csv", list(summary), [list(summary.values())])
     )
-    if "shares" in doc:
-        written.append(
-            _write_csv(
-                out / f"{stem}_shares.csv",
-                ["asset", "shares"],
-                [(a, str(c)) for a, c in zip(doc["assets"], doc["shares"])],
-            )
-        )
+    if integer:
+        shares = [(a, str(c)) for a, c in zip(doc["assets"], doc["shares"])]
+        written.append(_write_csv(out / f"{stem}_shares.csv", ["asset", "shares"], shares))
     return written
 
 
@@ -315,31 +316,25 @@ def cmd_optimize(cfg: RunConfig) -> list[Path]:
     """One portfolio: minimum-risk, target-return, tradeoff, or integer GA."""
     model, _ = _build_model(cfg)
     out = _out_dir(cfg)
-    convention = _convention(cfg)
     market = _market_params(cfg, model.n_assets)
-    fmt = cfg.format
+    ga_lam = 0.5 if cfg.lam is None else float(cfg.lam)
 
+    stem, trace = "portfolio", None
     if market is not None:
-        lam = 0.5 if cfg.lam is None else float(cfg.lam)
-        solution, trace = ga_mod.ga_lambda_n_portfolio(model, lam, _ga_params(cfg), market)
-        written = _write_portfolio(out, "solution", _solution_doc(solution, convention), fmt)
-        written.append(_write_trace(out, trace))
-        return written
-
-    if cfg.target_return is not None:
-        portfolio = markowitz_portfolio(
+        stem = "solution"
+        result, trace = ga_mod.ga_lambda_n_portfolio(model, ga_lam, _ga_params(cfg), market)
+    elif cfg.target_return is not None:
+        result = markowitz_portfolio(
             model, ObjectiveParams(target_return=float(cfg.target_return))
         )
     elif cfg.ga:
-        lam = 0.5 if cfg.lam is None else float(cfg.lam)
-        portfolio, trace = ga_mod.ga_lambda_portfolio(model, lam, _ga_params(cfg))
-        written = _write_portfolio(out, "portfolio", _portfolio_doc(portfolio, convention), fmt)
-        written.append(_write_trace(out, trace))
-        return written
+        result, trace = ga_mod.ga_lambda_portfolio(model, ga_lam, _ga_params(cfg))
     else:
-        lam = 0.0 if cfg.lam is None else float(cfg.lam)
-        portfolio = lambda_portfolio(model, ObjectiveParams(lam=lam))
-    return _write_portfolio(out, "portfolio", _portfolio_doc(portfolio, convention), fmt)
+        result = lambda_portfolio(model, ObjectiveParams(lam=float(cfg.lam or 0.0)))
+    written = _write_result(out, stem, result, cfg)
+    if trace is not None:
+        written.append(_write_trace(out, trace))
+    return written
 
 
 def cmd_frontier(cfg: RunConfig) -> list[Path]:
@@ -353,9 +348,14 @@ def cmd_frontier(cfg: RunConfig) -> list[Path]:
     else:
         market = _market_params(cfg, model.n_assets)
         if market is not None and len(cfg.buy_cost) > 1:
+            # Level i buys at the i-th --buy-cost rate and, when --sell-cost
+            # was given, sells at its i-th rate (the last one for later levels).
+            sells = cfg.sell_cost or (market.sell_cost_rates,)
             markets = [
-                (f"frontier_ga_cost_{level}.csv", _market_params(cfg, model.n_assets, index))
-                for index, level in enumerate(cfg.buy_cost)
+                (f"frontier_ga_cost_{rate}.csv", dataclasses.replace(
+                    market, buy_cost_rates=rate, sell_cost_rates=sells[min(i, len(sells) - 1)]
+                ))
+                for i, rate in enumerate(cfg.buy_cost)
             ]
         else:
             markets = [("frontier_ga.csv", market)]
@@ -399,8 +399,7 @@ def cmd_frontier(cfg: RunConfig) -> list[Path]:
 def cmd_fit(cfg: RunConfig) -> list[Path]:
     """Expected-versus-realized frontier comparison on a second period."""
     model, _ = _build_model(cfg)
-    eval_table = fill_missing(_load_table(cfg.prices_eval, "--prices-eval"))
-    returns_out = assets_return(eval_table)
+    returns_out = assets_return(_load_table(cfg.prices_eval, "--prices-eval"))
     report = frontier_mod.frontier_fit(model, returns_out, int(cfg.points))
     out = _out_dir(cfg)
     written = [
@@ -478,18 +477,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         written = args.handler(_merge_config(args))
-    except IngestionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INGESTION
-    except (QpError, TargetOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except AssetAlignmentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ALIGNMENT
     except (PortfolioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), EXIT_ERROR)
     for path in written:
         print(path)
     return EXIT_OK

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssetAlignmentError, QpError
+from .market import IntegerSolution
 from .market_data import ReturnsMatrix
 from .optimizers import ObjectiveParams, Portfolio, lambda_portfolio, markowitz_portfolio
 from .risk_models import RiskModel, mean_returns
@@ -25,12 +26,19 @@ PARAMETER_DECIMALS = 6
 
 @dataclass(frozen=True)
 class FrontierPoint:
-    """One (risk, return) pair plus the parameter that produced it."""
+    """The swept parameter and the portfolio it produced; the point's risk
+    and expected return are the portfolio's own."""
 
-    risk: float
-    expected_return: float
     parameter: float
-    portfolio: Portfolio
+    portfolio: Portfolio | IntegerSolution
+
+    @property
+    def risk(self) -> float:
+        return self.portfolio.risk
+
+    @property
+    def expected_return(self) -> float:
+        return self.portfolio.expected_return
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,11 @@ def _target_range(mu: np.ndarray, n_points: int, low: float | None = None) -> np
     return np.clip(np.round(np.linspace(lo, hi, n_points), PARAMETER_DECIMALS), mu_min, mu_max)
 
 
+def _lambda_grid(n_points: int) -> np.ndarray:
+    """Tradeoff values for a lam sweep: evenly spaced over [0, 1], rounded."""
+    return np.round(np.linspace(0.0, 1.0, n_points), PARAMETER_DECIMALS)
+
+
 def efficient_frontier(model: RiskModel, n_points: int = 40) -> list[FrontierPoint]:
     """Minimum-risk set traced over equally spaced pinned target returns."""
     if model.n_assets < 2:
@@ -72,14 +85,7 @@ def efficient_frontier(model: RiskModel, n_points: int = 40) -> list[FrontierPoi
             )
         except QpError as exc:
             raise type(exc)(f"target {target}: {exc}") from exc
-        points.append(
-            FrontierPoint(
-                risk=p.risk,
-                expected_return=p.expected_return,
-                parameter=float(target),
-                portfolio=p,
-            )
-        )
+        points.append(FrontierPoint(float(target), p))
     return points
 
 
@@ -87,18 +93,16 @@ def lambda_frontier(model: RiskModel, n_points: int = 40) -> list[FrontierPoint]
     """Efficient frontier from the tradeoff program, lam swept over [0, 1]."""
     if model.n_assets < 2:
         raise ValueError("frontier needs at least 2 assets")
-    points = []
-    for lam in np.round(np.linspace(0.0, 1.0, n_points), PARAMETER_DECIMALS):
-        p = lambda_portfolio(model, ObjectiveParams(lam=float(lam)))
-        points.append(
-            FrontierPoint(
-                risk=p.risk,
-                expected_return=p.expected_return,
-                parameter=float(lam),
-                portfolio=p,
-            )
-        )
-    return points
+    return [
+        FrontierPoint(float(lam), lambda_portfolio(model, ObjectiveParams(lam=float(lam))))
+        for lam in _lambda_grid(n_points)
+    ]
+
+
+def _risk_return(weights: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``(count, 2)`` array of (risk, expected return) rows, one per weight row."""
+    variances = np.einsum("pi,ij,pj->p", weights, sigma, weights)
+    return np.column_stack([np.sqrt(np.maximum(variances, 0.0)), weights @ mu])
 
 
 def two_asset_curve(mu: np.ndarray, sigma: np.ndarray, n_points: int = 30) -> np.ndarray:
@@ -110,11 +114,7 @@ def two_asset_curve(mu: np.ndarray, sigma: np.ndarray, n_points: int = 30) -> np
     mu = np.asarray(mu, dtype=float).reshape(2)
     sigma = np.asarray(sigma, dtype=float).reshape(2, 2)
     w_a = np.linspace(0.0, 1.0, n_points)
-    weights = np.column_stack([w_a, 1.0 - w_a])
-    returns = weights @ mu
-    variances = np.einsum("pi,ij,pj->p", weights, sigma, weights)
-    risks = np.sqrt(np.maximum(variances, 0.0))
-    return np.column_stack([risks, returns])
+    return _risk_return(np.column_stack([w_a, 1.0 - w_a]), mu, sigma)
 
 
 def random_simplex_weights(
@@ -145,9 +145,7 @@ def random_portfolio_cloud(
     if count < 1:
         raise ValueError("count must be at least 1")
     weights = random_simplex_weights(model.n_assets, count, np.random.default_rng(seed))
-    returns = weights @ model.mu
-    variances = np.einsum("pi,ij,pj->p", weights, model.sigma, weights)
-    return np.column_stack([np.sqrt(np.maximum(variances, 0.0)), returns])
+    return _risk_return(weights, model.mu, model.sigma)
 
 
 def frontier_fit(

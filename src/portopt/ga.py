@@ -32,7 +32,7 @@ import numpy as np
 
 from . import market as mkt
 from .errors import PortfolioError
-from .frontier import FrontierPoint
+from .frontier import FrontierPoint, _lambda_grid
 from .market import IntegerSolution, MarketParams
 from .optimizers import Portfolio, portfolio_from_weights
 from .risk_models import RiskModel
@@ -364,21 +364,13 @@ def ga_frontier(
     :class:`IntegerSolution` when market parameters are given.
     """
     params = params or GaParams()
-    lams = np.round(np.linspace(0.0, 1.0, n_points), 6)
     seeds = np.random.SeedSequence(params.seed).generate_state(n_points, dtype=np.uint64)
     points = []
-    for lam, seed in zip(lams, seeds):
+    for lam, seed in zip(_lambda_grid(n_points), seeds):
         sub = dataclasses.replace(params, seed=int(seed))
         if market is None:
             best, _ = ga_lambda_portfolio(model, float(lam), sub)
         else:
             best, _ = ga_lambda_n_portfolio(model, float(lam), sub, market)
-        points.append(
-            FrontierPoint(
-                risk=best.risk,
-                expected_return=best.expected_return,
-                parameter=float(lam),
-                portfolio=best,
-            )
-        )
+        points.append(FrontierPoint(float(lam), best))
     return points

@@ -26,10 +26,11 @@ All evaluation functions broadcast over a leading population axis.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .optimizers import _sparse_view
 from .risk_models import RiskModel
 
 
@@ -191,7 +192,6 @@ def evaluate(
     """Package one integer purchase as an :class:`IntegerSolution`."""
     n = np.asarray(n, dtype=int).reshape(params.n_assets)
     w = implied_weights(n, params)
-    rounded = np.round(w, 4)
     return IntegerSolution(
         assets=model.assets,
         shares=n,
@@ -200,11 +200,7 @@ def evaluate(
         expected_return=net_portfolio_return(n, model, params),
         risk=float(np.sqrt(max(portfolio_variance(n, model, params), 0.0))),
         fitness=fitness(n, model, params, lam),
-        sparse_weights={
-            name: float(rw)
-            for name, rw in zip(model.assets, rounded)
-            if rw > report_threshold
-        },
+        sparse_weights=_sparse_view(model.assets, w, report_threshold),
         sparse_shares={
             name: int(count) for name, count in zip(model.assets, n) if count > 0
         },

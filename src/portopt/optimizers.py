@@ -87,6 +87,12 @@ def regularize(sigma: np.ndarray) -> np.ndarray:
     return sigma + REGULARIZATION * np.eye(sigma.shape[0])
 
 
+def _sparse_view(assets, weights: np.ndarray, report_threshold: float) -> dict[str, float]:
+    """Asset names mapped to their rounded report weights above ``report_threshold``."""
+    rounded = np.round(weights, REPORT_DECIMALS)
+    return {name: float(rw) for name, rw in zip(assets, rounded) if rw > report_threshold}
+
+
 def portfolio_from_weights(
     model: RiskModel, weights: np.ndarray, report_threshold: float = 0.0
 ) -> Portfolio:
@@ -97,18 +103,12 @@ def portfolio_from_weights(
     """
     w = np.asarray(weights, dtype=float)
     w = np.where(w < 0.0, 0.0, w)
-    rounded = np.round(w, REPORT_DECIMALS)
-    view = {
-        name: float(rw)
-        for name, rw in zip(model.assets, rounded)
-        if rw > report_threshold
-    }
     return Portfolio(
         assets=model.assets,
         weights=w,
         expected_return=float(w @ model.mu),
         risk=float(np.sqrt(max(w @ model.sigma @ w, 0.0))),
-        sparse_view=view,
+        sparse_view=_sparse_view(model.assets, w, report_threshold),
     )
 
 

@@ -72,6 +72,8 @@ class RiskModel:
         n = len(self.assets)
         if mu.shape != (n,) or sigma.shape != (n, n):
             raise ValueError("mu/sigma dimensions do not match the asset list")
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+            raise ValueError("mu and sigma must be finite")
         if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12):
             raise ValueError("risk matrix is not symmetric within 1e-12")
         diag = np.diag(sigma)

@@ -115,15 +115,6 @@ class TestOptimize:
 
     def test_integer_solution_matches_library(self, price_files, tmp_path):
         prices, prices_eval = price_files
-        out = tmp_path / "out"
-        code = main(
-            ["optimize", "--prices", str(prices), "--prices-eval", str(prices_eval),
-             "--capital", "500", "--buy-cost", "0.01", "--sell-cost", "0.01",
-             "--risk-free", "0.0002788", "--lambda", "0.5", "--generations", "60",
-             "--seed", "7", "--out", str(out)]
-        )
-        assert code == 0
-        doc = json.loads((out / "solution.json").read_text())
         returns = assets_return(fill_missing(load_prices(prices)))
         model = build_risk_model(returns)
         eval_table = fill_missing(load_prices(prices_eval))
@@ -138,9 +129,30 @@ class TestOptimize:
         solution, _ = ga_lambda_n_portfolio(
             model, 0.5, GaParams(generations=60, seed=7), market
         )
+        for fmt in ("json", "csv"):
+            out = tmp_path / fmt
+            code = main(
+                ["optimize", "--prices", str(prices), "--prices-eval", str(prices_eval),
+                 "--capital", "500", "--buy-cost", "0.01", "--sell-cost", "0.01",
+                 "--risk-free", "0.0002788", "--lambda", "0.5", "--generations", "60",
+                 "--seed", "7", "--format", fmt, "--out", str(out)]
+            )
+            assert code == 0
+            assert (out / "ga_trace.csv").exists()
+        doc = json.loads((tmp_path / "json" / "solution.json").read_text())
         assert doc["shares"] == [int(c) for c in solution.shares]
         assert doc["residual"] == solution.residual
-        assert (out / "ga_trace.csv").exists()
+        header, rows = read_csv(tmp_path / "csv" / "solution.csv")
+        assert header == ["asset", "weight"]
+        assert [r[0] for r in rows] == list(model.assets)
+        assert [float(r[1]) for r in rows] == [float(w) for w in solution.implied_weights]
+        header, rows = read_csv(tmp_path / "csv" / "solution_shares.csv")
+        assert header == ["asset", "shares"]
+        assert [int(r[1]) for r in rows] == [int(c) for c in solution.shares]
+        header, rows = read_csv(tmp_path / "csv" / "solution_summary.csv")
+        summary = dict(zip(header, map(float, rows[0])))
+        assert summary["residual"] == solution.residual
+        assert summary["fitness"] == solution.fitness
 
 
 class TestFrontier:
@@ -190,7 +202,8 @@ class TestFrontier:
         assert (out / "frontier_ga_cost_0.05.csv").exists()
 
     def test_cost_ladder_overrides_market_block(self, price_files, tmp_path):
-        # each ladder level replaces the block's buy cost rate
+        # each ladder level replaces the block's buy cost rate, and its sell
+        # cost rate only when --sell-cost is given
         prices, _ = price_files
         block = {
             "capital": 400,
@@ -201,23 +214,26 @@ class TestFrontier:
         }
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"prices": str(prices), "market": block}), encoding="utf-8")
-        out = tmp_path / "out"
-        code = main(
-            ["--config", str(cfg), "frontier", "--ga", "--buy-cost", "0.01", "0.05",
-             "--points", "3", "--generations", "20", "--seed", "5", "--out", str(out)]
-        )
-        assert code == 0
-        texts = {
-            rate: (out / f"frontier_ga_cost_{rate}.csv").read_text(encoding="utf-8")
-            for rate in (0.01, 0.05)
-        }
-        assert texts[0.01] != texts[0.05]
         model = build_risk_model(assets_return(fill_missing(load_prices(prices))))
-        for rate, text in texts.items():
-            market = market_params_from_dict({**block, "buy_cost_rates": rate}, 3)
-            points = ga_frontier(model, GaParams(generations=20, seed=5), market, n_points=3)
-            rows = [[float(c) for c in line.split(",")] for line in text.splitlines()[1:]]
-            assert rows == [[p.parameter, p.risk, p.expected_return] for p in points]
+        for sell_args, sells in (([], (0.01, 0.01)), (["--sell-cost", "0.2", "0.3"], (0.2, 0.3))):
+            out = tmp_path / f"out{len(sell_args)}"
+            code = main(
+                ["--config", str(cfg), "frontier", "--ga", "--buy-cost", "0.01", "0.05",
+                 *sell_args, "--points", "3", "--generations", "20", "--seed", "5",
+                 "--out", str(out)]
+            )
+            assert code == 0
+            texts = {
+                rate: (out / f"frontier_ga_cost_{rate}.csv").read_text(encoding="utf-8")
+                for rate in (0.01, 0.05)
+            }
+            assert texts[0.01] != texts[0.05]
+            for (rate, text), sell in zip(texts.items(), sells):
+                level = {**block, "buy_cost_rates": rate, "sell_cost_rates": sell}
+                market = market_params_from_dict(level, 3)
+                points = ga_frontier(model, GaParams(generations=20, seed=5), market, n_points=3)
+                rows = [[float(c) for c in line.split(",")] for line in text.splitlines()[1:]]
+                assert rows == [[p.parameter, p.risk, p.expected_return] for p in points]
 
 
 class TestFit:
@@ -325,6 +341,34 @@ class TestConfigAndDeterminism:
         assert sum(doc["implied_weights"]) <= 1.0 + 1e-9
 
     @pytest.mark.parametrize(
+        ("extra", "code"),
+        [
+            ({"market": {"capital": 400}}, 2),
+            ({"market": {"prices": [11.0, 23.0, 5.5]}}, 2),
+            ({"market": [400, 11.0, 23.0, 5.5]}, 2),
+            ({"buy_cost": []}, 2),
+            ({"buy_cost": "cheap"}, 2),
+            (["prices", "capital"], 2),  # the whole file is not an object
+            ({"sell_cost": []}, 0),  # an empty list means no sell rate was given
+        ],
+        ids=["market_no_prices", "market_no_capital", "market_not_object", "buy_cost_empty",
+             "buy_cost_text", "file_not_object", "sell_cost_empty"],
+    )
+    def test_malformed_config_exit_code(self, price_files, tmp_path, extra, code):
+        prices, prices_eval = price_files
+        base = {"prices": str(prices), "prices_eval": str(prices_eval), "capital": 500,
+                "generations": 10}
+        cfg = tmp_path / "cfg.json"
+        doc = {**base, **extra} if isinstance(extra, dict) else extra
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--config", str(cfg), "optimize", "--out", str(tmp_path / "o")]) == code
+        if code == 0:
+            cfg.write_text(json.dumps(base), encoding="utf-8")
+            assert main(["--config", str(cfg), "optimize", "--out", str(tmp_path / "p")]) == 0
+            for name in ("solution.json", "ga_trace.csv"):
+                assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["stats"],
@@ -332,6 +376,9 @@ class TestConfigAndDeterminism:
             ["frontier", "--points", "5", "--cloud", "60"],
             ["optimize", "--capital", "400", "--buy-cost", "0.01",
              "--sell-cost", "0.01", "--lambda", "0.5", "--generations", "20"],
+            ["optimize", "--capital", "400", "--buy-cost", "0.01",
+             "--sell-cost", "0.01", "--lambda", "0.5", "--generations", "20",
+             "--format", "csv"],
         ],
     )
     def test_byte_identical_reruns(self, price_files, tmp_path, argv):

@@ -13,6 +13,7 @@ from portopt.market_data import ReturnsMatrix
 from portopt.risk_models import (
     AnnualizationConvention,
     RiskKind,
+    RiskModel,
     build_risk_model,
     correlation,
     covariance,
@@ -170,6 +171,18 @@ class TestBuildRiskModel:
     def test_convention_validation(self):
         with pytest.raises(ValueError):
             AnnualizationConvention(daily_to_annual_expectation=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["mu", "sigma"])
+    def test_non_finite_inputs_rejected(self, field, value):
+        mu = np.array([0.001, 0.002])
+        sigma = np.array([[0.04, 0.01], [0.01, 0.09]])
+        if field == "mu":
+            mu[0] = value
+        else:
+            sigma[0, 1] = sigma[1, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            RiskModel(assets=("A", "B"), mu=mu, sigma=sigma)
 
 
 # --- property tests ----------------------------------------------------------
