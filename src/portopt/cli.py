@@ -6,8 +6,11 @@ clouds, two-asset curves) and ``fit`` (out-of-sample frontier fit).
 
 Options may come from a JSON config file (``--config`` or the
 ``PORTOPT_CONFIG`` environment variable) with command-line flags taking
-precedence.  All numeric output is written with 17 significant digits,
-and a fixed seed makes every command byte-reproducible.
+precedence.  Each setting of the integer model takes the flag (or
+top-level config key) when given, else the key of the config file's
+``market`` block, else the :class:`~portopt.market.MarketParams` default.
+All numeric output is written with 17 significant digits, and a fixed
+seed makes every command byte-reproducible.
 
 Exit codes: 0 success, 2 ingestion failure or malformed config file,
 3 infeasible program or target out of range, 4 asset misalignment,
@@ -71,9 +74,9 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
 
 
 def _write_json(path: Path, doc: dict) -> Path:
+    text = json.dumps(doc, indent=2, allow_nan=False)  # NaN is not JSON
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+        handle.write(text + "\n")
     return path
 
 
@@ -85,8 +88,10 @@ class RunConfig:
     """One reproducible run: data paths, model choice, objective, output.
 
     Built by layering defaults, then a JSON config file, then explicit
-    command-line flags.  An empty ``sell_cost`` means no sell rate was
-    given: the rate is 0, or the ``market`` block's.
+    command-line flags.  The integer-model settings (``capital``,
+    ``buy_cost``, ``sell_cost``, ``risk_free``, ``horizon``, ``lot_size``)
+    default to ``None`` or ``()``, meaning "not given": the ``market``
+    block's value applies, else the :class:`MarketParams` default.
     """
 
     prices: str | None = None
@@ -100,11 +105,11 @@ class RunConfig:
     population: int | None = None
     seed: int = 0
     capital: float | None = None
-    buy_cost: tuple[float, ...] = (0.0,)
+    buy_cost: tuple[float, ...] = ()
     sell_cost: tuple[float, ...] = ()
-    risk_free: float = 0.0
-    horizon: int = 251
-    lot_size: int = 1
+    risk_free: float | None = None
+    horizon: int | None = None
+    lot_size: int | None = None
     cloud: int | None = None
     points: int = 40
     two_asset: bool = False
@@ -116,6 +121,17 @@ class RunConfig:
 
 
 _DEFAULTS = {field.name: field.default for field in dataclasses.fields(RunConfig)}
+
+#: The ``market`` block key of each integer-model setting of RunConfig.
+_MARKET_SETTINGS = {
+    "capital": "capital",
+    "buy_cost": "buy_cost_rates",
+    "sell_cost": "sell_cost_rates",
+    "risk_free": "risk_free_rate",
+    "horizon": "horizon",
+    "lot_size": "lot_sizes",
+}
+_MARKET_KEYS = {field.name for field in dataclasses.fields(MarketParams)}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -137,9 +153,14 @@ def _load_config_file(path: str | None) -> dict:
         raise IngestionError(f"unknown config keys: {sorted(unknown)}")
     market = doc.get("market")
     if market is not None and not (
-        isinstance(market, dict) and {"capital", "prices"} <= set(market)
+        isinstance(market, dict) and {"capital", "prices"} <= set(market) <= _MARKET_KEYS
     ):
-        raise IngestionError("config key 'market' must be an object with 'capital' and 'prices'")
+        raise IngestionError(
+            "config key 'market' must be an object with 'capital' and 'prices' "
+            f"and no keys but {sorted(_MARKET_KEYS)}"
+        )
+    if doc.get("buy_cost") == []:
+        raise IngestionError("buy_cost needs at least one rate")
     return doc
 
 
@@ -156,8 +177,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             merged[key] = (float(rates),) if np.isscalar(rates) else tuple(map(float, rates))
         except (TypeError, ValueError):
             raise IngestionError(f"{key} must be a rate or a list of rates") from None
-    if not merged["buy_cost"]:
-        raise IngestionError("buy_cost needs at least one rate")
     return RunConfig(**merged)
 
 
@@ -188,34 +207,32 @@ def _build_model(cfg: RunConfig):
     return model, returns
 
 
-def _market_params(cfg: RunConfig, n_assets: int) -> MarketParams | None:
-    """Market parameters of a single run, or None for the frictionless model.
+def _markets(cfg: RunConfig, n_assets: int) -> list[MarketParams]:
+    """Market parameters per cost level, or none for the frictionless model.
 
-    They come from an explicit ``market`` config block when given, taken
-    as it stands.  Otherwise the flags give them, with the first
-    ``--buy-cost`` and ``--sell-cost`` rates and the current prices from
-    the first row of the evaluation price file.
+    Each setting is the flag when given, else the ``market`` block's key,
+    else the :class:`MarketParams` default; current prices are the
+    block's, else the first row of the evaluation price file.  There is
+    one level per ``--buy-cost`` rate (one without the flag).
     """
-    if cfg.market is not None:
-        doc = cfg.market
-    elif cfg.capital is None:
-        return None
-    elif not cfg.prices_eval:
+    if cfg.market is None and cfg.capital is None:
+        return []
+    if cfg.market is None and not cfg.prices_eval:
         raise IngestionError(
             "integer optimization needs --prices-eval (its first row is the "
             "current price) or an explicit market config block"
         )
-    else:
-        doc = {
-            "capital": cfg.capital,
-            "prices": _load_table(cfg.prices_eval, "--prices-eval").values[0],
-            "buy_cost_rates": cfg.buy_cost[0],
-            "sell_cost_rates": cfg.sell_cost[0] if cfg.sell_cost else 0.0,
-            "risk_free_rate": cfg.risk_free,
-            "horizon": cfg.horizon,
-            "lot_sizes": cfg.lot_size,
-        }
-    return market_params_from_dict(doc, n_assets)
+    base = cfg.market or {"prices": _load_table(cfg.prices_eval, "--prices-eval").values[0]}
+    levels = []
+    for i in range(max(len(cfg.buy_cost), 1)):
+        doc = dict(base)
+        for name, key in _MARKET_SETTINGS.items():
+            value = getattr(cfg, name)
+            if value not in (None, ()):
+                # level i takes the i-th rate of a list, its last one for later levels
+                doc[key] = value[min(i, len(value) - 1)] if isinstance(value, tuple) else value
+        levels.append(market_params_from_dict(doc, n_assets))
+    return levels
 
 
 def _ga_params(cfg: RunConfig) -> ga_mod.GaParams:
@@ -316,13 +333,13 @@ def cmd_optimize(cfg: RunConfig) -> list[Path]:
     """One portfolio: minimum-risk, target-return, tradeoff, or integer GA."""
     model, _ = _build_model(cfg)
     out = _out_dir(cfg)
-    market = _market_params(cfg, model.n_assets)
+    markets = _markets(cfg, model.n_assets)
     ga_lam = 0.5 if cfg.lam is None else float(cfg.lam)
 
     stem, trace = "portfolio", None
-    if market is not None:
+    if markets:
         stem = "solution"
-        result, trace = ga_mod.ga_lambda_n_portfolio(model, ga_lam, _ga_params(cfg), market)
+        result, trace = ga_mod.ga_lambda_n_portfolio(model, ga_lam, _ga_params(cfg), markets[0])
     elif cfg.target_return is not None:
         result = markowitz_portfolio(
             model, ObjectiveParams(target_return=float(cfg.target_return))
@@ -346,22 +363,12 @@ def cmd_frontier(cfg: RunConfig) -> list[Path]:
     if not cfg.ga:
         sweeps = [("frontier.csv", frontier_mod.efficient_frontier(model, n_points))]
     else:
-        market = _market_params(cfg, model.n_assets)
-        if market is not None and len(cfg.buy_cost) > 1:
-            # Level i buys at the i-th --buy-cost rate and, when --sell-cost
-            # was given, sells at its i-th rate (the last one for later levels).
-            sells = cfg.sell_cost or (market.sell_cost_rates,)
-            markets = [
-                (f"frontier_ga_cost_{rate}.csv", dataclasses.replace(
-                    market, buy_cost_rates=rate, sell_cost_rates=sells[min(i, len(sells) - 1)]
-                ))
-                for i, rate in enumerate(cfg.buy_cost)
-            ]
-        else:
-            markets = [("frontier_ga.csv", market)]
+        markets = _markets(cfg, model.n_assets) or [None]
+        names = [f"frontier_ga_cost_{rate}.csv" for rate in cfg.buy_cost]
+        names = names if len(markets) > 1 else ["frontier_ga.csv"]
         sweeps = [
-            (name, ga_mod.ga_frontier(model, _ga_params(cfg), m, n_points))
-            for name, m in markets
+            (name, ga_mod.ga_frontier(model, _ga_params(cfg), market, n_points))
+            for name, market in zip(names, markets)
         ]
     written = [
         _write_csv(

@@ -157,6 +157,8 @@ def frontier_fit(
     clipped maximum; each portfolio is solved with the return constraint
     as an inequality and then realized on the out-of-sample means.
     """
+    if n_points < 1:
+        raise ValueError("a fit needs at least one frontier point")
     if returns_out.assets != model.assets:
         extra = set(returns_out.assets) - set(model.assets)
         missing = set(model.assets) - set(returns_out.assets)

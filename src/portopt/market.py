@@ -210,15 +210,11 @@ def evaluate(
 def market_params_from_dict(doc: dict, n_assets: int) -> MarketParams:
     """Build :class:`MarketParams` from a configuration mapping.
 
-    Cost rates and lot sizes may be scalars (broadcast) or per-asset
-    lists; prices must be per-asset.
+    Only the keys the mapping holds are passed; an absent one takes the
+    :class:`MarketParams` default.  Cost rates and lot sizes may be
+    scalars (broadcast) or per-asset lists; prices must be per-asset.
     """
-    return MarketParams(
-        capital=float(doc["capital"]),
-        prices=np.asarray(doc["prices"], dtype=float).reshape(n_assets),
-        buy_cost_rates=doc.get("buy_cost_rates", 0.0),
-        sell_cost_rates=doc.get("sell_cost_rates", 0.0),
-        risk_free_rate=float(doc.get("risk_free_rate", 0.0)),
-        horizon=int(doc.get("horizon", 251)),
-        lot_sizes=doc.get("lot_sizes", 1),
-    )
+    convert = {"capital": float, "risk_free_rate": float, "horizon": int}
+    fields = {key: convert[key](value) if key in convert else value for key, value in doc.items()}
+    fields["prices"] = np.asarray(doc["prices"], dtype=float).reshape(n_assets)
+    return MarketParams(**fields)

@@ -107,9 +107,10 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
     """
     n = qp.n
     meq = qp.b_eq.shape[0]
-    a_all = np.vstack([qp.a_eq, qp.a_ineq]) if meq or qp.b_ineq.size else np.zeros((0, n))
+    a_all = np.vstack([qp.a_eq, qp.a_ineq])
     b_all = np.concatenate([qp.b_eq, qp.b_ineq])
     m = b_all.shape[0]
+    is_eq = np.arange(m) < meq
 
     try:
         chol = np.linalg.cholesky(qp.dmat)
@@ -119,20 +120,22 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
     ginv = chol_inv.T @ chol_inv  # D^{-1}
 
     x = ginv @ qp.dvec
-    active: list[int] = []  # global constraint indices, insertion order
-    signs: list[float] = []  # +1, or -1 for an equality added flipped
-    u: list[float] = []  # multipliers for the active set, signed normals
-    normals = np.zeros((n, 0))  # signed normals of the active constraints
+    # The working set, one position per active constraint in insertion
+    # order: its global index, its sign (-1 for an equality added flipped),
+    # its multiplier, and its signed normal as a column of ``normals``.
+    active = np.zeros(0, dtype=int)
+    signs = _EMPTY
+    u = _EMPTY
+    normals = np.zeros((n, 0))
 
     max_iter = 100 * max(n, 1)
     iterations = 0
 
     while True:
         # Most violated constraint outside the working set, lowest index first.
-        slack = a_all @ x - b_all if m else _EMPTY
-        metric = np.where(np.arange(m) < meq, -np.abs(slack), slack)
-        if active:
-            metric[np.asarray(active)] = np.inf
+        slack = a_all @ x - b_all
+        metric = np.where(is_eq, -np.abs(slack), slack)
+        metric[active] = np.inf
         p = int(np.argmin(metric)) if m else -1
         if p < 0 or metric[p] >= -_ADD_TOL:
             break
@@ -149,31 +152,22 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
 
             ginv_np = ginv @ nplus
             gin = float(nplus @ ginv_np)
-            if active:
-                bmat = ginv @ normals
-                mmat = normals.T @ bmat
-                try:
-                    r = np.linalg.solve(mmat, normals.T @ ginv_np)
-                except np.linalg.LinAlgError:
-                    raise NumericalBreakdown("singular working-set system") from None
-                z = ginv_np - bmat @ r
-            else:
-                r = _EMPTY
-                z = ginv_np
+            bmat = ginv @ normals
+            try:
+                r = np.linalg.solve(normals.T @ bmat, normals.T @ ginv_np)
+            except np.linalg.LinAlgError:
+                raise NumericalBreakdown("singular working-set system") from None
+            z = ginv_np - bmat @ r
 
             ztn = float(z @ nplus)
             full_step_possible = ztn > 1e-10 * max(gin, np.finfo(float).tiny)
 
-            # Blocking constraint for the dual variables (equalities never drop).
-            t1 = np.inf
-            blocking = -1
-            for pos in range(len(active)):
-                if active[pos] < meq or r[pos] <= _DROP_TOL:
-                    continue
-                ratio = u[pos] / r[pos]
-                if ratio < t1:
-                    t1 = ratio
-                    blocking = pos
+            # Blocking constraint for the dual variables (equalities never
+            # drop); argmin keeps the lowest position among ties.
+            ratios = np.divide(
+                u, r, out=np.full(u.shape, np.inf), where=~is_eq[active] & (r > _DROP_TOL)
+            )
+            t1 = ratios.min(initial=np.inf)
             t2 = -s_p / ztn if full_step_possible else np.inf
 
             if not full_step_possible and t1 == np.inf:
@@ -183,67 +177,64 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
             if full_step_possible:
                 x = x + step * z
                 s_p = float(nplus @ x) - sign * b_all[p]
-            for pos in range(len(active)):
-                u[pos] -= step * r[pos]
+            u = u - step * r
             u_plus += step
 
             if full_step_possible and step == t2:
-                active.append(p)
-                signs.append(sign)
-                u.append(u_plus)
+                active, signs, u = (
+                    np.append(active, p), np.append(signs, sign), np.append(u, u_plus)
+                )
                 normals = np.column_stack([normals, nplus])
                 break
             # Partial or pure dual step: drop the blocking constraint.
-            del active[blocking], signs[blocking], u[blocking]
+            blocking = int(np.argmin(ratios))
+            active, signs, u = (np.delete(v, blocking) for v in (active, signs, u))
             normals = np.delete(normals, blocking, axis=1)
 
-    x, u = _polish(qp, x, u, active, signs, normals, b_all, a_all, meq)
+    x, u = _polish(qp, x, u, active, signs, normals, b_all, a_all, is_eq)
 
     multipliers = np.zeros(m)
-    for pos, gi in enumerate(active):
-        multipliers[gi] = signs[pos] * u[pos]
+    multipliers[active] = signs * u
     objective = 0.5 * float(x @ qp.dmat @ x) - float(qp.dvec @ x)
     return QpSolution(
         x=x,
         objective=objective,
-        active_set=tuple(sorted(active)),
+        active_set=tuple(np.sort(active).tolist()),
         iterations=iterations,
         multipliers=multipliers,
     )
 
 
-def _polish(qp, x, u, active, signs, normals, b_all, a_all, meq):
+def _polish(qp, x, u, active, signs, normals, b_all, a_all, is_eq):
     """Re-solve the working-set KKT system from the original data.
 
     The iteration accumulates x through many small steps; on badly scaled
     programs (for example a 1e-11 ridge standing in for a vanished
     quadratic term) that drift can reach the 1e-6 scale.  One direct
     solve on the converged working set removes it.  The polished point is
-    kept only if it stays feasible for the constraints left inactive.
+    kept only if it stays feasible for the constraints left inactive and
+    its inequality multipliers stay nonnegative.
     """
-    q = len(active)
+    q = active.size
     if q == 0:
         return x, u
-    signed_b = np.array([signs[pos] * b_all[gi] for pos, gi in enumerate(active)])
     n = qp.n
     kkt = np.zeros((n + q, n + q))
     kkt[:n, :n] = qp.dmat
     kkt[:n, n:] = -normals
     kkt[n:, :n] = normals.T
-    rhs = np.concatenate([qp.dvec, signed_b])
+    rhs = np.concatenate([qp.dvec, signs * b_all[active]])
     try:
         solution = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         return x, u
     x_new, u_new = solution[:n], solution[n:]
     slack = a_all @ x_new - b_all
-    inactive = np.setdiff1d(np.arange(b_all.shape[0]), np.asarray(active))
-    ok = True
-    if inactive.size:
-        s = slack[inactive]
-        eq = inactive < meq
-        ok = (np.abs(s[eq]) < 1e-8).all() and (s[~eq] > -1e-8).all()
-    ineq_positions = [pos for pos, gi in enumerate(active) if gi >= meq]
-    if ok and all(u_new[pos] >= -1e-8 for pos in ineq_positions):
-        return x_new, list(u_new)
-    return x, u
+    inactive = np.ones(b_all.shape[0], dtype=bool)
+    inactive[active] = False
+    ok = (
+        (np.abs(slack[inactive & is_eq]) < 1e-8).all()
+        and (slack[inactive & ~is_eq] > -1e-8).all()
+        and (u_new[~is_eq[active]] >= -1e-8).all()
+    )
+    return (x_new, u_new) if ok else (x, u)

@@ -261,6 +261,17 @@ class TestFit:
         assert header == ["expected", "realized"]
         assert len(rows) == 8
 
+    def test_zero_points_exit_code(self, price_files, tmp_path):
+        # a fit of no points has no mean error; no NaN may reach a file
+        prices, prices_eval = price_files
+        out = tmp_path / "out"
+        code = main(
+            ["fit", "--prices", str(prices), "--prices-eval", str(prices_eval),
+             "--points", "0", "--out", str(out)]
+        )
+        assert code == 1
+        assert not (out / "fit_summary.json").exists()
+
     def test_misaligned_assets_exit_code(self, price_files, tmp_path):
         prices, _ = price_files
         other = tmp_path / "other.csv"
@@ -341,6 +352,45 @@ class TestConfigAndDeterminism:
         assert sum(doc["implied_weights"]) <= 1.0 + 1e-9
 
     @pytest.mark.parametrize(
+        ("flag", "value", "key"),
+        [
+            ("--buy-cost", 0.3, "buy_cost_rates"),
+            ("--sell-cost", 0.2, "sell_cost_rates"),
+            ("--capital", 4000, "capital"),
+            ("--lot-size", 3, "lot_sizes"),
+            ("--risk-free", 0.001, "risk_free_rate"),
+            ("--horizon", 20, "horizon"),
+        ],
+        ids=["buy_cost", "sell_cost", "capital", "lot_size", "risk_free", "horizon"],
+    )
+    def test_market_flag_overrides_block(self, price_files, tmp_path, flag, value, key):
+        # a single run takes each market flag over the block's key, as a ladder does
+        prices, _ = price_files
+        block = {
+            "capital": 400,
+            "prices": [11.0, 23.0, 5.5],
+            "buy_cost_rates": 0.02,
+            "sell_cost_rates": 0.01,
+            "risk_free_rate": 0.0002,
+            "horizon": 251,
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prices": str(prices), "market": block}), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            ["--config", str(cfg), "optimize", flag, str(value), "--generations", "40",
+             "--seed", "5", "--out", str(out)]
+        )
+        assert code == 0
+        model = build_risk_model(assets_return(fill_missing(load_prices(prices))))
+        market = market_params_from_dict({**block, key: value}, 3)
+        solution, _ = ga_lambda_n_portfolio(model, 0.5, GaParams(generations=40, seed=5), market)
+        doc = json.loads((out / "solution.json").read_text())
+        assert doc["shares"] == [int(c) for c in solution.shares]
+        assert doc["residual"] == solution.residual
+        assert doc["fitness"] == solution.fitness
+
+    @pytest.mark.parametrize(
         ("extra", "code"),
         [
             ({"market": {"capital": 400}}, 2),
@@ -350,9 +400,12 @@ class TestConfigAndDeterminism:
             ({"buy_cost": "cheap"}, 2),
             (["prices", "capital"], 2),  # the whole file is not an object
             ({"sell_cost": []}, 0),  # an empty list means no sell rate was given
+            # the flags' spellings are not market block keys
+            ({"market": {"capital": 400, "prices": [11.0, 23.0, 5.5], "buy_cost": 0.5,
+                         "lot_size": 100}}, 2),
         ],
         ids=["market_no_prices", "market_no_capital", "market_not_object", "buy_cost_empty",
-             "buy_cost_text", "file_not_object", "sell_cost_empty"],
+             "buy_cost_text", "file_not_object", "sell_cost_empty", "market_unknown_key"],
     )
     def test_malformed_config_exit_code(self, price_files, tmp_path, extra, code):
         prices, prices_eval = price_files

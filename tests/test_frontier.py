@@ -188,6 +188,12 @@ class TestFrontierFit:
         with pytest.raises(AssetAlignmentError):
             frontier_fit(model, other)
 
+    def test_needs_a_point(self, rng):
+        returns = random_returns(rng, 3, 60)
+        model = build_risk_model(returns)
+        with pytest.raises(ValueError):
+            frontier_fit(model, returns, n_points=0)
+
     def test_range_starts_at_min_risk_return(self, rng):
         returns = random_returns(rng, 4, 150)
         model = build_risk_model(returns)
@@ -207,16 +213,8 @@ def returns_with_means(rng, means, periods: int = 250) -> ReturnsMatrix:
 class TestSweepRangeInsideMeans:
     """Every swept target lies inside [min(mu), max(mu)], whatever the signs."""
 
-    @pytest.mark.parametrize("kind", list(RiskKind))
-    @pytest.mark.parametrize(
-        "means",
-        [
-            pytest.param([-0.003, -0.0021, -0.0012, -0.0005, -0.0001], id="all_negative"),
-            pytest.param([-7.77e-6, 0.0004, 0.0011, 0.002, 0.0028], id="near_zero_min"),
-        ],
-    )
-    def test_frontier_and_fit_stay_in_range(self, rng, kind, means):
-        returns = returns_with_means(rng, means)
+    @staticmethod
+    def check_in_range(returns, kind):
         model = build_risk_model(returns, kind=kind)
         lo, hi = float(model.mu.min()), float(model.mu.max())
         points = efficient_frontier(model, n_points=12)
@@ -228,3 +226,22 @@ class TestSweepRangeInsideMeans:
         assert len(report.pairs) == 12
         for expected, _ in report.pairs:
             assert lo - 1e-12 <= expected <= hi + 1e-12
+
+    @pytest.mark.parametrize("kind", list(RiskKind))
+    @pytest.mark.parametrize(
+        "means",
+        [
+            pytest.param([-0.003, -0.0021, -0.0012, -0.0005, -0.0001], id="all_negative"),
+            pytest.param([-7.77e-6, 0.0004, 0.0011, 0.002, 0.0028], id="near_zero_min"),
+            pytest.param([0.0011] * 5, id="equal_means"),
+            pytest.param([0.0004, 0.0004, 0.0011, 0.0011, 0.002], id="two_equal_pairs"),
+        ],
+    )
+    def test_frontier_and_fit_stay_in_range(self, rng, kind, means):
+        self.check_in_range(returns_with_means(rng, means), kind)
+
+    @pytest.mark.parametrize("kind", list(RiskKind))
+    def test_duplicated_column_stays_in_range(self, rng, kind):
+        returns = returns_with_means(rng, [0.0004, 0.0011, 0.002, 0.0028])
+        values = np.column_stack([returns.values, returns.values[:, 1]])
+        self.check_in_range(ReturnsMatrix(assets=(*returns.assets, "DUP"), values=values), kind)
