@@ -12,9 +12,9 @@ top-level config key) when given, else the key of the config file's
 All numeric output is written with 17 significant digits, and a fixed
 seed makes every command byte-reproducible.
 
-Exit codes: 0 success, 2 ingestion failure or malformed config file,
-3 infeasible program or target out of range, 4 asset misalignment,
-1 anything else.
+Exit codes: 0 success, 2 ingestion failure, malformed config file or a
+cost ladder that repeats a rate, 3 infeasible program or target out of
+range, 4 asset misalignment, 1 anything else.
 """
 
 from __future__ import annotations
@@ -357,7 +357,6 @@ def cmd_optimize(cfg: RunConfig) -> list[Path]:
 def cmd_frontier(cfg: RunConfig) -> list[Path]:
     """Frontier CSV plus optional random cloud and two-asset curve files."""
     model, _ = _build_model(cfg)
-    out = _out_dir(cfg)
     n_points = int(cfg.points)
 
     if not cfg.ga:
@@ -366,10 +365,16 @@ def cmd_frontier(cfg: RunConfig) -> list[Path]:
         markets = _markets(cfg, model.n_assets) or [None]
         names = [f"frontier_ga_cost_{rate}.csv" for rate in cfg.buy_cost]
         names = names if len(markets) > 1 else ["frontier_ga.csv"]
+        if len(set(names)) < len(names):
+            raise IngestionError(
+                f"buy cost ladder {list(cfg.buy_cost)} repeats a rate, so two "
+                "levels would write one file"
+            )
         sweeps = [
             (name, ga_mod.ga_frontier(model, _ga_params(cfg), market, n_points))
             for name, market in zip(names, markets)
         ]
+    out = _out_dir(cfg)
     written = [
         _write_csv(
             out / name,

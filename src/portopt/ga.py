@@ -263,31 +263,22 @@ def repair_integer(n_raw: np.ndarray, params: MarketParams) -> np.ndarray:
     """Project an integer purchase back into the budget.
 
     The raw counts' value proportions are preserved as closely as
-    possible: assets are visited in decreasing proportion order (ties by
-    ascending index) and each count is re-derived as
-    ``floor(proportion * K / (p_i * (1 + cb_i)))``, which always leaves a
-    nonnegative residual.
+    possible: each count is re-derived on its own as
+    ``floor(proportion * K / lot_cost_i)``, zero where the proportion is
+    not positive, and a rounding guard then takes lots back, largest
+    proportion first (ties by ascending index), until the residual is
+    nonnegative.
     """
     n_raw = np.asarray(n_raw, dtype=int)
-    p_eff = params.effective_prices
-    unit = p_eff * (1.0 + params.buy_cost_rates)
-    value = p_eff * n_raw
+    value = params.effective_prices * n_raw
     total = float(value.sum())
-    out = np.zeros(n_raw.shape[0], dtype=int)
     if total <= 0.0:
-        return out
+        return np.zeros(n_raw.shape[0], dtype=int)
     props = value / total
-    visit = np.argsort(-props, kind="stable")
-    for idx in visit:
-        if props[idx] <= 0.0:
-            break
-        out[idx] = int((props[idx] * params.capital) // unit[idx])
-    # Guard against float rounding pushing the outlay past the capital.
-    while params.capital - float((out * unit).sum()) < 0.0:
-        for idx in visit:
-            if out[idx] > 0:
-                out[idx] -= 1
-                break
+    out = np.where(props > 0.0, (props * params.capital) // params.lot_cost, 0).astype(int)
+    while mkt.residual_cash(out, params) < 0.0:
+        order = np.argsort(-props, kind="stable")
+        out[next(i for i in order if out[i] > 0)] -= 1
     return out
 
 
@@ -295,14 +286,15 @@ def _initial_integer_population(
     pop: int, params: MarketParams, rng: np.random.Generator
 ) -> np.ndarray:
     n = params.n_assets
-    unit = params.effective_prices * (1.0 + params.buy_cost_rates)
+    unit = params.lot_cost
     counts = np.zeros((pop, n), dtype=int)
     for i in range(pop):
         remaining = params.capital
         for asset in rng.permutation(n):
             capacity = int(remaining // unit[asset])
-            counts[i, asset] = int(rng.integers(0, capacity + 1)) if capacity > 0 else 0
-            remaining = params.capital - float((counts[i] * unit).sum())
+            if capacity > 0:
+                counts[i, asset] = rng.integers(0, capacity + 1)
+                remaining = mkt.residual_cash(counts[i], params)
         if remaining < 0.0:
             counts[i] = repair_integer(counts[i], params)
     return counts
@@ -336,7 +328,7 @@ def ga_lambda_n_portfolio(
 
     counts, trace = _evolve(
         _initial_integer_population(params.population_for(model.n_assets), market, rng),
-        lambda pop: np.asarray(mkt.fitness(pop, model, market, lam)),
+        lambda pop: mkt.fitness(pop, model, market, lam),
         lambda genes, j: _mutate(
             genes, j, params, "integer", lambda: rng.integers(1, mutation_cap + 1), rng
         ),

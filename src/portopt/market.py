@@ -73,6 +73,11 @@ class MarketParams:
         object.__setattr__(
             self, "lot_sizes", _per_asset(self.lot_sizes, n, "lot_sizes", dtype=int)
         )
+        for name in (
+            "capital", "prices", "buy_cost_rates", "sell_cost_rates", "risk_free_rate", "horizon"
+        ):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if self.capital <= 0:
             raise ValueError("capital must be positive")
         if (prices <= 0).any():
@@ -83,14 +88,13 @@ class MarketParams:
             raise ValueError("horizon must be at least 1 period")
         if (self.lot_sizes < 1).any():
             raise ValueError("lot sizes must be positive integers")
-        cheapest = float(
-            (self.effective_prices * (1.0 + self.buy_cost_rates)).min()
-        )
+        cheapest = float(self.lot_cost.min())
         if self.capital < cheapest:
+            # level 3 is the caller that built the market, past the dataclass __init__
             warnings.warn(
                 f"capital {self.capital} buys no lot (cheapest costs {cheapest}); "
                 "only the risk-free asset is reachable",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -101,6 +105,11 @@ class MarketParams:
     def effective_prices(self) -> np.ndarray:
         """Per-lot prices: the per-share price times the lot size."""
         return self.prices * self.lot_sizes
+
+    @property
+    def lot_cost(self) -> np.ndarray:
+        """Cash one lot takes: its per-lot price plus the buy cost on it."""
+        return self.effective_prices * (1.0 + self.buy_cost_rates)
 
 
 @dataclass(frozen=True)
@@ -141,10 +150,10 @@ def sell_cost(n: np.ndarray, mu: np.ndarray, params: MarketParams) -> np.ndarray
 
 
 def residual_cash(n: np.ndarray, params: MarketParams) -> np.ndarray | float:
-    """Capital left after the purchase and its buy costs."""
+    """Capital left after the purchase and its buy costs; the one judge of
+    feasibility: a purchase is affordable exactly when this is nonnegative."""
     outlay = np.asarray(n) * params.effective_prices * (1.0 + params.buy_cost_rates)
-    out = params.capital - outlay.sum(axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    return params.capital - outlay.sum(axis=-1)
 
 
 def implied_weights(n: np.ndarray, params: MarketParams) -> np.ndarray:
@@ -162,24 +171,21 @@ def net_portfolio_return(
     gross = (n * model.mu * params.effective_prices).sum(axis=-1) / k
     selling = sell_cost(n, model.mu, params).sum(axis=-1) / (k * horizon)
     riskfree = residual_cash(n, params) * params.risk_free_rate / k
-    out = gross - selling + riskfree
-    return float(out) if np.ndim(out) == 0 else out
+    return gross - selling + riskfree
 
 
 def portfolio_variance(n: np.ndarray, model: RiskModel, params: MarketParams):
     w = implied_weights(n, params)
-    out = np.einsum("...i,ij,...j->...", w, model.sigma, w)
-    return float(out) if np.ndim(out) == 0 else out
+    return np.einsum("...i,ij,...j->...", w, model.sigma, w)
 
 
 def fitness(
     n: np.ndarray, model: RiskModel, params: MarketParams, lam: float
 ) -> np.ndarray | float:
     """Tradeoff objective lam * R_p - (1 - lam) * w'Sw."""
-    out = lam * net_portfolio_return(n, model, params) - (
+    return lam * net_portfolio_return(n, model, params) - (
         1.0 - lam
     ) * portfolio_variance(n, model, params)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def evaluate(
@@ -192,14 +198,16 @@ def evaluate(
     """Package one integer purchase as an :class:`IntegerSolution`."""
     n = np.asarray(n, dtype=int).reshape(params.n_assets)
     w = implied_weights(n, params)
+    expected_return = float(net_portfolio_return(n, model, params))
+    variance = float(portfolio_variance(n, model, params))
     return IntegerSolution(
         assets=model.assets,
         shares=n,
         implied_weights=w,
-        residual=residual_cash(n, params),
-        expected_return=net_portfolio_return(n, model, params),
-        risk=float(np.sqrt(max(portfolio_variance(n, model, params), 0.0))),
-        fitness=fitness(n, model, params, lam),
+        residual=float(residual_cash(n, params)),
+        expected_return=expected_return,
+        risk=float(np.sqrt(max(variance, 0.0))),
+        fitness=lam * expected_return - (1.0 - lam) * variance,
         sparse_weights=_sparse_view(model.assets, w, report_threshold),
         sparse_shares={
             name: int(count) for name, count in zip(model.assets, n) if count > 0

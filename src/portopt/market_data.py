@@ -148,13 +148,11 @@ def load_prices(
                     row.append(np.nan)
                     continue
                 try:
-                    value = float(token)
+                    row.append(float(token))
                 except ValueError:
                     raise ParseError(
                         f"{path}:{lineno}: malformed number {token!r} in column {name!r}"
                     ) from None
-                # Non-finite input is indistinguishable from a missing quote.
-                row.append(value if np.isfinite(value) else np.nan)
             rows.append(row)
 
     if len(rows) < 2:
@@ -166,7 +164,10 @@ def load_prices(
         if any(a >= b for a, b in zip(dates, dates[1:])):
             raise ParseError(f"{path}: dates are not strictly increasing")
 
-    return PriceTable(dates=tuple(dates), assets=assets, values=np.array(rows))
+    values = np.array(rows)
+    # Non-finite input is indistinguishable from a missing quote.
+    values[~np.isfinite(values)] = np.nan
+    return PriceTable(dates=tuple(dates), assets=assets, values=values)
 
 
 def fill_missing(raw: PriceTable) -> PriceTable:

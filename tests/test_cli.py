@@ -154,6 +154,31 @@ class TestOptimize:
         assert summary["residual"] == solution.residual
         assert summary["fitness"] == solution.fitness
 
+    def test_capital_an_exact_multiple_of_lot_cost(self, tmp_path):
+        # 393 lots of A cost exactly the capital in one float order and a
+        # hair more in the other; the purchase must stay within the capital.
+        prices = tmp_path / "two.csv"
+        prices.write_text(
+            "date,A,B\nd1,0.10,5\nd2,0.11,5.1\nd3,0.105,5.3\nd4,0.12,5.2\n", encoding="utf-8"
+        )
+        out = tmp_path / "o"
+        code = main(
+            ["optimize", "--prices", str(prices), "--prices-eval", str(prices),
+             "--capital", "51.09", "--buy-cost", "0.3", "--lambda", "1", "--out", str(out)]
+        )
+        assert code == 0
+        assert json.loads((out / "solution.json").read_text())["residual"] >= 0.0
+
+    @pytest.mark.parametrize("flag, value", [("--risk-free", "nan"), ("--capital", "inf")])
+    def test_non_finite_market_setting_exit_code(self, price_files, tmp_path, flag, value, capsys):
+        prices, _ = price_files
+        out = tmp_path / "o"
+        argv = ["optimize", "--prices", str(prices), "--prices-eval", str(prices),
+                "--capital", "1000", "--format", "csv", "--out", str(out)]
+        assert main(argv + [flag, value]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (out / "solution_summary.csv").exists()
+
 
 class TestFrontier:
     def test_default_row_count(self, price_files, tmp_path):
@@ -200,6 +225,18 @@ class TestFrontier:
         assert code == 0
         assert (out / "frontier_ga_cost_0.01.csv").exists()
         assert (out / "frontier_ga_cost_0.05.csv").exists()
+
+    def test_ga_cost_ladder_repeated_rate_exit_code(self, price_files, tmp_path):
+        prices, prices_eval = price_files
+        out = tmp_path / "out"
+        code = main(
+            ["frontier", "--prices", str(prices), "--prices-eval", str(prices_eval),
+             "--ga", "--capital", "500", "--buy-cost", "0.01", "0.01",
+             "--sell-cost", "0", "0.2", "--points", "3", "--generations", "5",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
 
     def test_cost_ladder_overrides_market_block(self, price_files, tmp_path):
         # each ladder level replaces the block's buy cost rate, and its sell

@@ -21,11 +21,13 @@ from portopt.ga import (
     repair_integer,
     roulette_select,
 )
-from portopt.market import MarketParams, fitness, residual_cash
+from portopt.market import MarketParams, evaluate, fitness, residual_cash
 from portopt.optimizers import ObjectiveParams, lambda_portfolio
 from portopt.risk_models import RiskModel
 
 from conftest import random_model
+
+ONE_ASSET = RiskModel(assets=("A",), mu=np.array([0.001]), sigma=np.array([[1e-4]]))
 
 
 @pytest.fixture
@@ -211,25 +213,30 @@ class TestRepair:
 
     def test_feasible_fixed_points_small_lattice(self):
         # Exhaustive: repairing a feasible vector whose proportions
-        # re-derive the same floor counts leaves it unchanged.
-        params = MarketParams(capital=30.0, prices=np.array([7.0, 4.0]))
-        unchanged = 0
-        total = 0
-        for n1, n2 in itertools.product(range(5), range(8)):
-            n = np.array([n1, n2])
-            if (n * params.prices).sum() > params.capital:
-                continue
-            total += 1
-            out = repair_integer(n, params)
-            assert residual_cash(out, params) >= 0.0
-            props = n * params.prices
-            if props.sum() > 0:
-                props = props / props.sum()
-                expected = (props * params.capital // params.prices).astype(int)
-                np.testing.assert_array_equal(out, expected)
-                if np.array_equal(out, n):
-                    unchanged += 1
-        assert unchanged > 0 and total > unchanged
+        # re-derive the same floor counts leaves it unchanged; without
+        # costs or lots, with a buy rate, and with both.
+        for capital, rate, lot in ((30.0, 0.0, 1), (30.0, 0.03, 1), (90.0, 0.02, 3)):
+            params = MarketParams(
+                capital=capital, prices=np.array([7.0, 4.0]), buy_cost_rates=rate, lot_sizes=lot
+            )
+            unit = params.prices * params.lot_sizes * (1.0 + params.buy_cost_rates)
+            unchanged = 0
+            total = 0
+            for n1, n2 in itertools.product(range(5), range(8)):
+                n = np.array([n1, n2])
+                if residual_cash(n, params) < 0.0:
+                    continue
+                total += 1
+                out = repair_integer(n, params)
+                assert residual_cash(out, params) >= 0.0
+                props = n * params.prices * params.lot_sizes
+                if props.sum() > 0:
+                    props = props / props.sum()
+                    expected = (props * params.capital // unit).astype(int)
+                    np.testing.assert_array_equal(out, expected)
+                    if np.array_equal(out, n):
+                        unchanged += 1
+            assert unchanged > 0 and total > unchanged
 
     def test_preserves_proportion_order(self):
         params = MarketParams(capital=1000.0, prices=np.array([10.0, 10.0, 10.0]))
@@ -252,6 +259,15 @@ class TestRepair:
         repaired = repair_integer(n, params)
         assert (repaired >= 0).all()
         assert residual_cash(repaired, params) >= 0.0
+
+
+    def test_capital_an_exact_multiple_of_lot_cost(self):
+        # 393 lots of 0.10 * 1.3 cost exactly 51.09 in one float order and
+        # 51.09 plus one ulp in the order residual_cash sums them.
+        params = MarketParams(capital=51.09, prices=np.array([0.10]), buy_cost_rates=0.3)
+        repaired = repair_integer(np.array([5]), params)
+        assert residual_cash(repaired, params) >= 0.0
+        assert evaluate(repaired, ONE_ASSET, params, lam=1.0).residual >= 0.0
 
 
 class TestIntegerGa:
@@ -307,6 +323,14 @@ class TestIntegerGa:
         assert np.array_equal(s1.shares, s2.shares)
         assert s1.fitness == s2.fitness
         assert s1.residual == s2.residual
+
+    def test_capital_an_exact_multiple_of_lot_cost(self):
+        market = MarketParams(capital=51.09, prices=np.array([0.10]), buy_cost_rates=0.3)
+        solution, _ = ga_lambda_n_portfolio(
+            ONE_ASSET, 1.0, GaParams(generations=20, seed=0), market
+        )
+        assert solution.residual >= 0.0
+        assert solution.shares.tolist() == [392]
 
     def test_market_required(self, model3):
         with pytest.raises(ValueError):
@@ -389,6 +413,27 @@ class TestSeededPins:
         assert len(trace.best_fitness_per_generation) == 120
         assert trace.best_fitness_per_generation[-1] == pytest.approx(
             7.884191488584166e-05, rel=1e-12
+        )
+
+    def test_integer_lots_sell_rates_risk_free(self, rng):
+        model = random_model(rng, 5)
+        market = MarketParams(
+            capital=50_000.0,
+            prices=np.linspace(3.0, 40.0, 5),
+            buy_cost_rates=0.01,
+            sell_cost_rates=np.array([0.0, 0.01, 0.02, 0.005, 0.03]),
+            risk_free_rate=3e-4,
+            horizon=251,
+            lot_sizes=np.array([10, 100, 1, 10, 100]),
+        )
+        solution, trace = ga_lambda_n_portfolio(
+            model, 0.05, GaParams(generations=100, seed=3), market
+        )
+        assert solution.shares.tolist() == [263, 16, 145, 57, 0]
+        assert solution.residual == pytest.approx(1383.6499999999942, rel=1e-12)
+        assert len(trace.best_fitness_per_generation) == 100
+        assert trace.best_fitness_per_generation[-1] == pytest.approx(
+            4.6708411434014226e-05, rel=1e-12
         )
 
     def test_continuous_random_model(self, rng):

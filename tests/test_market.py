@@ -171,8 +171,9 @@ class TestLots:
         assert residual_cash(n, lots) == residual_cash(n, scaled)
 
     def test_capital_warning(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             MarketParams(capital=5.0, prices=np.array([10.0]))
+        assert record[0].filename == __file__
 
 
 class TestEvaluate:
@@ -216,6 +217,17 @@ class TestConfigLoading:
         np.testing.assert_array_equal(params.sell_cost_rates, [0.01, 0.02])
         np.testing.assert_array_equal(params.lot_sizes, [10, 10])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "setting",
+        ["capital", "prices", "buy_cost_rates", "sell_cost_rates", "risk_free_rate", "horizon"],
+    )
+    def test_non_finite_rejected(self, setting, bad):
+        fields = {"capital": 100.0, "prices": np.array([10.0, 5.0])}
+        fields[setting] = np.array([10.0, bad]) if setting == "prices" else bad
+        with pytest.raises(ValueError, match=f"{setting} must be finite"):
+            MarketParams(**fields)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MarketParams(capital=-1.0, prices=np.array([1.0]))
@@ -223,6 +235,47 @@ class TestConfigLoading:
             MarketParams(capital=10.0, prices=np.array([-1.0]))
         with pytest.raises(ValueError):
             MarketParams(capital=10.0, prices=np.array([1.0]), horizon=0)
+
+
+@pytest.mark.parametrize(
+    "function, n_assets",
+    [
+        pytest.param(
+            function,
+            n_assets,
+            marks=pytest.mark.xfail(
+                function is fitness and n_assets == 2,
+                reason="einsum sums a two-asset w'Sw for one row and for a "
+                "population in different orders",
+                strict=True,
+            ),
+        )
+        for function in (residual_cash, net_portfolio_return, fitness)
+        for n_assets in (1, 2, 3, 8)
+    ],
+)
+def test_population_call_matches_rows_bitwise(function, n_assets):
+    rng = np.random.default_rng(n_assets)
+    model = RiskModel(
+        assets=tuple(f"A{i}" for i in range(n_assets)),
+        mu=rng.uniform(0.0, 0.002, n_assets),
+        sigma=np.cov(rng.normal(0.0, 0.01, size=(n_assets, 60))).reshape(n_assets, n_assets),
+    )
+    params = MarketParams(
+        capital=1e5,
+        prices=rng.uniform(1.0, 100.0, n_assets),
+        buy_cost_rates=rng.uniform(0.0, 0.05, n_assets),
+        sell_cost_rates=rng.uniform(0.0, 0.05, n_assets),
+        risk_free_rate=3e-4,
+        lot_sizes=rng.choice([1, 10, 100], n_assets),
+    )
+    args = {residual_cash: (params,), net_portfolio_return: (model, params)}.get(
+        function, (model, params, 0.3)
+    )
+    population = rng.integers(0, 50, size=(30, n_assets))
+    rows = [function(row, *args) for row in population]
+    np.testing.assert_array_equal(function(population, *args), rows)
+    assert all(isinstance(value, float) for value in rows)
 
 
 @given(

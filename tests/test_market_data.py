@@ -62,6 +62,13 @@ class TestLoadPrices:
         assert np.isnan(table.values[2, 0])
         assert table.has_gaps
 
+    def test_non_finite_numbers_become_gaps(self, tmp_path):
+        path = write(tmp_path, "date,X,Y\nd1,10,20\nd2,inf,21\nd3,11,-Infinity\n")
+        table = load_prices(path)
+        assert np.isnan(table.values[1, 0])
+        assert np.isnan(table.values[2, 1])
+        np.testing.assert_array_equal(table.values[[0, 0, 1, 2], [0, 1, 1, 0]], [10, 20, 21, 11])
+
     def test_alternate_delimiter(self, tmp_path):
         path = write(tmp_path, "date;X\nd1;10\nd2;11\n")
         table = load_prices(path, delimiter=";")
