@@ -18,7 +18,7 @@ from .errors import AssetAlignmentError, QpError
 from .market import IntegerSolution
 from .market_data import ReturnsMatrix
 from .optimizers import ObjectiveParams, Portfolio, lambda_portfolio, markowitz_portfolio
-from .risk_models import RiskModel, mean_returns
+from .risk_models import RiskModel, mean_returns, quadratic_form
 
 RANGE_CLIP = 0.005
 PARAMETER_DECIMALS = 6
@@ -101,7 +101,7 @@ def lambda_frontier(model: RiskModel, n_points: int = 40) -> list[FrontierPoint]
 
 def _risk_return(weights: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """``(count, 2)`` array of (risk, expected return) rows, one per weight row."""
-    variances = np.einsum("pi,ij,pj->p", weights, sigma, weights)
+    variances = quadratic_form(weights, sigma)
     return np.column_stack([np.sqrt(np.maximum(variances, 0.0)), weights @ mu])
 
 

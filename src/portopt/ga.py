@@ -12,15 +12,18 @@ Two problem bindings share one elitist loop:
 Per generation: roulette selection over shifted fitness, one escalating
 mutation per pair (applied to the first parent), single-point crossover,
 then a merge of parents and children keeping the best half - so the best
-fitness trace is nondecreasing by construction.  A binding supplies only
-its initial population, fitness, mutated-gene value and recombination.
+fitness trace is nondecreasing by construction.  A generation is array
+work over the whole population: every operator acts on all pairs at
+once.  A binding supplies only its initial population, fitness,
+mutated-gene values and recombination.
 
 Reproducibility: one seeded generator drives each run and draws in a
-fixed order (selection uniforms for the whole population, then per pair:
-mutation check, mutated gene and value if the check fires, crossover
-cut - redrawn while a continuous child has zero mass, absent for a
-one-asset integer run).  Frontier sweeps derive one independent child
-seed per point from the master seed.
+fixed order per generation: selection uniforms for the whole population;
+one mutation-firing uniform per pair; one mutated gene per pair; one
+value per pair whose mutation fires; one crossover cut per pair (absent
+for a one-asset integer run); then, for the continuous binding, a new cut
+for each pair with a zero-mass child, round by round.  Frontier sweeps
+derive one independent child seed per point from the master seed.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .errors import PortfolioError
 from .frontier import FrontierPoint, _lambda_grid
 from .market import IntegerSolution, MarketParams
 from .optimizers import Portfolio, portfolio_from_weights
-from .risk_models import RiskModel
+from .risk_models import RiskModel, quadratic_form
 
 #: Smallest population worth evolving; used when the asset count is low.
 MIN_POPULATION = 30
@@ -126,6 +129,21 @@ def roulette_select(fitness: np.ndarray, rng: np.random.Generator) -> int:
     return int(_roulette_indices(f, 1, rng)[0])
 
 
+def _crossover(first: np.ndarray, second: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Single-point crossover of every pair: pair k's first child keeps
+    ``cuts[k]`` leading genes of its first parent.  Shape ``(pairs, 2, N)``."""
+    keep = np.arange(first.shape[-1]) < cuts[:, None]
+    return np.stack([np.where(keep, first, second), np.where(keep, second, first)], axis=1)
+
+
+def _normalized_children(first: np.ndarray, second: np.ndarray, cuts: np.ndarray):
+    """Crossover children scaled to unit mass, and per pair whether a child
+    has zero mass (such a child is left unscaled)."""
+    children = _crossover(first, second, cuts)
+    mass = children.sum(axis=-1, keepdims=True)
+    return children / np.where(mass > 0.0, mass, 1.0), (mass <= 0.0).any(axis=(1, 2))
+
+
 def crossover_continuous(
     w1: np.ndarray, w2: np.ndarray, cut: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -140,25 +158,53 @@ def crossover_continuous(
     n = w1.shape[0]
     if not 1 <= cut <= n - 1:
         raise ValueError(f"cut must lie in [1, {n - 1}]")
-    child1 = np.concatenate([w1[:cut], w2[cut:]])
-    child2 = np.concatenate([w2[:cut], w1[cut:]])
-    s1, s2 = child1.sum(), child2.sum()
-    if s1 <= 0.0 or s2 <= 0.0:
+    children, zero = _normalized_children(w1[None], w2[None], np.array([cut]))
+    if zero[0]:
         raise ZeroMassChild(f"cut {cut} left a child with zero mass")
-    return child1 / s1, child2 / s2
+    return children[0, 0], children[0, 1]
 
 
-def _mutate(genes, generation_j: int, params: GaParams, binding: str, draw_value, rng):
-    """Escalating one-gene mutation shared by both bindings: fires with
-    probability ``mr + (j/m) * ramp`` and writes ``draw_value()`` into a
-    random gene of a copy."""
+def _cross_continuous(first: np.ndarray, second: np.ndarray, rng: np.random.Generator):
+    """Renormalized crossover of every pair; rows 2k and 2k+1 are pair k's children.
+
+    Zero-mass children only arise from exactly-zero gene blocks, which
+    evolved populations never contain.  A pair with one redraws its own
+    cut, up to 64 cuts in all, and then keeps its parents, renormalized.
+    """
+    pairs, n = first.shape
+    children, zero = _normalized_children(first, second, rng.integers(1, n, size=pairs))
+    for _ in range(63):
+        redo = np.flatnonzero(zero)
+        if not redo.size:
+            break
+        children[redo], zero[redo] = _normalized_children(
+            first[redo], second[redo], rng.integers(1, n, size=redo.size)
+        )
+    stuck = np.flatnonzero(zero)
+    parents = np.stack([first[stuck], second[stuck]], axis=1)
+    children[stuck] = parents / parents.sum(axis=-1, keepdims=True)
+    return children.reshape(-1, n)
+
+
+def _mutate(
+    genes: np.ndarray, generation_j: int, params: GaParams, binding: str, draw_values, rng
+) -> np.ndarray:
+    """Escalating one-gene mutation of every row, in place: a row fires
+    with probability ``mr + (j/m) * ramp`` and then takes the next of
+    ``draw_values(count)`` in its drawn gene.  Returns ``genes``."""
     ramp = _MUTATION[binding][1]
     rate = params.mutation_base(binding) + (generation_j / params.generations) * ramp
-    out = np.array(genes)
-    if rng.random() < rate:
-        gene = int(rng.integers(out.shape[0]))
-        out[gene] = draw_value()
-    return out
+    rows, width = genes.shape
+    fire = rng.random(rows) < rate
+    gene = rng.integers(width, size=rows)
+    hit = np.flatnonzero(fire)
+    genes[hit, gene[hit]] = draw_values(hit.size)
+    return genes
+
+
+def _continuous_values(rng: np.random.Generator):
+    """Mutated-gene values of the continuous binding: U(0, 2)."""
+    return lambda count: rng.uniform(0.0, 2.0, count)
 
 
 def mutate_continuous(
@@ -169,30 +215,20 @@ def mutate_continuous(
 
     Renormalization happens at crossover, not here.
     """
-    w = np.asarray(w, dtype=float)
-    return _mutate(w, generation_j, params, "continuous", lambda: rng.uniform(0.0, 2.0), rng)
-
-
-def _cross_resampling(w1, w2, rng: np.random.Generator):
-    # Zero-mass children only arise from exactly-zero gene blocks, which
-    # evolved populations never contain; bounded retries then parents as-is.
-    for _ in range(64):
-        cut = int(rng.integers(1, w1.shape[0]))
-        try:
-            return crossover_continuous(w1, w2, cut)
-        except ZeroMassChild:
-            continue
-    return w1 / w1.sum(), w2 / w2.sum()
+    genes = np.array(w, dtype=float)[None]
+    return _mutate(genes, generation_j, params, "continuous", _continuous_values(rng), rng)[0]
 
 
 # --- the shared loop ---------------------------------------------------------
 
 
-def _evolve(population, fitness, mutate, recombine, params: GaParams, rng):
+def _evolve(population, fitness, draw_values, recombine, binding: str, params: GaParams, rng):
     """Run the elitist generations; returns the best individual and the trace.
 
-    ``fitness`` scores a population, ``mutate(genes, j)`` acts on the first
-    parent of each pair and ``recombine`` turns a pair into two children.
+    ``fitness`` scores a population, ``draw_values(count)`` gives the new
+    values of the genes mutation hits in the first parents, and
+    ``recombine(first, second)`` turns the pairs' parents into the
+    children, rows 2k and 2k+1 coming from pair k.
     """
     pop = population.shape[0]
     fit = fitness(population)
@@ -202,10 +238,8 @@ def _evolve(population, fitness, mutate, recombine, params: GaParams, rng):
 
     for j in range(2, params.generations + 1):
         chosen = _roulette_indices(_shifted(fit), pop, rng)
-        children = np.empty_like(population)
-        for i in range(0, pop, 2):
-            parent1 = mutate(population[chosen[i]], j)
-            children[i], children[i + 1] = recombine(parent1, population[chosen[i + 1]])
+        first = _mutate(population[chosen[0::2]], j, params, binding, draw_values, rng)
+        children = recombine(first, population[chosen[1::2]])
         merged_fit = np.concatenate([fit, fitness(children)])
         keep = np.argsort(merged_fit, kind="stable")[pop:]
         population = np.vstack([population, children])[keep]
@@ -222,9 +256,7 @@ def _evolve(population, fitness, mutate, recombine, params: GaParams, rng):
 
 
 def _continuous_fitness(weights: np.ndarray, model: RiskModel, lam: float) -> np.ndarray:
-    returns = weights @ model.mu
-    variances = np.einsum("pi,ij,pj->p", weights, model.sigma, weights)
-    return lam * returns - (1.0 - lam) * variances
+    return lam * (weights @ model.mu) - (1.0 - lam) * quadratic_form(weights, model.sigma)
 
 
 def ga_lambda_portfolio(
@@ -248,8 +280,9 @@ def ga_lambda_portfolio(
     w, trace = _evolve(
         weights,
         lambda pop: _continuous_fitness(pop, model, lam),
-        lambda genes, j: mutate_continuous(genes, j, params, rng),
-        lambda w1, w2: _cross_resampling(w1, w2, rng),
+        _continuous_values(rng),
+        lambda first, second: _cross_continuous(first, second, rng),
+        "continuous",
         params,
         rng,
     )
@@ -262,7 +295,8 @@ def ga_lambda_portfolio(
 def repair_integer(n_raw: np.ndarray, params: MarketParams) -> np.ndarray:
     """Project an integer purchase back into the budget.
 
-    The raw counts' value proportions are preserved as closely as
+    Broadcasts over a leading population axis, each row repaired on its
+    own.  The raw counts' value proportions are preserved as closely as
     possible: each count is re-derived on its own as
     ``floor(proportion * K / lot_cost_i)``, zero where the proportion is
     not positive, and a rounding guard then takes lots back, largest
@@ -270,43 +304,42 @@ def repair_integer(n_raw: np.ndarray, params: MarketParams) -> np.ndarray:
     nonnegative.
     """
     n_raw = np.asarray(n_raw, dtype=int)
-    value = params.effective_prices * n_raw
-    total = float(value.sum())
-    if total <= 0.0:
-        return np.zeros(n_raw.shape[0], dtype=int)
-    props = value / total
+    value = params.effective_prices * n_raw.reshape(-1, n_raw.shape[-1])
+    total = value.sum(axis=-1, keepdims=True)
+    props = np.divide(value, total, out=np.zeros_like(value), where=total > 0.0)
     out = np.where(props > 0.0, (props * params.capital) // params.lot_cost, 0).astype(int)
-    while mkt.residual_cash(out, params) < 0.0:
-        order = np.argsort(-props, kind="stable")
-        out[next(i for i in order if out[i] > 0)] -= 1
-    return out
+    for row in np.flatnonzero(mkt.residual_cash(out, params) < 0.0):
+        order = np.argsort(-props[row], kind="stable")
+        while mkt.residual_cash(out[row], params) < 0.0:
+            out[row, order[out[row, order] > 0][0]] -= 1
+    return out.reshape(n_raw.shape)
 
 
 def _initial_integer_population(
     pop: int, params: MarketParams, rng: np.random.Generator
 ) -> np.ndarray:
+    """Each individual visits the assets in its own random order and buys
+    U{0..capacity} lots of each, capacity being what its remaining cash
+    affords."""
     n = params.n_assets
-    unit = params.lot_cost
     counts = np.zeros((pop, n), dtype=int)
-    for i in range(pop):
-        remaining = params.capital
-        for asset in rng.permutation(n):
-            capacity = int(remaining // unit[asset])
-            if capacity > 0:
-                counts[i, asset] = rng.integers(0, capacity + 1)
-                remaining = mkt.residual_cash(counts[i], params)
-        if remaining < 0.0:
-            counts[i] = repair_integer(counts[i], params)
+    individuals = np.arange(pop)
+    remaining = np.full(pop, float(params.capital))
+    for assets in rng.permuted(np.tile(np.arange(n), (pop, 1)), axis=1).T:
+        capacity = np.maximum(remaining // params.lot_cost[assets], 0.0).astype(int)
+        counts[individuals, assets] = rng.integers(0, capacity + 1)
+        remaining = mkt.residual_cash(counts, params)
+    over = remaining < 0.0
+    counts[over] = repair_integer(counts[over], params)
     return counts
 
 
-def _cross_integer(n1, n2, market: MarketParams, rng: np.random.Generator):
-    """Single-point crossover (no cut for one asset), then repair both children."""
-    n = n1.shape[0]
-    if n > 1:
-        cut = int(rng.integers(1, n))
-        n1, n2 = np.concatenate([n1[:cut], n2[cut:]]), np.concatenate([n2[:cut], n1[cut:]])
-    return repair_integer(n1, market), repair_integer(n2, market)
+def _cross_integer(first: np.ndarray, second: np.ndarray, market: MarketParams, rng):
+    """Single-point crossover of every pair (no cut for one asset), then
+    one repair of all children; rows 2k and 2k+1 are pair k's children."""
+    pairs, n = first.shape
+    cuts = rng.integers(1, n, size=pairs) if n > 1 else np.ones(pairs, dtype=int)
+    return repair_integer(_crossover(first, second, cuts).reshape(-1, n), market)
 
 
 def ga_lambda_n_portfolio(
@@ -329,10 +362,9 @@ def ga_lambda_n_portfolio(
     counts, trace = _evolve(
         _initial_integer_population(params.population_for(model.n_assets), market, rng),
         lambda pop: mkt.fitness(pop, model, market, lam),
-        lambda genes, j: _mutate(
-            genes, j, params, "integer", lambda: rng.integers(1, mutation_cap + 1), rng
-        ),
-        lambda n1, n2: _cross_integer(n1, n2, market, rng),
+        lambda count: rng.integers(1, mutation_cap + 1, count),
+        lambda first, second: _cross_integer(first, second, market, rng),
+        "integer",
         params,
         rng,
     )

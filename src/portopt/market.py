@@ -31,11 +31,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimizers import _sparse_view
-from .risk_models import RiskModel
+from .risk_models import RiskModel, quadratic_form
 
 
-def _per_asset(value, n: int, name: str, dtype=float) -> np.ndarray:
-    arr = np.asarray(value, dtype=dtype)
+def _whole(value, name: str) -> np.ndarray:
+    """``value`` as integers; every entry must be a finite whole number,
+    checked before the conversion so nothing is truncated or overflows."""
+    arr = np.asarray(value, dtype=float)
+    if not (np.isfinite(arr) & (arr == np.floor(arr))).all():
+        raise ValueError(f"{name} must be finite and integral")
+    return arr.astype(int)
+
+
+def _per_asset(value, n: int, name: str, whole: bool = False) -> np.ndarray:
+    arr = _whole(value, name) if whole else np.asarray(value, dtype=float)
     if arr.ndim == 0:
         arr = np.full(n, arr)
     if arr.shape != (n,):
@@ -71,11 +80,12 @@ class MarketParams:
             self, "sell_cost_rates", _per_asset(self.sell_cost_rates, n, "sell_cost_rates")
         )
         object.__setattr__(
-            self, "lot_sizes", _per_asset(self.lot_sizes, n, "lot_sizes", dtype=int)
+            self, "lot_sizes", _per_asset(self.lot_sizes, n, "lot_sizes", whole=True)
         )
-        for name in (
-            "capital", "prices", "buy_cost_rates", "sell_cost_rates", "risk_free_rate", "horizon"
-        ):
+        if np.ndim(self.horizon):
+            raise ValueError("horizon must be a scalar")
+        object.__setattr__(self, "horizon", int(_whole(self.horizon, "horizon")))
+        for name in ("capital", "prices", "buy_cost_rates", "sell_cost_rates", "risk_free_rate"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
         if self.capital <= 0:
@@ -175,8 +185,7 @@ def net_portfolio_return(
 
 
 def portfolio_variance(n: np.ndarray, model: RiskModel, params: MarketParams):
-    w = implied_weights(n, params)
-    return np.einsum("...i,ij,...j->...", w, model.sigma, w)
+    return quadratic_form(implied_weights(n, params), model.sigma)
 
 
 def fitness(
@@ -222,7 +231,7 @@ def market_params_from_dict(doc: dict, n_assets: int) -> MarketParams:
     :class:`MarketParams` default.  Cost rates and lot sizes may be
     scalars (broadcast) or per-asset lists; prices must be per-asset.
     """
-    convert = {"capital": float, "risk_free_rate": float, "horizon": int}
+    convert = {"capital": float, "risk_free_rate": float}
     fields = {key: convert[key](value) if key in convert else value for key, value in doc.items()}
     fields["prices"] = np.asarray(doc["prices"], dtype=float).reshape(n_assets)
     return MarketParams(**fields)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import TargetOutOfRange
 from .qp import QuadraticProgram, solve_qp
-from .risk_models import RiskModel
+from .risk_models import RiskModel, quadratic_form
 
 #: Diagonal shift applied when a quadratic term fails the PD check.
 REGULARIZATION = 1e-11
@@ -107,7 +107,7 @@ def portfolio_from_weights(
         assets=model.assets,
         weights=w,
         expected_return=float(w @ model.mu),
-        risk=float(np.sqrt(max(w @ model.sigma @ w, 0.0))),
+        risk=float(np.sqrt(max(quadratic_form(w, model.sigma), 0.0))),
         sparse_view=_sparse_view(model.assets, w, report_threshold),
     )
 

@@ -92,6 +92,20 @@ class RiskModel:
         return len(self.assets)
 
 
+def quadratic_form(weights: np.ndarray, sigma: np.ndarray) -> np.ndarray | float:
+    """``w'Sw`` for one weight vector, or for each row of a leading population axis.
+
+    Every row is its own ``(1, N) @ (N, N)`` product, summed along the row,
+    so BLAS runs the same kernel on it whatever the population size: a row
+    scored alone and the same row scored in a population agree bitwise.
+    """
+    w = np.asarray(weights, dtype=float)
+    rows = w.reshape(-1, w.shape[-1])
+    products = (rows[:, None, :] @ sigma)[:, 0, :]
+    products *= rows
+    return products.sum(axis=-1).reshape(w.shape[:-1])[()]
+
+
 def mean_returns(returns: ReturnsMatrix) -> np.ndarray:
     """Column-wise arithmetic mean of the return matrix."""
     return returns.values.mean(axis=0)

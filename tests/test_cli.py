@@ -323,6 +323,10 @@ class TestFit:
         assert code == 4
 
 
+#: A complete ``market`` block for the three-asset price files.
+_BLOCK = {"capital": 400, "prices": [11.0, 23.0, 5.5]}
+
+
 class TestConfigAndDeterminism:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["stats", "--prices", str(tmp_path / "nope.csv"),
@@ -457,6 +461,34 @@ class TestConfigAndDeterminism:
             assert main(["--config", str(cfg), "optimize", "--out", str(tmp_path / "p")]) == 0
             for name in ("solution.json", "ga_trace.csv"):
                 assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"market": {**_BLOCK, "horizon": float("inf")}},
+            {"market": {**_BLOCK, "lot_sizes": float("inf")}},
+            {"market": {**_BLOCK, "horizon": 2.7}},
+            {"market": {**_BLOCK, "lot_sizes": 1.5}},
+            {"market": {**_BLOCK, "lot_sizes": [1, 2.9, 1]}},
+            {"horizon": float("inf")},
+            {"lot_size": float("inf")},
+            {"horizon": 2.7},
+            {"lot_size": 1.5},
+        ],
+        ids=["block_horizon_inf", "block_lot_inf", "block_horizon_fraction",
+             "block_lot_fraction", "block_lot_list_fraction", "horizon_inf", "lot_size_inf",
+             "horizon_fraction", "lot_size_fraction"],
+    )
+    def test_horizon_and_lot_size_must_be_whole(self, price_files, tmp_path, extra, capsys):
+        prices, prices_eval = price_files
+        base = {"prices": str(prices), "prices_eval": str(prices_eval), "capital": 500,
+                "generations": 10}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**base, **extra}), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "optimize", "--out", str(out)]) == 1
+        assert "must be finite and integral" in capsys.readouterr().err
+        assert not (out / "solution.json").exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from portopt.ga import (
     GaParams,
     ZeroMassChild,
+    _cross_continuous,
     crossover_continuous,
     ga_frontier,
     ga_lambda_n_portfolio,
@@ -116,6 +117,32 @@ class TestCrossover:
         for child in (c1, c2):
             assert child.sum() == pytest.approx(1.0, abs=1e-12)
             assert (child >= 0).all()
+
+    def test_zero_mass_pair_redraws_only_its_own_cut(self):
+        # Pair 0 has a zero-mass child only at cut 2, which seed 1 draws
+        # first; pairs 1 and 2 have no zero-mass child at any cut.
+        first = np.array([[1.0, 1.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]])
+        second = np.array([[0.0, 0.0, 1.0, 1.0], [0.25, 0.25, 0.25, 0.25], [0.3, 0.3, 0.2, 0.2]])
+        twin = np.random.default_rng(1)
+        cuts = twin.integers(1, 4, size=3)
+        redraw = twin.integers(1, 4, size=1)
+        assert cuts[0] == 2 and redraw[0] != 2
+        rng = np.random.default_rng(1)
+        children = _cross_continuous(first, second, rng)
+        pairs = [crossover_continuous(first[0], second[0], int(redraw[0]))] + [
+            crossover_continuous(first[k], second[k], int(cuts[k])) for k in (1, 2)
+        ]
+        np.testing.assert_array_equal(children, [child for pair in pairs for child in pair])
+        assert rng.random() == twin.random()  # one redraw, of one cut
+
+    def test_pair_without_a_valid_cut_keeps_its_parents(self):
+        # every cut of pair 0 leaves its second child empty; pair 1 crosses once
+        first = np.array([[0.5, 0.0, 0.0], [0.2, 0.3, 0.5]])
+        second = np.array([[0.0, 0.0, 2.0], [0.3, 0.3, 0.4]])
+        cut = int(np.random.default_rng(4).integers(1, 3, size=2)[1])
+        children = _cross_continuous(first, second, np.random.default_rng(4))
+        np.testing.assert_array_equal(children[:2], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(children[2:], crossover_continuous(first[1], second[1], cut))
 
 
 class TestMutation:
@@ -260,6 +287,17 @@ class TestRepair:
         assert (repaired >= 0).all()
         assert residual_cash(repaired, params) >= 0.0
 
+    def test_population_rows_repaired_on_their_own(self):
+        # (5, 0) and (7, 0) floor to 393 lots of A, one ulp over the capital
+        # in residual_cash's order, so the rounding guard takes one back.
+        params = MarketParams(capital=51.09, prices=np.array([0.10, 5.0]), buy_cost_rates=0.3)
+        population = np.array([[5, 0], [0, 0], [3, 4], [7, 0], [0, 0], [1, 1]])
+        repaired = repair_integer(population, params)
+        np.testing.assert_array_equal(repaired, [repair_integer(row, params) for row in population])
+        assert params.capital // params.lot_cost[0] == 393.0
+        assert repaired[[0, 3]].tolist() == [[392, 0], [392, 0]]
+        assert not repaired[[1, 4]].any()
+        assert (residual_cash(repaired, params) >= 0.0).all()
 
     def test_capital_an_exact_multiple_of_lot_cost(self):
         # 393 lots of 0.10 * 1.3 cost exactly 51.09 in one float order and
@@ -332,6 +370,25 @@ class TestIntegerGa:
         assert solution.residual >= 0.0
         assert solution.shares.tolist() == [392]
 
+    @pytest.mark.parametrize("n_assets", [1, 2, 3, 8])
+    def test_solution_fitness_is_the_trace_best(self, n_assets):
+        # seed 0 at two assets gave a one-ulp difference while one purchase
+        # and a population summed w'Sw in different orders
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            model = random_model(rng, n_assets)
+            market = MarketParams(
+                capital=10_000.0,
+                prices=rng.uniform(1.0, 100.0, n_assets),
+                buy_cost_rates=0.01,
+                sell_cost_rates=0.01,
+                risk_free_rate=1e-4,
+            )
+            solution, trace = ga_lambda_n_portfolio(
+                model, 0.3, GaParams(generations=20, seed=seed), market
+            )
+            assert solution.fitness == trace.best_fitness_per_generation[-1]
+
     def test_market_required(self, model3):
         with pytest.raises(ValueError):
             ga_lambda_n_portfolio(model3, 0.5, GaParams())
@@ -391,10 +448,10 @@ class TestSeededPins:
         solution, trace = ga_lambda_n_portfolio(
             model3, 0.05, GaParams(generations=150, seed=31), market
         )
-        assert solution.shares.tolist() == [5, 7, 7]
+        assert solution.shares.tolist() == [6, 4, 15]
         assert len(trace.best_fitness_per_generation) == 150
         assert trace.best_fitness_per_generation[-1] == pytest.approx(
-            5.081062998007978e-06, rel=1e-12
+            3.1421379482071766e-06, rel=1e-12
         )
 
     def test_integer_random_model(self, rng):
@@ -409,10 +466,10 @@ class TestSeededPins:
         solution, trace = ga_lambda_n_portfolio(
             model, 0.05, GaParams(generations=120, seed=8), market
         )
-        assert solution.shares.tolist() == [0, 257, 26, 0, 0, 86, 48, 0]
+        assert solution.shares.tolist() == [0, 219, 0, 0, 0, 102, 53, 0]
         assert len(trace.best_fitness_per_generation) == 120
         assert trace.best_fitness_per_generation[-1] == pytest.approx(
-            7.884191488584166e-05, rel=1e-12
+            8.066767497378022e-05, rel=1e-12
         )
 
     def test_integer_lots_sell_rates_risk_free(self, rng):
@@ -429,11 +486,11 @@ class TestSeededPins:
         solution, trace = ga_lambda_n_portfolio(
             model, 0.05, GaParams(generations=100, seed=3), market
         )
-        assert solution.shares.tolist() == [263, 16, 145, 57, 0]
-        assert solution.residual == pytest.approx(1383.6499999999942, rel=1e-12)
+        assert solution.shares.tolist() == [271, 16, 155, 56, 0]
+        assert solution.residual == pytest.approx(1234.675000000003, rel=1e-12)
         assert len(trace.best_fitness_per_generation) == 100
         assert trace.best_fitness_per_generation[-1] == pytest.approx(
-            4.6708411434014226e-05, rel=1e-12
+            4.6703220117169625e-05, rel=1e-12
         )
 
     def test_continuous_random_model(self, rng):
@@ -441,5 +498,5 @@ class TestSeededPins:
         _, trace = ga_lambda_portfolio(model, 0.05, GaParams(generations=120, seed=8))
         assert len(trace.best_fitness_per_generation) == 120
         assert trace.best_fitness_per_generation[-1] == pytest.approx(
-            8.184236106500845e-05, rel=1e-12
+            8.259047231949742e-05, rel=1e-12
         )

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from portopt.ga import repair_integer
 from portopt.market import (
     MarketParams,
     buy_cost,
@@ -228,6 +229,21 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match=f"{setting} must be finite"):
             MarketParams(**fields)
 
+    @pytest.mark.parametrize(
+        "setting, bad",
+        [
+            ("horizon", 2.7),
+            ("horizon", np.inf),
+            ("horizon", [251, 251]),
+            ("lot_sizes", 1.5),
+            ("lot_sizes", np.inf),
+            ("lot_sizes", [1, 2.9]),
+        ],
+    )
+    def test_horizon_and_lot_sizes_must_be_whole(self, setting, bad):
+        with pytest.raises(ValueError, match=setting):
+            MarketParams(capital=100.0, prices=np.array([10.0, 5.0]), **{setting: bad})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MarketParams(capital=-1.0, prices=np.array([1.0]))
@@ -237,22 +253,9 @@ class TestConfigLoading:
             MarketParams(capital=10.0, prices=np.array([1.0]), horizon=0)
 
 
+@pytest.mark.parametrize("n_assets", [1, 2, 3, 8, 30, 100])
 @pytest.mark.parametrize(
-    "function, n_assets",
-    [
-        pytest.param(
-            function,
-            n_assets,
-            marks=pytest.mark.xfail(
-                function is fitness and n_assets == 2,
-                reason="einsum sums a two-asset w'Sw for one row and for a "
-                "population in different orders",
-                strict=True,
-            ),
-        )
-        for function in (residual_cash, net_portfolio_return, fitness)
-        for n_assets in (1, 2, 3, 8)
-    ],
+    "function", [residual_cash, net_portfolio_return, fitness, repair_integer]
 )
 def test_population_call_matches_rows_bitwise(function, n_assets):
     rng = np.random.default_rng(n_assets)
@@ -269,13 +272,16 @@ def test_population_call_matches_rows_bitwise(function, n_assets):
         risk_free_rate=3e-4,
         lot_sizes=rng.choice([1, 10, 100], n_assets),
     )
-    args = {residual_cash: (params,), net_portfolio_return: (model, params)}.get(
-        function, (model, params, 0.3)
-    )
+    args = {
+        residual_cash: (params,),
+        repair_integer: (params,),
+        net_portfolio_return: (model, params),
+    }.get(function, (model, params, 0.3))
     population = rng.integers(0, 50, size=(30, n_assets))
     rows = [function(row, *args) for row in population]
     np.testing.assert_array_equal(function(population, *args), rows)
-    assert all(isinstance(value, float) for value in rows)
+    if function is not repair_integer:
+        assert all(isinstance(value, float) for value in rows)
 
 
 @given(
