@@ -4,17 +4,24 @@ Four subcommands: ``stats`` (per-asset dispersion table), ``optimize``
 (one portfolio, exact or GA), ``frontier`` (frontier sweeps, random
 clouds, two-asset curves) and ``fit`` (out-of-sample frontier fit).
 
-Options may come from a JSON config file (``--config`` or the
-``PORTOPT_CONFIG`` environment variable) with command-line flags taking
-precedence.  Each setting of the integer model takes the flag (or
-top-level config key) when given, else the key of the config file's
-``market`` block, else the :class:`~portopt.market.MarketParams` default.
-All numeric output is written with 17 significant digits, and a fixed
-seed makes every command byte-reproducible.
+Each setting is declared once, as a flag of :func:`build_parser` with its
+type, choices and default.  A JSON config file (``--config`` or the
+``PORTOPT_CONFIG`` environment variable) may set it under the flag's
+destination name (``prices_eval``, ``lam``, ``buy_cost``, ...).  The value
+is parsed by the flag's definition (a switch takes only ``true`` or
+``false``, and ``null`` means not given) and becomes the parser's default,
+so a flag wins over the file.  Only the file sets the ``market`` block and
+the period counts ``periods_expectation`` and ``periods_evaluation``.  Each
+setting of the integer model takes the flag (or top-level config key) when
+given, else the key of the ``market`` block, else the
+:class:`~portopt.market.MarketParams` default.  All numeric output is
+written with 17 significant digits, and a fixed seed makes every command
+byte-reproducible.
 
-Exit codes: 0 success, 2 ingestion failure, malformed config file or a
-cost ladder that repeats a rate, 3 infeasible program or target out of
-range, 4 asset misalignment, 1 anything else.
+Exit codes: 0 success, 2 ingestion failure, malformed config file (a value
+its flag would not take among them) or a cost ladder that repeats a rate,
+3 infeasible program or target out of range, 4 asset misalignment, 1
+anything else.
 """
 
 from __future__ import annotations
@@ -83,46 +90,15 @@ def _write_json(path: Path, doc: dict) -> Path:
 # --- configuration -----------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """One reproducible run: data paths, model choice, objective, output.
+#: The settings only a config file sets, with their defaults: the library
+#: type that takes each one checks its value.
+_CONFIG_ONLY = {
+    "market": None,
+    "periods_expectation": AnnualizationConvention.daily_to_annual_expectation,
+    "periods_evaluation": AnnualizationConvention.evaluation_periods,
+}
 
-    Built by layering defaults, then a JSON config file, then explicit
-    command-line flags.  The integer-model settings (``capital``,
-    ``buy_cost``, ``sell_cost``, ``risk_free``, ``horizon``, ``lot_size``)
-    default to ``None`` or ``()``, meaning "not given": the ``market``
-    block's value applies, else the :class:`MarketParams` default.
-    """
-
-    prices: str | None = None
-    prices_eval: str | None = None
-    risk: str = "var"
-    threshold_b: float = 0.0
-    target_return: float | None = None
-    lam: float | None = None
-    ga: bool = False
-    generations: int = 500
-    population: int | None = None
-    seed: int = 0
-    capital: float | None = None
-    buy_cost: tuple[float, ...] = ()
-    sell_cost: tuple[float, ...] = ()
-    risk_free: float | None = None
-    horizon: int | None = None
-    lot_size: int | None = None
-    cloud: int | None = None
-    points: int = 40
-    two_asset: bool = False
-    out: str = "out"
-    format: str = "json"
-    periods_expectation: int = 251
-    periods_evaluation: int = 250
-    market: dict | None = None
-
-
-_DEFAULTS = {field.name: field.default for field in dataclasses.fields(RunConfig)}
-
-#: The ``market`` block key of each integer-model setting of RunConfig.
+#: The ``market`` block key of each integer-model setting.
 _MARKET_SETTINGS = {
     "capital": "capital",
     "buy_cost": "buy_cost_rates",
@@ -148,9 +124,6 @@ def _load_config_file(path: str | None) -> dict:
         raise IngestionError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise IngestionError(f"config file {path} does not hold a JSON object")
-    unknown = set(doc) - set(_DEFAULTS)
-    if unknown:
-        raise IngestionError(f"unknown config keys: {sorted(unknown)}")
     market = doc.get("market")
     if market is not None and not (
         isinstance(market, dict) and {"capital", "prices"} <= set(market) <= _MARKET_KEYS
@@ -164,26 +137,41 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
-    merged.update(_load_config_file(args.config))
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    for key in ("buy_cost", "sell_cost"):
-        rates = merged[key]
-        try:
-            merged[key] = (float(rates),) if np.isscalar(rates) else tuple(map(float, rates))
-        except (TypeError, ValueError):
-            raise IngestionError(f"{key} must be a rate or a list of rates") from None
-    return RunConfig(**merged)
+def _config_value(flag: argparse.Action, key: str, value):
+    """Config key ``key``'s ``value`` parsed as ``flag`` parses its text: a
+    switch takes only true or false, a list only a flag of several values,
+    and the flag's type converts each scalar's text to one of its choices."""
+    many, switch = flag.nargs == "+", flag.nargs == 0
+    items = value if many and isinstance(value, list) else [value]
+    try:
+        if all(type(item) in ((bool,) if switch else (str, int, float)) for item in items):
+            parsed = items if switch else [(flag.type or str)(str(item)) for item in items]
+            if flag.choices is None or all(item in flag.choices for item in parsed):
+                return parsed if many else parsed[0]
+    except ValueError:  # the flag's type does not read the text
+        pass
+    raise IngestionError(
+        f"config key {key!r} takes the values {flag.option_strings[0]} takes, "
+        f"not {json.dumps(value)}"
+    )
 
 
-def _convention(cfg: RunConfig) -> AnnualizationConvention:
+def _config_defaults(flags: dict[str, argparse.Action], doc: dict) -> dict:
+    """A config file's settings as parser defaults; ``null`` means not given."""
+    unknown = set(doc) - set(flags) - set(_CONFIG_ONLY)
+    if unknown:
+        raise IngestionError(f"unknown config keys: {sorted(unknown)}")
+    return {
+        key: _config_value(flags[key], key, value) if key in flags else value
+        for key, value in doc.items()
+        if value is not None
+    }
+
+
+def _convention(cfg: argparse.Namespace) -> AnnualizationConvention:
     return AnnualizationConvention(
-        daily_to_annual_expectation=int(cfg.periods_expectation),
-        evaluation_periods=int(cfg.periods_evaluation),
+        daily_to_annual_expectation=cfg.periods_expectation,
+        evaluation_periods=cfg.periods_evaluation,
     )
 
 
@@ -196,18 +184,16 @@ def _load_table(path: str | None, label: str) -> PriceTable:
     return fill_missing(load_prices(path))
 
 
-def _build_model(cfg: RunConfig):
-    returns = assets_return(_load_table(cfg.prices, "--prices"))
-    model = build_risk_model(
-        returns,
+def _build_model(cfg: argparse.Namespace):
+    return build_risk_model(
+        assets_return(_load_table(cfg.prices, "--prices")),
         kind=RiskKind(cfg.risk),
-        threshold_b=float(cfg.threshold_b),
+        threshold_b=cfg.threshold_b,
         convention=_convention(cfg),
     )
-    return model, returns
 
 
-def _markets(cfg: RunConfig, n_assets: int) -> list[MarketParams]:
+def _markets(cfg: argparse.Namespace, n_assets: int) -> list[MarketParams]:
     """Market parameters per cost level, or none for the frictionless model.
 
     Each setting is the flag when given, else the ``market`` block's key,
@@ -224,26 +210,22 @@ def _markets(cfg: RunConfig, n_assets: int) -> list[MarketParams]:
         )
     base = cfg.market or {"prices": _load_table(cfg.prices_eval, "--prices-eval").values[0]}
     levels = []
-    for i in range(max(len(cfg.buy_cost), 1)):
+    for i in range(max(len(cfg.buy_cost or ()), 1)):
         doc = dict(base)
         for name, key in _MARKET_SETTINGS.items():
             value = getattr(cfg, name)
-            if value not in (None, ()):
+            if value not in (None, []):
                 # level i takes the i-th rate of a list, its last one for later levels
-                doc[key] = value[min(i, len(value) - 1)] if isinstance(value, tuple) else value
+                doc[key] = value[min(i, len(value) - 1)] if isinstance(value, list) else value
         levels.append(market_params_from_dict(doc, n_assets))
     return levels
 
 
-def _ga_params(cfg: RunConfig) -> ga_mod.GaParams:
-    return ga_mod.GaParams(
-        generations=int(cfg.generations),
-        population=cfg.population,
-        seed=int(cfg.seed),
-    )
+def _ga_params(cfg: argparse.Namespace) -> ga_mod.GaParams:
+    return ga_mod.GaParams(generations=cfg.generations, population=cfg.population, seed=cfg.seed)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
+def _out_dir(cfg: argparse.Namespace) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -282,17 +264,22 @@ def _result_doc(result: Portfolio | IntegerSolution, convention: AnnualizationCo
     }
 
 
+def _write_doc(out: Path, fmt: str, stem: str, doc: dict, tables: dict) -> list[Path]:
+    """``<stem>.json`` holding ``doc``, or in the ``csv`` format one
+    ``<name>.csv`` per entry ``name: (header, rows)`` of ``tables``."""
+    if fmt == "json":
+        return [_write_json(out / f"{stem}.json", doc)]
+    return [_write_csv(out / f"{name}.csv", *table) for name, table in tables.items()]
+
+
 def _write_result(
-    out: Path, stem: str, result: Portfolio | IntegerSolution, cfg: RunConfig
+    out: Path, stem: str, result: Portfolio | IntegerSolution, cfg: argparse.Namespace
 ) -> list[Path]:
     """``<stem>.json``, or ``<stem>.csv`` (asset, weight) plus
     ``<stem>_summary.csv``, and ``<stem>_shares.csv`` for an integer solution."""
     doc = _result_doc(result, _convention(cfg))
-    if cfg.format == "json":
-        return [_write_json(out / f"{stem}.json", doc)]
     integer = isinstance(result, IntegerSolution)
     weights = doc["implied_weights" if integer else "weights"]
-    written = [_write_csv(out / f"{stem}.csv", ["asset", "weight"], zip(doc["assets"], weights))]
     summary = {
         "expected_return_daily": doc["expected_return"]["daily"],
         "expected_return_annual": doc["expected_return"]["annual"],
@@ -301,77 +288,73 @@ def _write_result(
     }
     if integer:
         summary.update(residual=doc["residual"], fitness=doc["fitness"])
-    written.append(
-        _write_csv(out / f"{stem}_summary.csv", list(summary), [list(summary.values())])
-    )
+    tables = {
+        stem: (["asset", "weight"], zip(doc["assets"], weights)),
+        f"{stem}_summary": (list(summary), [list(summary.values())]),
+    }
     if integer:
         shares = [(a, str(c)) for a, c in zip(doc["assets"], doc["shares"])]
-        written.append(_write_csv(out / f"{stem}_shares.csv", ["asset", "shares"], shares))
-    return written
+        tables[f"{stem}_shares"] = (["asset", "shares"], shares)
+    return _write_doc(out, cfg.format, stem, doc, tables)
 
 
 def _write_trace(out: Path, trace: ga_mod.GaTrace) -> Path:
-    rows = [
-        (str(gen + 1), best)
-        for gen, best in enumerate(trace.best_fitness_per_generation)
-    ]
+    rows = [(str(gen), best) for gen, best in enumerate(trace.best_fitness_per_generation, 1)]
     return _write_csv(out / "ga_trace.csv", ["generation", "best_fitness"], rows)
 
 
 # --- commands ----------------------------------------------------------------
 
 
-def cmd_stats(cfg: RunConfig) -> list[Path]:
+def cmd_stats(cfg: argparse.Namespace) -> list[Path]:
     """Per-asset (risk, mean) dispersion table under the chosen risk kind."""
-    model, _ = _build_model(cfg)
+    model = _build_model(cfg)
     risks = np.sqrt(np.diag(model.sigma))
     rows = [(a, r, m) for a, r, m in zip(model.assets, risks, model.mu)]
     return [_write_csv(_out_dir(cfg) / "stats.csv", ["asset", "risk", "mean"], rows)]
 
 
-def cmd_optimize(cfg: RunConfig) -> list[Path]:
+def cmd_optimize(cfg: argparse.Namespace) -> list[Path]:
     """One portfolio: minimum-risk, target-return, tradeoff, or integer GA."""
-    model, _ = _build_model(cfg)
+    model = _build_model(cfg)
     out = _out_dir(cfg)
     markets = _markets(cfg, model.n_assets)
-    ga_lam = 0.5 if cfg.lam is None else float(cfg.lam)
+    ga_lam = 0.5 if cfg.lam is None else cfg.lam
 
     stem, trace = "portfolio", None
     if markets:
         stem = "solution"
         result, trace = ga_mod.ga_lambda_n_portfolio(model, ga_lam, _ga_params(cfg), markets[0])
     elif cfg.target_return is not None:
-        result = markowitz_portfolio(
-            model, ObjectiveParams(target_return=float(cfg.target_return))
-        )
+        result = markowitz_portfolio(model, ObjectiveParams(target_return=cfg.target_return))
     elif cfg.ga:
         result, trace = ga_mod.ga_lambda_portfolio(model, ga_lam, _ga_params(cfg))
     else:
-        result = lambda_portfolio(model, ObjectiveParams(lam=float(cfg.lam or 0.0)))
+        result = lambda_portfolio(model, ObjectiveParams(lam=cfg.lam or 0.0))
     written = _write_result(out, stem, result, cfg)
     if trace is not None:
         written.append(_write_trace(out, trace))
     return written
 
 
-def cmd_frontier(cfg: RunConfig) -> list[Path]:
+def cmd_frontier(cfg: argparse.Namespace) -> list[Path]:
     """Frontier CSV plus optional random cloud and two-asset curve files."""
-    model, _ = _build_model(cfg)
-    n_points = int(cfg.points)
+    model = _build_model(cfg)
 
     if not cfg.ga:
-        sweeps = [("frontier.csv", frontier_mod.efficient_frontier(model, n_points))]
+        sweeps = [("frontier.csv", frontier_mod.efficient_frontier(model, cfg.points))]
     else:
         markets = _markets(cfg, model.n_assets) or [None]
-        names = [f"frontier_ga_cost_{rate}.csv" for rate in cfg.buy_cost]
-        names = names if len(markets) > 1 else ["frontier_ga.csv"]
+        names = ["frontier_ga.csv"]
+        if len(markets) > 1:
+            names = [f"frontier_ga_cost_{rate}.csv" for rate in cfg.buy_cost]
         if len(set(names)) < len(names):
             raise IngestionError(
-                f"buy cost ladder {list(cfg.buy_cost)} repeats a rate, so two "
+                f"buy cost ladder {cfg.buy_cost} repeats a rate, so two "
                 "levels would write one file"
             )
         sweeps = [
-            (name, ga_mod.ga_frontier(model, _ga_params(cfg), market, n_points))
+            (name, ga_mod.ga_frontier(model, _ga_params(cfg), market, cfg.points))
             for name, market in zip(names, markets)
         ]
     out = _out_dir(cfg)
@@ -385,9 +368,7 @@ def cmd_frontier(cfg: RunConfig) -> list[Path]:
     ]
 
     if cfg.cloud:
-        cloud = frontier_mod.random_portfolio_cloud(
-            model, count=int(cfg.cloud), seed=int(cfg.seed)
-        )
+        cloud = frontier_mod.random_portfolio_cloud(model, count=cfg.cloud, seed=cfg.seed)
         written.append(_write_csv(out / "cloud.csv", ["risk", "return"], cloud))
 
     if cfg.two_asset:
@@ -408,34 +389,29 @@ def cmd_frontier(cfg: RunConfig) -> list[Path]:
     return written
 
 
-def cmd_fit(cfg: RunConfig) -> list[Path]:
+def cmd_fit(cfg: argparse.Namespace) -> list[Path]:
     """Expected-versus-realized frontier comparison on a second period."""
-    model, _ = _build_model(cfg)
+    model = _build_model(cfg)
     returns_out = assets_return(_load_table(cfg.prices_eval, "--prices-eval"))
-    report = frontier_mod.frontier_fit(model, returns_out, int(cfg.points))
+    report = frontier_mod.frontier_fit(model, returns_out, cfg.points)
     out = _out_dir(cfg)
-    written = [
-        _write_csv(out / "fit_pairs.csv", ["expected", "realized"], report.pairs)
-    ]
+    pairs = _write_csv(out / "fit_pairs.csv", ["expected", "realized"], report.pairs)
     summary = {
         "mean_error_daily": report.mean_error,
         "mean_underestimation_error_daily": report.mean_underestimation_error,
         "mean_error_annual": report.annual_mean_error,
         "mean_underestimation_error_annual": report.annual_mean_underestimation_error,
     }
-    if cfg.format == "json":
-        written.append(_write_json(out / "fit_summary.json", summary))
-    else:
-        written.append(
-            _write_csv(out / "fit_summary.csv", list(summary), [list(summary.values())])
-        )
-    return written
+    tables = {"fit_summary": (list(summary), [list(summary.values())])}
+    return [pairs, *_write_doc(out, cfg.format, "fit_summary", summary, tables)]
 
 
 # --- argument parsing --------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The ``portopt`` parser, each flag the one declaration of its setting;
+    the settings of ``config`` (a config file's object) are its defaults."""
     parser = argparse.ArgumentParser(
         prog="portopt",
         description="Portfolio selection toolkit: statistics, optimization, "
@@ -444,34 +420,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file (or set $" + CONFIG_ENV_VAR + ")")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p: argparse.ArgumentParser):
-        p.add_argument("--prices", help="in-sample price CSV")
-        p.add_argument("--prices-eval", dest="prices_eval", help="evaluation price CSV")
-        p.add_argument("--risk", choices=["var", "svar"], help="risk measure")
-        p.add_argument("--threshold-b", dest="threshold_b", type=float,
-                       help="critical return level for the downside measure")
-        p.add_argument("--target-return", dest="target_return", type=float)
-        p.add_argument("--lambda", dest="lam", type=float,
-                       help="risk/return tradeoff in [0, 1]")
-        p.add_argument("--ga", action="store_const", const=True, default=None,
-                       help="use the genetic algorithm")
-        p.add_argument("--generations", type=int)
-        p.add_argument("--population", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--capital", type=float, help="capital for the integer model")
-        p.add_argument("--buy-cost", dest="buy_cost", type=float, nargs="+",
-                       help="proportional buy cost rate(s); several values form a ladder")
-        p.add_argument("--sell-cost", dest="sell_cost", type=float, nargs="+")
-        p.add_argument("--risk-free", dest="risk_free", type=float)
-        p.add_argument("--horizon", type=int)
-        p.add_argument("--lot-size", dest="lot_size", type=int)
-        p.add_argument("--cloud", type=int, help="random portfolio sample count")
-        p.add_argument("--points", type=int, help="frontier point count")
-        p.add_argument("--two-asset", dest="two_asset", action="store_const", const=True,
-                       default=None, help="emit all two-asset opportunity curves")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=["csv", "json"],
-                       help="document format for portfolio/summary files")
+    def add_shared(p: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+        flags = (
+            p.add_argument("--prices", help="in-sample price CSV"),
+            p.add_argument("--prices-eval", dest="prices_eval", help="evaluation price CSV"),
+            p.add_argument("--risk", choices=["var", "svar"], default="var",
+                           help="risk measure"),
+            p.add_argument("--threshold-b", dest="threshold_b", type=float, default=0.0,
+                           help="critical return level for the downside measure"),
+            p.add_argument("--target-return", dest="target_return", type=float),
+            p.add_argument("--lambda", dest="lam", type=float,
+                           help="risk/return tradeoff in [0, 1]"),
+            p.add_argument("--ga", action="store_true", help="use the genetic algorithm"),
+            p.add_argument("--generations", type=int, default=500),
+            p.add_argument("--population", type=int),
+            p.add_argument("--seed", type=int, default=0),
+            p.add_argument("--capital", type=float, help="capital for the integer model"),
+            p.add_argument("--buy-cost", dest="buy_cost", type=float, nargs="+",
+                           help="proportional buy cost rate(s); several values form a ladder"),
+            p.add_argument("--sell-cost", dest="sell_cost", type=float, nargs="+"),
+            p.add_argument("--risk-free", dest="risk_free", type=float),
+            p.add_argument("--horizon", type=int),
+            p.add_argument("--lot-size", dest="lot_size", type=int),
+            p.add_argument("--cloud", type=int, help="random portfolio sample count"),
+            p.add_argument("--points", type=int, default=40, help="frontier point count"),
+            p.add_argument("--two-asset", dest="two_asset", action="store_true",
+                           help="emit all two-asset opportunity curves"),
+            p.add_argument("--out", default="out", help="output directory"),
+            p.add_argument("--format", choices=["csv", "json"], default="json",
+                           help="document format for portfolio/summary files"),
+        )
+        return {flag.dest: flag for flag in flags}
 
     for name, handler, doc in (
         ("stats", cmd_stats, "per-asset risk/mean dispersion table"),
@@ -480,15 +459,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("fit", cmd_fit, "out-of-sample frontier fit report"),
     ):
         p = sub.add_parser(name, help=doc)
-        add_shared(p)
-        p.set_defaults(handler=handler)
+        flags = add_shared(p)
+        p.set_defaults(handler=handler, **_CONFIG_ONLY)
+        p.set_defaults(**_config_defaults(flags, config or {}))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        written = args.handler(_merge_config(args))
+        # flags win over the config file's values, installed as the defaults
+        config = _load_config_file(build_parser().parse_args(argv).config)
+        args = build_parser(config).parse_args(argv)
+        written = args.handler(args)
     except (PortfolioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), EXIT_ERROR)

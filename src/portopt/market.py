@@ -31,16 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimizers import _sparse_view
-from .risk_models import RiskModel, quadratic_form
-
-
-def _whole(value, name: str) -> np.ndarray:
-    """``value`` as integers; every entry must be a finite whole number,
-    checked before the conversion so nothing is truncated or overflows."""
-    arr = np.asarray(value, dtype=float)
-    if not (np.isfinite(arr) & (arr == np.floor(arr))).all():
-        raise ValueError(f"{name} must be finite and integral")
-    return arr.astype(int)
+from .risk_models import RiskModel, _whole, _whole_scalar, quadratic_form
 
 
 def _per_asset(value, n: int, name: str, whole: bool = False) -> np.ndarray:
@@ -82,9 +73,7 @@ class MarketParams:
         object.__setattr__(
             self, "lot_sizes", _per_asset(self.lot_sizes, n, "lot_sizes", whole=True)
         )
-        if np.ndim(self.horizon):
-            raise ValueError("horizon must be a scalar")
-        object.__setattr__(self, "horizon", int(_whole(self.horizon, "horizon")))
+        object.__setattr__(self, "horizon", _whole_scalar(self.horizon, "horizon"))
         for name in ("capital", "prices", "buy_cost_rates", "sell_cost_rates", "risk_free_rate"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")

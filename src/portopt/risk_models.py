@@ -34,6 +34,26 @@ from .market_data import ReturnsMatrix
 PSD_RTOL = 1e-10
 
 
+def _whole(value, name: str) -> np.ndarray:
+    """``value`` as integers; every entry must be a finite whole number,
+    checked before the conversion so nothing is truncated or overflows."""
+    try:
+        arr = np.asarray(value, dtype=float)
+        whole = bool((np.isfinite(arr) & (arr == np.floor(arr))).all())
+    except TypeError:  # not a number or a list of numbers
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be finite and integral")
+    return arr.astype(int)
+
+
+def _whole_scalar(value, name: str) -> int:
+    """``value`` as one integer, by the rule of :func:`_whole`."""
+    if np.ndim(value):
+        raise ValueError(f"{name} must be a scalar")
+    return int(_whole(value, name))
+
+
 class RiskKind(enum.Enum):
     VARIANCE = "var"
     SEMIVARIANCE = "svar"
@@ -51,6 +71,8 @@ class AnnualizationConvention:
     evaluation_periods: int = 250
 
     def __post_init__(self):
+        for name in ("daily_to_annual_expectation", "evaluation_periods"):
+            object.__setattr__(self, name, _whole_scalar(getattr(self, name), name))
         if self.daily_to_annual_expectation <= 0 or self.evaluation_periods <= 0:
             raise ValueError("annualization multipliers must be positive integers")
 

@@ -463,32 +463,129 @@ class TestConfigAndDeterminism:
                 assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
 
     @pytest.mark.parametrize(
-        "extra",
+        ("extra", "code"),
         [
-            {"market": {**_BLOCK, "horizon": float("inf")}},
-            {"market": {**_BLOCK, "lot_sizes": float("inf")}},
-            {"market": {**_BLOCK, "horizon": 2.7}},
-            {"market": {**_BLOCK, "lot_sizes": 1.5}},
-            {"market": {**_BLOCK, "lot_sizes": [1, 2.9, 1]}},
-            {"horizon": float("inf")},
-            {"lot_size": float("inf")},
-            {"horizon": 2.7},
-            {"lot_size": 1.5},
+            ({"market": {**_BLOCK, "horizon": float("inf")}}, 1),
+            ({"market": {**_BLOCK, "lot_sizes": float("inf")}}, 1),
+            ({"market": {**_BLOCK, "horizon": 2.7}}, 1),
+            ({"market": {**_BLOCK, "lot_sizes": 1.5}}, 1),
+            ({"market": {**_BLOCK, "lot_sizes": [1, 2.9, 1]}}, 1),
+            # a top-level key takes what its flag takes, and --horizon 2.7 exits 2
+            ({"horizon": float("inf")}, 2),
+            ({"lot_size": float("inf")}, 2),
+            ({"horizon": 2.7}, 2),
+            ({"lot_size": 1.5}, 2),
         ],
         ids=["block_horizon_inf", "block_lot_inf", "block_horizon_fraction",
              "block_lot_fraction", "block_lot_list_fraction", "horizon_inf", "lot_size_inf",
              "horizon_fraction", "lot_size_fraction"],
     )
-    def test_horizon_and_lot_size_must_be_whole(self, price_files, tmp_path, extra, capsys):
+    def test_horizon_and_lot_size_must_be_whole(self, price_files, tmp_path, extra, code, capsys):
         prices, prices_eval = price_files
         base = {"prices": str(prices), "prices_eval": str(prices_eval), "capital": 500,
                 "generations": 10}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**base, **extra}), encoding="utf-8")
         out = tmp_path / "o"
+        assert main(["--config", str(cfg), "optimize", "--out", str(out)]) == code
+        message = "must be finite and integral" if code == 1 else "config key"
+        assert message in capsys.readouterr().err
+        assert not (out / "solution.json").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"generations": float("inf")},
+            {"points": float("inf")},
+            {"seed": float("inf")},
+            {"cloud": float("inf")},
+            {"generations": 2.5},
+            {"points": 3.7},
+            {"seed": 1.5},
+            {"cloud": 2.5},
+            {"format": "xml"},
+            {"ga": "no"},
+            {"two_asset": "no"},
+            {"seed": True},
+            {"points": True},
+            {"prices": 5, "generations": None, "out": None},
+            {"risk": "foo"},
+            {"points": [3]},
+            {"buy_cost": [[0.01]]},
+        ],
+        ids=["generations_inf", "points_inf", "seed_inf", "cloud_inf", "generations_fraction",
+             "points_fraction", "seed_fraction", "cloud_fraction", "format_choice", "ga_text",
+             "two_asset_text", "seed_bool", "points_bool", "prices_number_and_nulls",
+             "risk_choice", "points_list", "buy_cost_nested"],
+    )
+    def test_config_value_checked_like_its_flag(
+        self, price_files, tmp_path, monkeypatch, extra, capsys
+    ):
+        # each value is one its flag would refuse, so the run exits 2 before any output
+        prices, prices_eval = price_files
+        monkeypatch.chdir(tmp_path)
+        base = {"prices": str(prices), "prices_eval": str(prices_eval), "capital": 500,
+                "out": str(tmp_path / "o")}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**base, **extra}), encoding="utf-8")
+        assert main(["--config", str(cfg), "frontier", "--ga"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists() and not (tmp_path / "out").exists()
+
+    def test_config_null_means_not_given(self, price_files, tmp_path, monkeypatch):
+        prices, _ = price_files
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prices": str(prices), "points": 5}), encoding="utf-8")
+        assert main(["--config", str(cfg), "frontier", "--out", "given"]) == 0
+        nulls = {"prices": str(prices), "points": 5, "out": None, "cloud": None, "market": None,
+                 "periods_expectation": None, "buy_cost": None, "ga": None}
+        cfg.write_text(json.dumps(nulls), encoding="utf-8")
+        assert main(["--config", str(cfg), "frontier"]) == 0
+        assert (tmp_path / "out" / "frontier.csv").read_bytes() == (
+            tmp_path / "given" / "frontier.csv"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("value", [float("inf"), 2.5])
+    def test_period_count_must_be_whole(self, price_files, tmp_path, value, capsys):
+        prices, _ = price_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prices": str(prices), "periods_expectation": value}),
+                       encoding="utf-8")
+        out = tmp_path / "o"
         assert main(["--config", str(cfg), "optimize", "--out", str(out)]) == 1
         assert "must be finite and integral" in capsys.readouterr().err
-        assert not (out / "solution.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("flags", "doc"),
+        [
+            (["frontier", "--ga", "--capital", "500", "--buy-cost", "0", "0.01", "0.05",
+              "--sell-cost", "0", "0.02", "--lot-size", "2", "--risk-free", "0.0002",
+              "--horizon", "200", "--points", "3", "--generations", "15", "--seed", "5"],
+             {"ga": True, "capital": 500, "buy_cost": [0, 0.01, 0.05], "sell_cost": [0, 0.02],
+              "lot_size": 2, "risk_free": 0.0002, "horizon": 200, "points": 3,
+              "generations": 15, "seed": 5}),
+            (["optimize", "--risk", "svar", "--threshold-b", "0.001", "--lambda", "0.4",
+              "--format", "csv"],
+             {"risk": "svar", "threshold_b": 0.001, "lam": 0.4, "format": "csv"}),
+            (["fit", "--points", "6", "--format", "csv"], {"points": 6, "format": "csv"}),
+        ],
+        ids=["frontier_ga_ladder_lots", "optimize_csv", "fit"],
+    )
+    def test_config_file_equals_flags(self, price_files, tmp_path, flags, doc):
+        prices, prices_eval = price_files
+        paths = {"prices": str(prices), "prices_eval": str(prices_eval)}
+        by_flags, by_file = tmp_path / "flags", tmp_path / "file"
+        argv = [*flags, "--prices", str(prices), "--prices-eval", str(prices_eval)]
+        assert main([*argv, "--out", str(by_flags)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**paths, **doc, "out": str(by_file)}), encoding="utf-8")
+        assert main(["--config", str(cfg), flags[0]]) == 0
+        names = sorted(p.name for p in by_flags.iterdir())
+        assert names == sorted(p.name for p in by_file.iterdir())
+        for name in names:
+            assert (by_flags / name).read_bytes() == (by_file / name).read_bytes()
 
     @pytest.mark.parametrize(
         "argv",

@@ -172,6 +172,12 @@ class TestBuildRiskModel:
         with pytest.raises(ValueError):
             AnnualizationConvention(daily_to_annual_expectation=0)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 2.5, {}])
+    @pytest.mark.parametrize("field", ["daily_to_annual_expectation", "evaluation_periods"])
+    def test_period_counts_must_be_whole(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and integral"):
+            AnnualizationConvention(**{field: value})
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["mu", "sigma"])
     def test_non_finite_inputs_rejected(self, field, value):
