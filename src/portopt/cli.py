@@ -340,11 +340,14 @@ def cmd_optimize(cfg: argparse.Namespace) -> list[Path]:
 def cmd_frontier(cfg: argparse.Namespace) -> list[Path]:
     """Frontier CSV plus optional random cloud and two-asset curve files."""
     model = _build_model(cfg)
+    # built on every run, so a market setting fails here as it does in
+    # optimize; the exact sweep has no market and ignores it
+    markets = _markets(cfg, model.n_assets)
 
     if not cfg.ga:
         sweeps = [("frontier.csv", frontier_mod.efficient_frontier(model, cfg.points))]
     else:
-        markets = _markets(cfg, model.n_assets) or [None]
+        markets = markets or [None]
         names = ["frontier_ga.csv"]
         if len(markets) > 1:
             names = [f"frontier_ga_cost_{rate}.csv" for rate in cfg.buy_cost]

@@ -71,7 +71,7 @@ class MaxIterations(QpError):
 
 
 class NumericalBreakdown(QpError):
-    """Singular working-set system or a quadratic term that is not PD."""
+    """The quadratic term is not positive definite (its Cholesky factorization fails)."""
 
 
 class TargetOutOfRange(PortfolioError):

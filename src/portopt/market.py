@@ -34,8 +34,24 @@ from .optimizers import _sparse_view
 from .risk_models import RiskModel, _whole, _whole_scalar, quadratic_form
 
 
+def _floats(value, name: str) -> np.ndarray:
+    """``value`` as a float array; anything but a number or a list of
+    numbers (a JSON object, say) is a ValueError, not a TypeError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except TypeError:
+        raise ValueError(f"{name} must be a number or a list of numbers") from None
+
+
+def _float_scalar(value, name: str) -> float:
+    arr = _floats(value, name)
+    if arr.ndim:
+        raise ValueError(f"{name} must be a scalar")
+    return float(arr)
+
+
 def _per_asset(value, n: int, name: str, whole: bool = False) -> np.ndarray:
-    arr = _whole(value, name) if whole else np.asarray(value, dtype=float)
+    arr = _whole(value, name) if whole else _floats(value, name)
     if arr.ndim == 0:
         arr = np.full(n, arr)
     if arr.shape != (n,):
@@ -60,10 +76,12 @@ class MarketParams:
     lot_sizes: np.ndarray | int = 1
 
     def __post_init__(self):
-        prices = np.asarray(self.prices, dtype=float)
+        prices = _floats(self.prices, "prices")
         n = prices.shape[0]
         prices.setflags(write=False)
         object.__setattr__(self, "prices", prices)
+        for name in ("capital", "risk_free_rate"):
+            object.__setattr__(self, name, _float_scalar(getattr(self, name), name))
         object.__setattr__(
             self, "buy_cost_rates", _per_asset(self.buy_cost_rates, n, "buy_cost_rates")
         )
@@ -220,7 +238,5 @@ def market_params_from_dict(doc: dict, n_assets: int) -> MarketParams:
     :class:`MarketParams` default.  Cost rates and lot sizes may be
     scalars (broadcast) or per-asset lists; prices must be per-asset.
     """
-    convert = {"capital": float, "risk_free_rate": float}
-    fields = {key: convert[key](value) if key in convert else value for key, value in doc.items()}
-    fields["prices"] = np.asarray(doc["prices"], dtype=float).reshape(n_assets)
-    return MarketParams(**fields)
+    prices = _floats(doc["prices"], "prices").reshape(n_assets)
+    return MarketParams(**{**doc, "prices": prices})

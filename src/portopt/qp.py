@@ -7,11 +7,33 @@ Solves
                 A_ineq x >= b_ineq
 
 with D symmetric positive definite (callers regularize borderline PSD
-matrices first; see :mod:`portopt.optimizers`).  The method is a dual
-active-set iteration of the Goldfarb-Idnani family: start from the
-unconstrained minimum, repeatedly add the most violated constraint, and
-take primal/dual steps until primal feasibility.  No feasible starting
-point is needed and infeasibility is detected as an unbounded dual step.
+matrices first; see :mod:`portopt.optimizers`).  The method is the dual
+active-set iteration of Goldfarb and Idnani (1983, Math. Programming
+27): start from the unconstrained minimum, repeatedly add the most
+violated constraint, and take primal/dual steps until primal
+feasibility.  No feasible starting point is needed and infeasibility is
+detected as an unbounded dual step.
+
+The working set's q normals N are carried in factored form.  With
+D = LL' and the QR factorization L^-1 N = Q [R; 0], the solver keeps
+
+* J = L^-T Q, split as [J1 J2] after q columns (stored transposed, so
+  J1 and J2 are row blocks); J2 spans the directions that leave every
+  working-set constraint unchanged;
+* R, the q x q upper triangle;
+* N* = R^-1 J1' = (N'D^-1 N)^-1 N'D^-1, one row per working-set
+  constraint (the transpose of W = J1 R^-T).
+
+For a candidate normal n+ with d = J'n+, the primal step direction is
+z = J2 d2 and the dual step direction is r = N* n+.  Adding n+ applies
+one Householder reflection of d2 to J2, appends the column [d1; alpha]
+to R (|alpha| = |d2|) and takes a rank-1 update of N*.  Dropping
+position k deletes column k of R, re-triangularises the trailing block
+with a QR factorization whose Q rotates the matching columns of J, and
+removes row k of N* with the row-deletion formula.  A step costs O(n^2)
+instead of re-forming and re-solving N'D^-1 N.  A constraint that
+depends on the working set has d2 = 0, so it can only take the dual
+step (a drop, or Infeasible).
 
 Everything is plain deterministic linear algebra: the same program solved
 twice yields bit-identical results.  Tie-breaks pick the lowest
@@ -100,10 +122,12 @@ class QpSolution:
 def solve_qp(qp: QuadraticProgram) -> QpSolution:
     """Solve the program; see the module docstring for the method.
 
-    Raises :class:`Infeasible` when no point satisfies the constraints,
-    :class:`MaxIterations` past 100*N working-set changes, and
-    :class:`NumericalBreakdown` on a non-PD quadratic term or a singular
-    working-set system.
+    Raises :class:`Infeasible` when no point satisfies the constraints and
+    :class:`MaxIterations` past 100*N working-set steps.  The only
+    :class:`NumericalBreakdown` is a quadratic term that fails its
+    Cholesky factorization (not positive definite).  A constraint that
+    depends on the working set cannot break the factors: its primal
+    direction vanishes, so it takes the dual step (a drop, or Infeasible).
     """
     n = qp.n
     meq = qp.b_eq.shape[0]
@@ -116,17 +140,21 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
         chol = np.linalg.cholesky(qp.dmat)
     except np.linalg.LinAlgError:
         raise NumericalBreakdown("quadratic term is not positive definite") from None
-    chol_inv = np.linalg.inv(chol)
-    ginv = chol_inv.T @ chol_inv  # D^{-1}
+    # J' = L^-1, stored by rows: row i of ``jt`` is column i of J.
+    jt = _lower_inverse(chol)
+    x = jt.T @ (jt @ qp.dvec)
 
-    x = ginv @ qp.dvec
     # The working set, one position per active constraint in insertion
     # order: its global index, its sign (-1 for an equality added flipped),
-    # its multiplier, and its signed normal as a column of ``normals``.
-    active = np.zeros(0, dtype=int)
-    signs = _EMPTY
-    u = _EMPTY
-    normals = np.zeros((n, 0))
+    # its multiplier, and its row of R and of N*.  At most min(n, m)
+    # positions are ever used, since an add needs d2 != 0, so q < n.
+    cap = min(n, m)
+    active = np.zeros(cap, dtype=int)
+    signs = np.zeros(cap)
+    u = np.zeros(cap)
+    rmat = np.zeros((cap, cap))
+    nstar = np.zeros((cap, n))
+    q = 0
 
     max_iter = 100 * max(n, 1)
     iterations = 0
@@ -135,7 +163,7 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
         # Most violated constraint outside the working set, lowest index first.
         slack = a_all @ x - b_all
         metric = np.where(is_eq, -np.abs(slack), slack)
-        metric[active] = np.inf
+        metric[active[:q]] = np.inf
         p = int(np.argmin(metric)) if m else -1
         if p < 0 or metric[p] >= -_ADD_TOL:
             break
@@ -150,23 +178,17 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
             if iterations > max_iter:
                 raise MaxIterations(f"no convergence within {max_iter} working-set steps")
 
-            ginv_np = ginv @ nplus
-            gin = float(nplus @ ginv_np)
-            bmat = ginv @ normals
-            try:
-                r = np.linalg.solve(normals.T @ bmat, normals.T @ ginv_np)
-            except np.linalg.LinAlgError:
-                raise NumericalBreakdown("singular working-set system") from None
-            z = ginv_np - bmat @ r
-
-            ztn = float(z @ nplus)
-            full_step_possible = ztn > 1e-10 * max(gin, np.finfo(float).tiny)
+            d = jt @ nplus
+            d2 = d[q:]
+            z = d2 @ jt[q:]  # primal direction J2 d2
+            r = nstar[:q] @ nplus  # dual direction N* n+
+            ztn = float(d2 @ d2)
+            full_step_possible = ztn > 1e-10 * max(float(d @ d), np.finfo(float).tiny)
 
             # Blocking constraint for the dual variables (equalities never
             # drop); argmin keeps the lowest position among ties.
-            ratios = np.divide(
-                u, r, out=np.full(u.shape, np.inf), where=~is_eq[active] & (r > _DROP_TOL)
-            )
+            droppable = np.flatnonzero(~is_eq[active[:q]] & (r > _DROP_TOL))
+            ratios = u[droppable] / r[droppable]
             t1 = ratios.min(initial=np.inf)
             t2 = -s_p / ztn if full_step_possible else np.inf
 
@@ -177,21 +199,23 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
             if full_step_possible:
                 x = x + step * z
                 s_p = float(nplus @ x) - sign * b_all[p]
-            u = u - step * r
+            u[:q] -= step * r
             u_plus += step
 
             if full_step_possible and step == t2:
-                active, signs, u = (
-                    np.append(active, p), np.append(signs, sign), np.append(u, u_plus)
-                )
-                normals = np.column_stack([normals, nplus])
+                _add(jt, rmat, nstar, q, d, z, r, ztn)
+                active[q], signs[q], u[q] = p, sign, u_plus
+                q += 1
                 break
             # Partial or pure dual step: drop the blocking constraint.
-            blocking = int(np.argmin(ratios))
-            active, signs, u = (np.delete(v, blocking) for v in (active, signs, u))
-            normals = np.delete(normals, blocking, axis=1)
+            k = int(droppable[np.argmin(ratios)])
+            _drop(jt, rmat, nstar, q, k, qp.dmat)
+            for v in (active, signs, u):
+                v[k : q - 1] = v[k + 1 : q]
+            q -= 1
 
-    x, u = _polish(qp, x, u, active, signs, normals, b_all, a_all, is_eq)
+    active, signs, u = active[:q], signs[:q], u[:q]
+    x, u = _polish(qp, x, u, active, signs, b_all, a_all, is_eq)
 
     multipliers = np.zeros(m)
     multipliers[active] = signs * u
@@ -205,7 +229,61 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
     )
 
 
-def _polish(qp, x, u, active, signs, normals, b_all, a_all, is_eq):
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by 2x2 blocks.
+
+    [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]]: two matrix
+    products per level instead of an LU solve against the identity,
+    about 5x faster at n = 500 with one BLAS thread.
+    """
+    n = low.shape[0]
+    if n <= 64:
+        return np.linalg.inv(low)
+    h = n // 2
+    top, bottom = _lower_inverse(low[:h, :h]), _lower_inverse(low[h:, h:])
+    inv = np.zeros_like(low)
+    inv[:h, :h] = top
+    inv[h:, h:] = bottom
+    inv[h:, :h] = -bottom @ (low[h:, :h] @ top)
+    return inv
+
+
+def _add(jt, rmat, nstar, q, d, z, r, ztn):
+    """Append n+ (d = J'n+, z = J2 d2, r = N* n+) to the factors.
+
+    An add needs ztn = |d2|^2 > 1e-10 * max(|d|^2, tiny), so |alpha|
+    exceeds 1.5e-159 and is never zero or denormal; the reflector is
+    scaled by |alpha| so that no product of two small numbers is inverted.
+    """
+    d2 = d[q:]
+    norm = np.sqrt(ztn)
+    side = 1.0 if d2[0] >= 0.0 else -1.0
+    v = d2 / norm
+    v[0] += side
+    jv = z / norm + side * jt[q]  # J2 v
+    jt[q:] -= np.outer(v / (1.0 + abs(d2[0]) / norm), jv)
+    rmat[:q, q] = d[:q]
+    rmat[q, q] = -side * norm
+    nstar[:q] -= np.outer(r, z / ztn)
+    nstar[q] = z / ztn
+
+
+def _drop(jt, rmat, nstar, q, k, dmat):
+    """Remove working-set position ``k`` from the factors.
+
+    The N* update needs column k of G^-1 (G = N'D^-1 N), which is N* D
+    N*'[:, k]: no triangular solve.
+    """
+    g = nstar[:q] @ (dmat @ nstar[k])
+    nstar[:q] -= np.outer(g / g[k], nstar[k])
+    nstar[k : q - 1] = nstar[k + 1 : q]
+    rmat[:q, k : q - 1] = rmat[:q, k + 1 : q]
+    if k < q - 1:
+        qmat, rmat[k:q, k : q - 1] = np.linalg.qr(rmat[k:q, k : q - 1], mode="complete")
+        jt[k:q] = qmat.T @ jt[k:q]
+
+
+def _polish(qp, x, u, active, signs, b_all, a_all, is_eq):
     """Re-solve the working-set KKT system from the original data.
 
     The iteration accumulates x through many small steps; on badly scaled
@@ -219,6 +297,7 @@ def _polish(qp, x, u, active, signs, normals, b_all, a_all, is_eq):
     if q == 0:
         return x, u
     n = qp.n
+    normals = signs * a_all[active].T
     kkt = np.zeros((n + q, n + q))
     kkt[:n, :n] = qp.dmat
     kkt[:n, n:] = -normals

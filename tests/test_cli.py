@@ -213,6 +213,17 @@ class TestFrontier:
         assert len(rows) == 4
         assert float(rows[0][0]) == 0.0 and float(rows[-1][0]) == 1.0
 
+    def test_market_setting_checked_without_ga(self, price_files, tmp_path, capsys):
+        # the exact frontier ignores the market, yet a bad setting exits 1 as
+        # in optimize (test_non_finite_market_setting_exit_code)
+        prices, _ = price_files
+        out = tmp_path / "o"
+        argv = ["frontier", "--prices", str(prices), "--prices-eval", str(prices),
+                "--capital", "inf", "--out", str(out)]
+        assert main(argv) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_ga_cost_ladder(self, price_files, tmp_path):
         prices, prices_eval = price_files
         out = tmp_path / "out"
@@ -491,6 +502,21 @@ class TestConfigAndDeterminism:
         message = "must be finite and integral" if code == 1 else "config key"
         assert message in capsys.readouterr().err
         assert not (out / "solution.json").exists()
+
+    @pytest.mark.parametrize(
+        "key",
+        ["capital", "prices", "buy_cost_rates", "sell_cost_rates", "risk_free_rate", "horizon",
+         "lot_sizes"],
+    )
+    def test_market_value_that_is_an_object_exit_code(self, price_files, tmp_path, key, capsys):
+        prices, _ = price_files
+        cfg = tmp_path / "cfg.json"
+        block = {**_BLOCK, key: {}}
+        cfg.write_text(json.dumps({"prices": str(prices), "market": block}), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "optimize", "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
         "extra",

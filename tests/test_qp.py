@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from portopt.errors import Infeasible, NumericalBreakdown
+from portopt.optimizers import regularize
 from portopt.qp import QuadraticProgram, solve_qp
+from portopt.risk_models import RiskKind, build_risk_model
 
-from conftest import simplex_grid
+from conftest import random_returns, simplex_grid
 
 FEAS_TOL = 1e-8
 KKT_TOL = 1e-8
@@ -223,4 +225,126 @@ def test_exhaustive_small_integer_style_bounds(rng):
     ok = (grid <= upper + 1e-12).all(axis=1)
     values = 0.5 * np.einsum("pi,ij,pj->p", grid[ok], dmat, grid[ok]) - grid[ok] @ dvec
     assert sol.objective <= values.min() + 1e-6
+    assert_kkt(qp, sol)
+
+
+def random_program(gen: np.random.Generator):
+    """A random program over n <= 40 with the witness of its feasibility.
+
+    Rows mix 0-3 equalities, inequalities, duplicated rows and opposed
+    inequality pairs (an interval, sometimes of width zero); some
+    programs carry a planted contradiction.  Returns ``(qp, x0, y)``:
+    ``x0`` satisfies every row of a feasible program, and ``y`` is a
+    Farkas vector (one entry per row, equalities first) of an infeasible
+    one.
+    """
+    n = int(gen.integers(1, 41))
+    k = int(gen.integers(1, 2 * n + 2))
+    a = gen.normal(size=(k, n))
+    dmat = a.T @ a / k + 10.0 ** gen.uniform(-4.0, 0.0) * np.eye(n)
+    x0 = gen.normal(size=n)
+    eqs: list[tuple[np.ndarray, float, float]] = []  # (row, rhs, Farkas weight)
+    ineqs: list[tuple[np.ndarray, float, float]] = []
+    for _ in range(int(gen.integers(0, 3))):
+        row = gen.normal(size=n)
+        eqs.append((row, float(row @ x0), 0.0))
+    for _ in range(int(gen.integers(0, 2 * n + 1))):
+        row = gen.normal(size=n)
+        ineqs.append((row, float(row @ x0) - gen.exponential() * (gen.random() < 0.7), 0.0))
+    for _ in range(int(gen.integers(0, 4))):
+        row = gen.normal(size=n)
+        below, above = gen.exponential(size=2) * (gen.random(2) < 0.5)
+        ineqs += [(row, float(row @ x0) - below, 0.0), (-row, -float(row @ x0) - above, 0.0)]
+    if ineqs and gen.random() < 0.5:
+        ineqs += [ineqs[int(i)] for i in gen.integers(0, len(ineqs), size=gen.integers(1, 4))]
+    if eqs and gen.random() < 0.3:
+        eqs.append(eqs[0])
+    if gen.random() < 0.35:
+        row = gen.normal(size=n)
+        gap = 10.0 ** gen.uniform(-3.0, 0.0)
+        kind = int(gen.integers(0, 3)) if len(eqs) < 2 else 0
+        if kind == 0:  # an empty interval
+            ineqs += [(row, float(row @ x0) + gap, 1.0), (-row, -float(row @ x0) + gap, 1.0)]
+        elif kind == 1:  # an equality outside an inequality
+            eqs.append((row, float(row @ x0), -1.0))
+            ineqs.append((row, float(row @ x0) + gap, 1.0))
+        else:  # two parallel equalities
+            eqs += [(row, float(row @ x0), -1.0), (row, float(row @ x0) + gap, 1.0)]
+    eqs = [eqs[i] for i in gen.permutation(len(eqs))]
+    ineqs = [ineqs[i] for i in gen.permutation(len(ineqs))]
+
+    def stack(rows):
+        return (
+            np.array([r for r, _, _ in rows]).reshape(-1, n),
+            np.array([b for _, b, _ in rows]),
+            np.array([y for _, _, y in rows]),
+        )
+
+    a_eq, b_eq, y_eq = stack(eqs)
+    a_ineq, b_ineq, y_ineq = stack(ineqs)
+    qp = QuadraticProgram(dmat, gen.normal(size=n), a_eq, b_eq, a_ineq, b_ineq)
+    return qp, x0, np.concatenate([y_eq, y_ineq])
+
+
+def feasible(qp: QuadraticProgram, x0: np.ndarray, y: np.ndarray) -> bool:
+    """Decide feasibility directly: ``x0`` satisfies every row, or ``y``
+    certifies that no point does (y >= 0 on inequalities, A'y = 0,
+    b'y > 0).  Fails when neither witness holds."""
+    a_all = np.vstack([qp.a_eq, qp.a_ineq])
+    b_all = np.concatenate([qp.b_eq, qp.b_ineq])
+    meq = qp.b_eq.shape[0]
+    slack = a_all @ x0 - b_all
+    if np.abs(slack[:meq]).max(initial=0.0) < 1e-9 and slack[meq:].min(initial=0.0) > -1e-9:
+        assert not y.any()
+        return True
+    assert (y[meq:] >= 0.0).all()
+    assert np.abs(a_all.T @ y).max() < 1e-9
+    assert float(b_all @ y) > 1e-4
+    return False
+
+
+def test_random_programs_kkt_or_infeasible():
+    # Infeasible exactly when the direct check finds no point; otherwise KKT holds.
+    seen = {"infeasible": 0, "dropped": 0, "flipped": 0}
+    for seed in range(300):
+        qp, x0, y = random_program(np.random.default_rng(seed))
+        free = np.linalg.solve(qp.dmat, qp.dvec)
+        seen["flipped"] += bool((qp.a_eq @ free > qp.b_eq).any())
+        if not feasible(qp, x0, y):
+            seen["infeasible"] += 1
+            with pytest.raises(Infeasible):
+                solve_qp(qp)
+            continue
+        sol = solve_qp(qp)
+        assert_kkt(qp, sol)
+        seen["dropped"] += sol.iterations > len(sol.active_set)
+    # the generator reaches every path: Infeasible, drops, flipped equalities
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize(
+    ("n", "seed", "frac", "iterations", "inactive"),
+    [
+        (30, 0, 0.45, 33, (2, 3, 4, 5, 6, 9, 12, 14, 15, 17, 18, 19, 21, 24, 25, 27, 28, 29, 30)),
+        (30, 1, 0.15, 44, (2, 5, 6, 9, 12, 15, 17, 21, 25, 27)),
+        (150, 0, 0.05, 240, (19, 49, 107, 144)),
+        (150, 2, 0.05, 235, (7, 60, 66, 80, 89)),
+    ],
+)
+def test_pinned_semivariance_working_set(n, seed, frac, iterations, inactive):
+    # Drop-heavy programs: (iterations - |active set|) / 2 = 10, 11, 46 and
+    # 44 drops.  Any change to the working-set path moves these pins.
+    model = build_risk_model(random_returns(np.random.default_rng(seed), n), RiskKind.SEMIVARIANCE)
+    target = model.mu.min() + frac * (model.mu.max() - model.mu.min())
+    qp = QuadraticProgram(
+        dmat=2.0 * regularize(model.sigma),
+        dvec=np.zeros(n),
+        a_eq=np.vstack([np.ones(n), model.mu]),
+        b_eq=np.array([1.0, target]),
+        a_ineq=np.eye(n),
+        b_ineq=np.zeros(n),
+    )
+    sol = solve_qp(qp)
+    assert sol.iterations == iterations
+    assert sol.active_set == tuple(sorted(set(range(n + 2)) - set(inactive)))
     assert_kkt(qp, sol)
