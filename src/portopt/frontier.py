@@ -73,15 +73,18 @@ def _lambda_grid(n_points: int) -> np.ndarray:
 
 
 def efficient_frontier(model: RiskModel, n_points: int = 40) -> list[FrontierPoint]:
-    """Minimum-risk set traced over equally spaced pinned target returns."""
+    """Minimum-risk set traced over equally spaced pinned target returns;
+    each point's solve starts from the previous point."""
     if model.n_assets < 2:
         raise ValueError("frontier needs at least 2 assets")
     points = []
+    p = None
     for target in _target_range(model.mu, n_points):
         try:
             p = markowitz_portfolio(
                 model,
                 ObjectiveParams(target_return=float(target), pin_return_equality=True),
+                near=p,
             )
         except QpError as exc:
             raise type(exc)(f"target {target}: {exc}") from exc
@@ -90,13 +93,16 @@ def efficient_frontier(model: RiskModel, n_points: int = 40) -> list[FrontierPoi
 
 
 def lambda_frontier(model: RiskModel, n_points: int = 40) -> list[FrontierPoint]:
-    """Efficient frontier from the tradeoff program, lam swept over [0, 1]."""
+    """Efficient frontier from the tradeoff program, lam swept over [0, 1];
+    each point's solve starts from the previous point."""
     if model.n_assets < 2:
         raise ValueError("frontier needs at least 2 assets")
-    return [
-        FrontierPoint(float(lam), lambda_portfolio(model, ObjectiveParams(lam=float(lam))))
-        for lam in _lambda_grid(n_points)
-    ]
+    points = []
+    p = None
+    for lam in _lambda_grid(n_points):
+        p = lambda_portfolio(model, ObjectiveParams(lam=float(lam)), near=p)
+        points.append(FrontierPoint(float(lam), p))
+    return points
 
 
 def _risk_return(weights: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -155,7 +161,8 @@ def frontier_fit(
 
     Targets run from the global minimum-risk portfolio's return up to the
     clipped maximum; each portfolio is solved with the return constraint
-    as an inequality and then realized on the out-of-sample means.
+    as an inequality, starting from the previous one (the first from the
+    minimum-risk portfolio), and then realized on the out-of-sample means.
     """
     if n_points < 1:
         raise ValueError("a fit needs at least one frontier point")
@@ -171,8 +178,9 @@ def frontier_fit(
     targets = _target_range(model.mu, n_points, low=base.expected_return)
 
     pairs = []
+    p = base
     for target in targets:
-        p = markowitz_portfolio(model, ObjectiveParams(target_return=float(target)))
+        p = markowitz_portfolio(model, ObjectiveParams(target_return=float(target)), near=p)
         pairs.append((p.expected_return, float(p.weights @ mu_out)))
 
     expected = np.array([e for e, _ in pairs])

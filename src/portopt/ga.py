@@ -307,12 +307,29 @@ def repair_integer(n_raw: np.ndarray, params: MarketParams) -> np.ndarray:
     value = params.effective_prices * n_raw.reshape(-1, n_raw.shape[-1])
     total = value.sum(axis=-1, keepdims=True)
     props = np.divide(value, total, out=np.zeros_like(value), where=total > 0.0)
-    out = np.where(props > 0.0, (props * params.capital) // params.lot_cost, 0).astype(int)
+    out = np.where(props > 0.0, _floor_divide(props * params.capital, params.lot_cost), 0)
+    out = out.astype(int)
     for row in np.flatnonzero(mkt.residual_cash(out, params) < 0.0):
         order = np.argsort(-props[row], kind="stable")
         while mkt.residual_cash(out[row], params) < 0.0:
             out[row, order[out[row, order] > 0][0]] -= 1
     return out.reshape(n_raw.shape)
+
+
+def _floor_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a // b`` for ``a >= 0`` and ``b > 0`` broadcast along ``a``'s rows.
+
+    ``floor(a / b)`` is the same number unless the rounded quotient lies
+    within an ulp of a positive whole number, so only quotients within
+    1e-9 (relative) of one pay for the exact ``//``.
+    """
+    quotient = a / b
+    out = np.floor(quotient)
+    frac = quotient - out
+    close = np.minimum(frac, 1.0 - frac) < 1e-9 * quotient
+    if close.any():
+        out[close] = a[close] // np.broadcast_to(b, a.shape)[close]
+    return out
 
 
 def _initial_integer_population(

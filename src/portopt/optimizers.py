@@ -82,9 +82,15 @@ class Portfolio:
 def regularize(sigma: np.ndarray) -> np.ndarray:
     """Diagonal-shift ``sigma`` when it is not strictly positive definite."""
     sigma = np.asarray(sigma, dtype=float)
-    if np.linalg.eigvalsh(sigma).min() > PD_EIGENVALUE_MIN:
-        return sigma
-    return sigma + REGULARIZATION * np.eye(sigma.shape[0])
+    return _shifted(sigma, np.linalg.eigvalsh(sigma).min())
+
+
+def _shifted(dmat: np.ndarray, min_eigenvalue: float) -> np.ndarray:
+    """``dmat``, diagonal-shifted unless ``min_eigenvalue`` (its smallest
+    eigenvalue) shows it strictly positive definite."""
+    if min_eigenvalue > PD_EIGENVALUE_MIN:
+        return dmat
+    return dmat + REGULARIZATION * np.eye(dmat.shape[0])
 
 
 def _sparse_view(assets, weights: np.ndarray, report_threshold: float) -> dict[str, float]:
@@ -120,12 +126,34 @@ def _simplex_constraints(n: int):
     return a_eq, b_eq, a_ineq, b_ineq
 
 
-def markowitz_portfolio(model: RiskModel, params: ObjectiveParams | None = None) -> Portfolio:
+def _solve(model: RiskModel, qp: QuadraticProgram, near: Portfolio | None) -> Portfolio:
+    """Solve ``qp`` (budget equality first, the n bounds last) and report it.
+
+    With ``near``, a solution of a neighbouring program, the solver starts
+    from the bounds of the assets ``near`` leaves out plus every inequality
+    that is not a bound (the return constraint).
+    """
+    start = ()
+    if near is not None:
+        if near.assets != model.assets:
+            raise ValueError("near must hold the model's assets")
+        first_bound = qp.b_eq.shape[0] + qp.b_ineq.shape[0] - model.n_assets
+        zero = first_bound + np.flatnonzero(near.weights == 0.0)
+        start = np.concatenate([np.arange(qp.b_eq.shape[0], first_bound), zero])
+    return portfolio_from_weights(model, solve_qp(qp, start=start).x)
+
+
+def markowitz_portfolio(
+    model: RiskModel, params: ObjectiveParams | None = None, *, near: Portfolio | None = None
+) -> Portfolio:
     """Minimum-risk portfolio, optionally at a required return level.
 
     Without a target this is the global minimum-risk portfolio.  With one,
     the return constraint is ``mu'w >= beta`` by default and an equality
-    when ``pin_return_equality`` is set.
+    when ``pin_return_equality`` is set.  ``near``, the portfolio of a
+    neighbouring program (the previous point of a sweep), only speeds the
+    solve up: the solver starts from its zero weights, and the answer is
+    the program's unique optimum either way.
     """
     params = params or ObjectiveParams()
     n = model.n_assets
@@ -146,31 +174,34 @@ def markowitz_portfolio(model: RiskModel, params: ObjectiveParams | None = None)
             b_ineq = np.concatenate([[target], b_ineq])
 
     qp = QuadraticProgram(
-        dmat=2.0 * regularize(model.sigma),
+        dmat=2.0 * _shifted(model.sigma, model.min_eigenvalue),
         dvec=np.zeros(n),
         a_eq=a_eq,
         b_eq=b_eq,
         a_ineq=a_ineq,
         b_ineq=b_ineq,
     )
-    return portfolio_from_weights(model, solve_qp(qp).x)
+    return _solve(model, qp, near)
 
 
-def lambda_portfolio(model: RiskModel, params: ObjectiveParams) -> Portfolio:
+def lambda_portfolio(
+    model: RiskModel, params: ObjectiveParams, *, near: Portfolio | None = None
+) -> Portfolio:
     """Tradeoff portfolio min (1-l) w'Sw - l mu'w over the simplex.
 
     At l = 1 the quadratic term vanishes and the regularization shift
     takes over, so the program stays strictly convex and resolves to the
-    highest-mean vertex.
+    highest-mean vertex.  ``near`` is as for :func:`markowitz_portfolio`.
     """
     n = model.n_assets
     a_eq, b_eq, a_ineq, b_ineq = _simplex_constraints(n)
+    scale = 2.0 * (1.0 - params.lam)
     qp = QuadraticProgram(
-        dmat=regularize(2.0 * (1.0 - params.lam) * model.sigma),
+        dmat=_shifted(scale * model.sigma, scale * model.min_eigenvalue),
         dvec=params.lam * model.mu,
         a_eq=a_eq,
         b_eq=b_eq,
         a_ineq=a_ineq,
         b_ineq=b_ineq,
     )
-    return portfolio_from_weights(model, solve_qp(qp).x)
+    return _solve(model, qp, near)

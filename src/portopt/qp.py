@@ -35,6 +35,27 @@ instead of re-forming and re-solving N'D^-1 N.  A constraint that
 depends on the working set has d2 = 0, so it can only take the dual
 step (a drop, or Infeasible).
 
+A solve may be seeded with rows expected to be active, such as the
+previous point's working set in a frontier sweep, where neighbouring
+programs differ by a few assets.  The equalities and the seeded
+inequalities are then factored in one pass.  Bounds (rows with one
+nonzero) need no QR: order the variables free first and bounded last
+with a permutation P and factor P D P' = LL'.  The column of L^-1 P that
+a bound maps to is zero above the bound's own row, so the rows of L^-1 P
+taken bound variables first, in reverse, are a Q'L^-1 for which Q'B is
+already upper triangular: R is the reversed trailing block of L^-1, and
+N* = [-L_ZF (L_FF)^-1, I] (Z the bounded, F the free variables) costs
+one product with the free block.  The other rows, the equalities among
+them, are appended by the add step, whose |d2| is the new diagonal of R
+and rejects a dependent row.  From the factors, x = J2 J2'd + N*'b is the
+minimizer on the seeded set and u = N*(Dx - d) its multipliers.  Every
+seeded inequality with u < 0 leaves at once and the rest is factored
+again, until the set is dual feasible; the add/drop loop above then runs
+unchanged.  A seed with more rows than variables, or with a dependent
+row, falls back to the cold start from the unconstrained minimum, which
+is the empty seed.  The seed changes the path, not the optimum, which is
+unique.
+
 Everything is plain deterministic linear algebra: the same program solved
 twice yields bit-identical results.  Tie-breaks pick the lowest
 constraint index.
@@ -42,6 +63,7 @@ constraint index.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,8 +141,15 @@ class QpSolution:
     multipliers: np.ndarray
 
 
-def solve_qp(qp: QuadraticProgram) -> QpSolution:
+def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     """Solve the program; see the module docstring for the method.
+
+    ``start`` names constraints, in the global numbering of
+    :attr:`QpSolution.active_set`, expected to be active at the optimum:
+    its inequality rows enter the working set with the equalities before
+    the first step (a neighbouring program's ``active_set`` will do).  It
+    changes the path to the optimum, not the optimum; an empty seed is the
+    cold start.
 
     Raises :class:`Infeasible` when no point satisfies the constraints and
     :class:`MaxIterations` past 100*N working-set steps.  The only
@@ -136,25 +165,25 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
     m = b_all.shape[0]
     is_eq = np.arange(m) < meq
 
-    try:
-        chol = np.linalg.cholesky(qp.dmat)
-    except np.linalg.LinAlgError:
-        raise NumericalBreakdown("quadratic term is not positive definite") from None
-    # J' = L^-1, stored by rows: row i of ``jt`` is column i of J.
-    jt = _lower_inverse(chol)
-    x = jt.T @ (jt @ qp.dvec)
-
     # The working set, one position per active constraint in insertion
     # order: its global index, its sign (-1 for an equality added flipped),
     # its multiplier, and its row of R and of N*.  At most min(n, m)
-    # positions are ever used, since an add needs d2 != 0, so q < n.
+    # positions are ever used: an add needs d2 != 0, so q < n, and a seed
+    # holds at most n independent rows.
     cap = min(n, m)
-    active = np.zeros(cap, dtype=int)
-    signs = np.zeros(cap)
-    u = np.zeros(cap)
-    rmat = np.zeros((cap, cap))
-    nstar = np.zeros((cap, n))
-    q = 0
+    seeded = _seed(qp, a_all, b_all, start, cap)
+    if seeded is None:
+        # J' = L^-1, stored by rows: row i of ``jt`` is column i of J.
+        jt = _lower_inverse(_cholesky(qp.dmat))
+        x = jt.T @ (jt @ qp.dvec)
+        q = 0
+        active = np.zeros(cap, dtype=int)
+        u = np.zeros(cap)
+        rmat = np.zeros((cap, cap))
+        nstar = np.zeros((cap, n))
+    else:
+        q, active, u, jt, rmat, nstar, x = seeded
+    signs = np.ones(cap)
 
     max_iter = 100 * max(n, 1)
     iterations = 0
@@ -246,6 +275,90 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
     inv[h:, h:] = bottom
     inv[h:, :h] = -bottom @ (low[h:, :h] @ top)
     return inv
+
+
+def _cholesky(dmat: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(dmat)
+    except np.linalg.LinAlgError:
+        raise NumericalBreakdown("quadratic term is not positive definite") from None
+
+
+def _seed(qp, a_all, b_all, start, cap):
+    """The solver's state after seeding ``start``, or None for the cold start.
+
+    Returns ``(q, active, u, jt, R, N*, x)``: the equalities and the seeded
+    inequalities factored, x the minimizer on them and u its multipliers.
+    Every inequality with u < 0 leaves at once and the rest is factored
+    again, until the set is dual feasible.  None when no inequality is
+    seeded or the rows are dependent, more than n of them included.
+    """
+    m, meq = b_all.shape[0], qp.b_eq.shape[0]
+    start = np.unique(np.asarray(start, dtype=int))
+    if start.size and (start[0] < 0 or start[-1] >= m):
+        raise ValueError("start must index the program's constraints")
+    rows = np.concatenate([np.arange(meq), start[start >= meq]])
+    if rows.size == meq:
+        return None
+    while rows.size <= qp.n:
+        state = _factor(qp, a_all, b_all, rows, cap)
+        if state is None:
+            return None
+        q, active, u = state[:3]
+        negative = (u[:q] < 0.0) & (active[:q] >= meq)
+        if not negative.any():
+            return state
+        rows = active[:q][~negative]
+    return None
+
+
+def _factor(qp, a_all, b_all, rows, cap):
+    """The solver's state with working set ``rows``, factored in one pass
+    as the module docstring describes, or None if a row is dependent."""
+    n = qp.n
+    nonzero = a_all[rows] != 0.0
+    single = np.flatnonzero(nonzero.sum(axis=1) == 1)
+    # one bound per variable, in variable order; a repeat is a general row
+    zvars, first = np.unique(nonzero[single].argmax(axis=1), return_index=True)
+    bound_rows = rows[single[first]]
+    coef = a_all[bound_rows, zvars]
+    k, f = zvars.size, n - zvars.size
+
+    free = np.ones(n, dtype=bool)
+    free[zvars] = False
+    perm = np.concatenate([np.flatnonzero(free), zvars])
+    chol = _cholesky(qp.dmat[np.ix_(perm, perm)])
+    lpi = _lower_inverse(chol)
+    back = np.argsort(perm)
+    # J' = Q'L^-1: the rows of L^-1 for the bound variables, last first,
+    # then those of the free ones, with the columns in the caller's order
+    jt = lpi[np.concatenate([np.arange(n - 1, f - 1, -1), np.arange(f)])][:, back]
+
+    active = np.zeros(cap, dtype=int)
+    rmat = np.zeros((cap, cap))
+    nstar = np.zeros((cap, n))
+    active[:k] = bound_rows[::-1]
+    rmat[:k, :k] = np.tril(lpi[f:, f:])[::-1, ::-1] * coef[::-1]
+    block = np.zeros((k, n))
+    block[:, :f] = -(chol[f:, :f] @ lpi[:f, :f])
+    block[:, f:] = np.eye(k)
+    nstar[:k] = (block[:, back] / coef[:, None])[::-1]
+
+    q = k
+    for p in np.setdiff1d(rows, bound_rows, assume_unique=True):
+        d = jt @ a_all[p]
+        d2 = d[q:]
+        ztn = float(d2 @ d2)
+        if not ztn > 1e-10 * max(float(d @ d), np.finfo(float).tiny):
+            return None
+        _add(jt, rmat, nstar, q, d, d2 @ jt[q:], nstar[:q] @ a_all[p], ztn)
+        active[q] = p
+        q += 1
+
+    x = jt[q:].T @ (jt[q:] @ qp.dvec) + nstar[:q].T @ b_all[active[:q]]
+    u = np.zeros(cap)
+    u[:q] = nstar[:q] @ (qp.dmat @ x - qp.dvec)
+    return q, active, u, jt, rmat, nstar, x
 
 
 def _add(jt, rmat, nstar, q, d, z, r, ztn):

@@ -87,6 +87,9 @@ class RiskModel:
     kind: RiskKind = RiskKind.VARIANCE
     threshold_b: float = 0.0
     convention: AnnualizationConvention = field(default_factory=AnnualizationConvention)
+    #: Smallest eigenvalue of ``sigma``, from the positive-semidefiniteness
+    #: check; the optimizers test positive definiteness against it.
+    min_eigenvalue: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -102,12 +105,14 @@ class RiskModel:
         if (diag < 0).any():
             raise ValueError("risk matrix has a negative diagonal entry")
         floor = -PSD_RTOL * max(diag.max(initial=0.0), 0.0)
-        if n > 0 and np.linalg.eigvalsh(sigma).min() < floor:
+        min_eigenvalue = float(np.linalg.eigvalsh(sigma).min(initial=np.inf))
+        if min_eigenvalue < floor:
             raise ValueError("risk matrix is not positive semidefinite")
         mu.setflags(write=False)
         sigma.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "min_eigenvalue", min_eigenvalue)
 
     @property
     def n_assets(self) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from portopt import optimizers
 from portopt.errors import AssetAlignmentError
 from portopt.frontier import (
     efficient_frontier,
@@ -245,3 +246,86 @@ class TestSweepRangeInsideMeans:
         returns = returns_with_means(rng, [0.0004, 0.0011, 0.002, 0.0028])
         values = np.column_stack([returns.values, returns.values[:, 1]])
         self.check_in_range(ReturnsMatrix(assets=(*returns.assets, "DUP"), values=values), kind)
+
+
+class TestWarmSweeps:
+    """Each sweep point starts from its neighbour's solution; the answers
+    are the cold per-point ones, and the warm sweep takes fewer steps."""
+
+    @staticmethod
+    def solves(monkeypatch, sweep, cold: bool) -> list:
+        """``(x, iterations)`` of every ``solve_qp`` the sweep makes; with
+        ``cold`` every seed is dropped."""
+        real = optimizers.solve_qp
+        log = []
+
+        def spy(qp, start=()):
+            solution = real(qp, start=() if cold else start)
+            log.append((solution.x, solution.iterations))
+            return solution
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizers, "solve_qp", spy)
+            sweep()
+        return log
+
+    def check(self, monkeypatch, sweep, twins: tuple[int, ...] = ()) -> tuple[int, int]:
+        """Warm against cold weights within 1e-10; total iterations of each.
+
+        ``twins``, two identical columns, are compared by their sum: the
+        split between them rests on the 1e-11 ridge alone, and the cold
+        solve itself splits them unevenly by up to 4.9e-9 on the panel
+        below (the exact split is even), so each is held to 1e-8.
+        """
+        warm = self.solves(monkeypatch, sweep, cold=False)
+        cold = self.solves(monkeypatch, sweep, cold=True)
+        assert len(warm) == len(cold)
+        for (x_warm, _), (x_cold, _) in zip(warm, cold):
+            if twins:
+                np.testing.assert_allclose(x_warm[list(twins)], x_cold[list(twins)], rtol=0.0, atol=1e-8)
+                x_warm, x_cold = x_warm.copy(), x_cold.copy()
+                for x in (x_warm, x_cold):
+                    x[twins[0]] += x[twins[1]]
+                    x[twins[1]] = 0.0
+            np.testing.assert_allclose(x_warm, x_cold, rtol=0.0, atol=1e-10)
+        return sum(i for _, i in warm), sum(i for _, i in cold)
+
+    @staticmethod
+    def sweeps(returns, kind, n_points):
+        model = build_risk_model(returns, kind=kind)
+        return (
+            lambda: efficient_frontier(model, n_points),
+            lambda: lambda_frontier(model, n_points),
+            lambda: frontier_fit(model, returns, n_points),
+        )
+
+    @pytest.mark.parametrize("kind", list(RiskKind))
+    def test_matches_cold_and_takes_fewer_steps(self, monkeypatch, kind):
+        returns = random_returns(np.random.default_rng(3), 30, 250)
+        for sweep in self.sweeps(returns, kind, 12):
+            warm, cold = self.check(monkeypatch, sweep)
+            assert warm < cold
+
+    @pytest.mark.parametrize("kind", list(RiskKind))
+    @pytest.mark.parametrize(
+        "means",
+        [
+            [-0.003, -0.0021, -0.0012, -0.0005, -0.0001],
+            [-7.77e-6, 0.0004, 0.0011, 0.002, 0.0028],
+            [0.0011] * 5,
+            [0.0004, 0.0004, 0.0011, 0.0011, 0.002],
+            None,  # a duplicated column
+        ],
+        ids=["all_negative", "near_zero_min", "equal_means", "two_equal_pairs", "duplicated"],
+    )
+    def test_degenerate_panels_match_cold(self, monkeypatch, rng, kind, means):
+        twins = ()
+        if means is None:
+            returns = returns_with_means(rng, [0.0004, 0.0011, 0.002, 0.0028])
+            values = np.column_stack([returns.values, returns.values[:, 1]])
+            returns = ReturnsMatrix(assets=(*returns.assets, "DUP"), values=values)
+            twins = (1, 4)
+        else:
+            returns = returns_with_means(rng, means)
+        for sweep in self.sweeps(returns, kind, 12):
+            self.check(monkeypatch, sweep, twins)

@@ -14,6 +14,7 @@ from portopt.ga import (
     GaParams,
     ZeroMassChild,
     _cross_continuous,
+    _floor_divide,
     crossover_continuous,
     ga_frontier,
     ga_lambda_n_portfolio,
@@ -286,6 +287,23 @@ class TestRepair:
         repaired = repair_integer(n, params)
         assert (repaired >= 0).all()
         assert residual_cash(repaired, params) >= 0.0
+
+    def test_floor_division_matches_the_exact_one(self):
+        # floor(a / b) with an exact // only near whole quotients: the same
+        # numbers as a // b, on quotients at, just above and just below
+        # whole numbers k and on random ones
+        gen = np.random.default_rng(5)
+        b = gen.uniform(0.01, 500.0, size=(1, 500)) * 10.0 ** gen.integers(-3, 4, size=(1, 500))
+        k = gen.integers(0, 10 ** gen.integers(1, 8, size=(40, 1)), size=(40, 500)).astype(float)
+        exact = k * b
+        for a in (
+            exact,
+            np.nextafter(exact, np.inf),
+            np.nextafter(exact, 0.0),
+            exact * (1.0 + gen.uniform(-1e-12, 1e-12, size=exact.shape)),
+            gen.uniform(0.0, 1e6, size=exact.shape),
+        ):
+            np.testing.assert_array_equal(_floor_divide(a, b[0]), a // b)
 
     def test_population_rows_repaired_on_their_own(self):
         # (5, 0) and (7, 0) floor to 393 lots of A, one ulp over the capital

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from portopt import optimizers
 from portopt.errors import TargetOutOfRange
-from portopt.market_data import PriceTable, assets_return
+from portopt.frontier import efficient_frontier, lambda_frontier
+from portopt.market_data import PriceTable, ReturnsMatrix, assets_return
 from portopt.optimizers import (
     REGULARIZATION,
     ObjectiveParams,
@@ -17,7 +19,7 @@ from portopt.optimizers import (
 )
 from portopt.risk_models import RiskModel, build_risk_model
 
-from conftest import random_model, simplex_grid
+from conftest import random_model, random_returns, simplex_grid
 
 
 class TestRegularize:
@@ -35,6 +37,45 @@ class TestRegularize:
     def test_zero_matrix(self):
         out = regularize(np.zeros((2, 2)))
         np.testing.assert_array_equal(out, REGULARIZATION * np.eye(2))
+
+
+class TestProgramMatrix:
+    """The programs test positive definiteness with the model's own
+    smallest eigenvalue: the same matrices as ``regularize`` gives, and no
+    eigenvalue computation per point."""
+
+    @staticmethod
+    def models(rng):
+        returns = random_returns(rng, 6, 200)
+        duplicated = ReturnsMatrix(
+            assets=(*returns.assets, "DUP"),
+            values=np.column_stack([returns.values, returns.values[:, 0]]),
+        )
+        return [build_risk_model(returns), build_risk_model(duplicated)]
+
+    def test_same_matrices_as_regularize(self, rng, monkeypatch):
+        matrices = []
+        real = optimizers.solve_qp
+        monkeypatch.setattr(
+            optimizers, "solve_qp", lambda qp, start=(): matrices.append(qp.dmat) or real(qp)
+        )
+        for model in self.models(rng):
+            markowitz_portfolio(model)
+            np.testing.assert_array_equal(matrices.pop(), 2.0 * regularize(model.sigma))
+            for lam in (0.0, 0.3, 0.9, 1.0):
+                lambda_portfolio(model, ObjectiveParams(lam=lam))
+                expected = regularize(2.0 * (1.0 - lam) * model.sigma)
+                np.testing.assert_array_equal(matrices.pop(), expected)
+
+    def test_no_eigenvalues_per_point(self, rng, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+        for model in self.models(rng):
+            calls.clear()
+            efficient_frontier(model, 5)
+            lambda_frontier(model, 5)
+            assert calls == []
 
 
 class TestMarkowitz:
@@ -85,6 +126,27 @@ class TestMarkowitz:
             p = markowitz_portfolio(toy_model, ObjectiveParams(target_return=float(beta)))
             risks.append(p.risk)
         assert all(b >= a - 1e-10 for a, b in zip(risks, risks[1:]))
+
+    def test_near_from_any_portfolio_gives_the_same_optimum(self, rng):
+        # near only picks the start: a vertex, a far target's optimum or
+        # the uniform portfolio all lead to the cold answer
+        model = random_model(rng, 8)
+        params = ObjectiveParams(target_return=float(np.quantile(model.mu, 0.6)))
+        cold = markowitz_portfolio(model, params)
+        far = markowitz_portfolio(model, ObjectiveParams(target_return=float(model.mu.max())))
+        vertex = portfolio_from_weights(model, np.eye(8)[int(model.mu.argmin())])
+        uniform = portfolio_from_weights(model, np.full(8, 1 / 8))
+        for near in (far, vertex, uniform, cold):
+            warm = markowitz_portfolio(model, params, near=near)
+            np.testing.assert_allclose(warm.weights, cold.weights, rtol=0.0, atol=1e-12)
+            lam = lambda_portfolio(model, ObjectiveParams(lam=0.4), near=near)
+            lam_cold = lambda_portfolio(model, ObjectiveParams(lam=0.4))
+            np.testing.assert_allclose(lam.weights, lam_cold.weights, rtol=0.0, atol=1e-12)
+
+    def test_near_over_other_assets_rejected(self, rng, toy_model):
+        other = markowitz_portfolio(random_model(rng, 3))
+        with pytest.raises(ValueError, match="near"):
+            markowitz_portfolio(toy_model, near=other)
 
 
 class TestLambdaPortfolio:

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from portopt import qp as qp_module
 from portopt.errors import Infeasible, NumericalBreakdown
 from portopt.optimizers import regularize
 from portopt.qp import QuadraticProgram, solve_qp
@@ -348,3 +349,108 @@ def test_pinned_semivariance_working_set(n, seed, frac, iterations, inactive):
     assert sol.iterations == iterations
     assert sol.active_set == tuple(sorted(set(range(n + 2)) - set(inactive)))
     assert_kkt(qp, sol)
+
+
+def with_bounds(qp: QuadraticProgram, x0: np.ndarray, gen: np.random.Generator):
+    """``qp`` with bound rows appended to its inequalities: ``c x_i >= c lo_i``
+    and ``-c x_i >= -c hi_i`` (c > 0) around ``x0``, some of them tight at
+    ``x0``, and one bound repeated.  A feasible program stays feasible."""
+    n = qp.n
+    rows, rhs = [], []
+    for side, share in ((1.0, 0.7), (-1.0, 0.3)):
+        for i in np.flatnonzero(gen.random(n) < share):
+            c = side * 10.0 ** gen.uniform(-1.0, 1.0)
+            gap = gen.exponential() * (gen.random() < 0.6)
+            rows.append(c * np.eye(n)[i])
+            rhs.append(c * (x0[i] - side * gap))
+    rows, rhs = rows + rows[:1], rhs + rhs[:1]
+    return QuadraticProgram(
+        qp.dmat,
+        qp.dvec,
+        qp.a_eq,
+        qp.b_eq,
+        np.vstack([qp.a_ineq, np.reshape(rows, (-1, n))]),
+        np.concatenate([qp.b_ineq, rhs]),
+    )
+
+
+def test_seeded_start_reaches_the_cold_optimum(monkeypatch):
+    # Whatever the seed, Infeasible is raised exactly when the cold solve
+    # raises it; otherwise KKT holds and x is the cold x.
+    seen = {"seeded": 0, "fallback": 0, "rows_dropped": 0, "infeasible": 0, "bounds": 0}
+    real_seed = qp_module._seed
+    last = [None]
+
+    def counting_seed(qp, a_all, b_all, start, cap):
+        result = last[0] = real_seed(qp, a_all, b_all, start, cap)
+        if result is None:
+            seen["fallback"] += 1
+        else:
+            seen["seeded"] += 1
+            q, active = result[:2]
+            seeded = np.setdiff1d(start, np.arange(qp.b_eq.shape[0])).size
+            seen["rows_dropped"] += (active[:q] >= qp.b_eq.shape[0]).sum() < seeded
+            seen["bounds"] += ((a_all[active[:q]] != 0.0).sum(axis=1) == 1).any()
+        return result
+
+    monkeypatch.setattr(qp_module, "_seed", counting_seed)
+    for seed in range(300):
+        gen = np.random.default_rng(seed)
+        program, x0, _ = random_program(gen)
+        for qp in (program, with_bounds(program, x0, gen)):
+            meq, m = qp.b_eq.shape[0], qp.b_eq.shape[0] + qp.b_ineq.shape[0]
+            rows = np.arange(meq, m)
+            try:
+                cold = solve_qp(qp)
+            except Infeasible:
+                cold = None
+            starts = [rows[gen.random(rows.size) < 0.5]]
+            if qp is program:  # every inequality, rows parallel to an equality
+                a_ineq = qp.a_ineq / np.linalg.norm(qp.a_ineq, axis=1, keepdims=True)
+                a_eq = qp.a_eq / np.linalg.norm(qp.a_eq, axis=1, keepdims=True)
+                parallel = np.abs(a_ineq @ a_eq.T).max(axis=1, initial=0.0) > 1.0 - 1e-12
+                starts += [rows, np.concatenate([rows[parallel], rows[:2]])]
+            else:  # every bound
+                starts.append(rows[program.b_ineq.shape[0] :])
+            if cold is not None:
+                # the optimal working set, alone and with rows inactive at the optimum
+                active = np.array(cold.active_set, dtype=int)
+                inactive = np.setdiff1d(rows, active)
+                starts += [active, np.concatenate([active, inactive[gen.random(inactive.size) < 0.5]])]
+            for start in starts:
+                if cold is None:
+                    with pytest.raises(Infeasible):
+                        solve_qp(qp, start=start)
+                    seen["infeasible"] += last[0] is not None
+                    continue
+                sol = solve_qp(qp, start=start)
+                assert_kkt(qp, sol)
+                scale = max(1.0, float(np.abs(cold.x).max()))
+                np.testing.assert_allclose(sol.x, cold.x, rtol=0.0, atol=1e-9 * scale)
+    # the seeds reach every path: factored with and without bounds,
+    # dual-infeasible rows dropped, cold fallback, Infeasible from a seed
+    assert min(seen.values()) >= 30, seen
+
+
+def test_optimal_working_set_as_seed_takes_no_step():
+    model = build_risk_model(random_returns(np.random.default_rng(0), 30), RiskKind.SEMIVARIANCE)
+    qp = QuadraticProgram(
+        dmat=2.0 * regularize(model.sigma),
+        dvec=np.zeros(30),
+        a_eq=np.vstack([np.ones(30), model.mu]),
+        b_eq=np.array([1.0, model.mu.min() + 0.45 * (model.mu.max() - model.mu.min())]),
+        a_ineq=np.eye(30),
+        b_ineq=np.zeros(30),
+    )
+    cold = solve_qp(qp)
+    warm = solve_qp(qp, start=cold.active_set)
+    assert warm.iterations == 0
+    assert warm.active_set == cold.active_set
+    np.testing.assert_allclose(warm.x, cold.x, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("start", [(-1,), (3,)])
+def test_seed_outside_the_program_rejected(start):
+    qp = simplex_qp(np.eye(2))
+    with pytest.raises(ValueError, match="start"):
+        solve_qp(qp, start=start)
