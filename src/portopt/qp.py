@@ -35,26 +35,32 @@ instead of re-forming and re-solving N'D^-1 N.  A constraint that
 depends on the working set has d2 = 0, so it can only take the dual
 step (a drop, or Infeasible).
 
-A solve may be seeded with rows expected to be active, such as the
-previous point's working set in a frontier sweep, where neighbouring
-programs differ by a few assets.  The equalities and the seeded
-inequalities are then factored in one pass.  Bounds (rows with one
-nonzero) need no QR: order the variables free first and bounded last
-with a permutation P and factor P D P' = LL'.  The column of L^-1 P that
-a bound maps to is zero above the bound's own row, so the rows of L^-1 P
-taken bound variables first, in reverse, are a Q'L^-1 for which Q'B is
-already upper triangular: R is the reversed trailing block of L^-1, and
-N* = [-L_ZF (L_FF)^-1, I] (Z the bounded, F the free variables) costs
-one product with the free block.  The other rows, the equalities among
-them, are appended by the add step, whose |d2| is the new diagonal of R
-and rejects a dependent row.  From the factors, x = J2 J2'd + N*'b is the
-minimizer on the seeded set and u = N*(Dx - d) its multipliers.  Every
-seeded inequality with u < 0 leaves at once and the rest is factored
-again, until the set is dual feasible; the add/drop loop above then runs
-unchanged.  A seed with more rows than variables, or with a dependent
-row, falls back to the cold start from the unconstrained minimum, which
-is the empty seed.  The seed changes the path, not the optimum, which is
-unique.
+One pass builds the factors of a whole working set at once: the empty
+set (the cold start from the unconstrained minimum), a seed of rows
+expected to be active (such as the previous point's working set in a
+frontier sweep, where neighbouring programs differ by a few assets), and
+the final working set.  Bounds (rows with one nonzero) need no QR: order
+the variables free first and bounded last with a permutation P and factor
+P D P' = LL'.  The column of L^-1 P that a bound maps to is zero above
+the bound's own row, so the rows of L^-1 P taken bound variables first,
+in reverse, are a Q'L^-1 for which Q'B is already upper triangular: R is
+the reversed trailing block of L^-1, and N* = [-L_ZF (L_FF)^-1, I] (Z the
+bounded, F the free variables) costs one product with the free block.
+The other rows, the equalities among them, are appended by the add step,
+whose |d2| is the new diagonal of R and rejects a dependent row.  From
+the factors, x = J2 J2'd + N*'b is the minimizer on the set and
+u = N*(Dx - d) its multipliers.
+
+A seed enters with the equalities.  Every seeded inequality with u < 0
+leaves at once and the rest is factored again, until the set is dual
+feasible; the add/drop loop above then runs unchanged.  A seed with no
+inequality, more rows than variables or a dependent row falls back to the
+empty set.  The seed changes the path, not the optimum, which is unique.
+The loop's x drifts over many small steps, so the answer is taken from the
+final working set factored afresh in sorted order, plus one refinement
+step on its rows (unless that point fails the polish's feasibility guard);
+it depends only on the program and that set, and a seeded solve that ends
+on the cold solve's working set returns the same bits.
 
 Everything is plain deterministic linear algebra: the same program solved
 twice yields bit-identical results.  Tie-breaks pick the lowest
@@ -149,7 +155,9 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     its inequality rows enter the working set with the equalities before
     the first step (a neighbouring program's ``active_set`` will do).  It
     changes the path to the optimum, not the optimum; an empty seed is the
-    cold start.
+    cold start.  One factorization serves the empty, seeded and final
+    working sets, and x and the multipliers are those of the final working
+    set alone: any two solves that end on the same set return the same bits.
 
     Raises :class:`Infeasible` when no point satisfies the constraints and
     :class:`MaxIterations` past 100*N working-set steps.  The only
@@ -171,18 +179,7 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     # positions are ever used: an add needs d2 != 0, so q < n, and a seed
     # holds at most n independent rows.
     cap = min(n, m)
-    seeded = _seed(qp, a_all, b_all, start, cap)
-    if seeded is None:
-        # J' = L^-1, stored by rows: row i of ``jt`` is column i of J.
-        jt = _lower_inverse(_cholesky(qp.dmat))
-        x = jt.T @ (jt @ qp.dvec)
-        q = 0
-        active = np.zeros(cap, dtype=int)
-        u = np.zeros(cap)
-        rmat = np.zeros((cap, cap))
-        nstar = np.zeros((cap, n))
-    else:
-        q, active, u, jt, rmat, nstar, x = seeded
+    q, active, u, jt, rmat, nstar, x = _seed(qp, a_all, b_all, start, cap)
     signs = np.ones(cap)
 
     max_iter = 100 * max(n, 1)
@@ -243,16 +240,16 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
                 v[k : q - 1] = v[k + 1 : q]
             q -= 1
 
-    active, signs, u = active[:q], signs[:q], u[:q]
-    x, u = _polish(qp, x, u, active, signs, b_all, a_all, is_eq)
-
+    working = np.sort(active[:q])
     multipliers = np.zeros(m)
-    multipliers[active] = signs * u
+    multipliers[active[:q]] = signs[:q] * u[:q]
+    x, multipliers = _polish(qp, a_all, b_all, is_eq, working, cap, x, multipliers)
+
     objective = 0.5 * float(x @ qp.dmat @ x) - float(qp.dvec @ x)
     return QpSolution(
         x=x,
         objective=objective,
-        active_set=tuple(np.sort(active).tolist()),
+        active_set=tuple(working.tolist()),
         iterations=iterations,
         multipliers=multipliers,
     )
@@ -263,11 +260,15 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
 
     [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]]: two matrix
     products per level instead of an LU solve against the identity,
-    about 5x faster at n = 500 with one BLAS thread.
+    about 5x faster at n = 500 with one BLAS thread.  A base block is
+    inverted through its transpose: the LU of an upper triangle never
+    pivots, so the inverse is exactly zero above the diagonal (the lower
+    triangle's own LU can pivot and leave ~1e-14 there), and so is a
+    bound's coordinate of x.
     """
     n = low.shape[0]
     if n <= 64:
-        return np.linalg.inv(low)
+        return np.linalg.inv(low.T).T
     h = n // 2
     top, bottom = _lower_inverse(low[:h, :h]), _lower_inverse(low[h:, h:])
     inv = np.zeros_like(low)
@@ -277,39 +278,29 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _cholesky(dmat: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(dmat)
-    except np.linalg.LinAlgError:
-        raise NumericalBreakdown("quadratic term is not positive definite") from None
-
-
 def _seed(qp, a_all, b_all, start, cap):
-    """The solver's state after seeding ``start``, or None for the cold start.
+    """The solver's state after seeding ``start``.
 
     Returns ``(q, active, u, jt, R, N*, x)``: the equalities and the seeded
     inequalities factored, x the minimizer on them and u its multipliers.
     Every inequality with u < 0 leaves at once and the rest is factored
-    again, until the set is dual feasible.  None when no inequality is
-    seeded or the rows are dependent, more than n of them included.
+    again, until the set is dual feasible.  The empty set, the cold start,
+    when no inequality is seeded or the rows are dependent, more than n of
+    them included.
     """
     m, meq = b_all.shape[0], qp.b_eq.shape[0]
     start = np.unique(np.asarray(start, dtype=int))
     if start.size and (start[0] < 0 or start[-1] >= m):
         raise ValueError("start must index the program's constraints")
     rows = np.concatenate([np.arange(meq), start[start >= meq]])
-    if rows.size == meq:
-        return None
-    while rows.size <= qp.n:
-        state = _factor(qp, a_all, b_all, rows, cap)
-        if state is None:
-            return None
-        q, active, u = state[:3]
-        negative = (u[:q] < 0.0) & (active[:q] >= meq)
-        if not negative.any():
-            return state
-        rows = active[:q][~negative]
-    return None
+    if meq < rows.size <= qp.n:
+        while (state := _factor(qp, a_all, b_all, rows, cap)) is not None:
+            q, active, u = state[:3]
+            negative = (u[:q] < 0.0) & (active[:q] >= meq)
+            if not negative.any():
+                return state
+            rows = active[:q][~negative]
+    return _factor(qp, a_all, b_all, np.zeros(0, dtype=int), cap)
 
 
 def _factor(qp, a_all, b_all, rows, cap):
@@ -327,18 +318,23 @@ def _factor(qp, a_all, b_all, rows, cap):
     free = np.ones(n, dtype=bool)
     free[zvars] = False
     perm = np.concatenate([np.flatnonzero(free), zvars])
-    chol = _cholesky(qp.dmat[np.ix_(perm, perm)])
+    try:
+        chol = np.linalg.cholesky(qp.dmat[np.ix_(perm, perm)])
+    except np.linalg.LinAlgError:
+        raise NumericalBreakdown("quadratic term is not positive definite") from None
     lpi = _lower_inverse(chol)
     back = np.argsort(perm)
     # J' = Q'L^-1: the rows of L^-1 for the bound variables, last first,
-    # then those of the free ones, with the columns in the caller's order
-    jt = lpi[np.concatenate([np.arange(n - 1, f - 1, -1), np.arange(f)])][:, back]
+    # then those of the free ones, with the columns in the caller's order;
+    # one gather keeps it C-ordered, so the steps update contiguous rows
+    order = np.concatenate([np.arange(n - 1, f - 1, -1), np.arange(f)])
+    jt = lpi[np.ix_(order, back)]
 
     active = np.zeros(cap, dtype=int)
     rmat = np.zeros((cap, cap))
     nstar = np.zeros((cap, n))
     active[:k] = bound_rows[::-1]
-    rmat[:k, :k] = np.tril(lpi[f:, f:])[::-1, ::-1] * coef[::-1]
+    rmat[:k, :k] = lpi[f:, f:][::-1, ::-1] * coef[::-1]
     block = np.zeros((k, n))
     block[:, :f] = -(chol[f:, :f] @ lpi[:f, :f])
     block[:, f:] = np.eye(k)
@@ -396,37 +392,32 @@ def _drop(jt, rmat, nstar, q, k, dmat):
         jt[k:q] = qmat.T @ jt[k:q]
 
 
-def _polish(qp, x, u, active, signs, b_all, a_all, is_eq):
+def _polish(qp, a_all, b_all, is_eq, rows, cap, x, multipliers):
     """Re-solve the working-set KKT system from the original data.
 
     The iteration accumulates x through many small steps; on badly scaled
     programs (for example a 1e-11 ridge standing in for a vanished
     quadratic term) that drift can reach the 1e-6 scale.  One direct
-    solve on the converged working set removes it.  The polished point is
-    kept only if it stays feasible for the constraints left inactive and
-    its inequality multipliers stay nonnegative.
+    solve on the converged working set removes it: ``rows``, sorted, are
+    factored afresh by :func:`_factor`.  The polished point is kept only
+    if it stays feasible for the constraints left inactive and its
+    inequality multipliers stay nonnegative.
     """
-    q = active.size
-    if q == 0:
-        return x, u
-    n = qp.n
-    normals = signs * a_all[active].T
-    kkt = np.zeros((n + q, n + q))
-    kkt[:n, :n] = qp.dmat
-    kkt[:n, n:] = -normals
-    kkt[n:, :n] = normals.T
-    rhs = np.concatenate([qp.dvec, signs * b_all[active]])
-    try:
-        solution = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        return x, u
-    x_new, u_new = solution[:n], solution[n:]
+    state = _factor(qp, a_all, b_all, rows, cap)
+    if state is None:
+        return x, multipliers
+    q, active, u, _, _, nstar, x_new = state
+    # One refinement step on the working-set rows: the factors alone leave
+    # the budget and return rows off by up to ~1e-14.
+    x_new = x_new + nstar[:q].T @ (b_all[active[:q]] - a_all[active[:q]] @ x_new)
+    u_new = np.zeros_like(multipliers)
+    u_new[active[:q]] = u[:q]
     slack = a_all @ x_new - b_all
     inactive = np.ones(b_all.shape[0], dtype=bool)
-    inactive[active] = False
+    inactive[rows] = False
     ok = (
         (np.abs(slack[inactive & is_eq]) < 1e-8).all()
         and (slack[inactive & ~is_eq] > -1e-8).all()
-        and (u_new[~is_eq[active]] >= -1e-8).all()
+        and (u_new[~is_eq] >= -1e-8).all()
     )
-    return (x_new, u_new) if ok else (x, u)
+    return (x_new, u_new) if ok else (x, multipliers)

@@ -250,7 +250,8 @@ class TestSweepRangeInsideMeans:
 
 class TestWarmSweeps:
     """Each sweep point starts from its neighbour's solution; the answers
-    are the cold per-point ones, and the warm sweep takes fewer steps."""
+    are the cold per-point ones, bit for bit, and the warm sweep takes
+    fewer steps."""
 
     @staticmethod
     def solves(monkeypatch, sweep, cold: bool) -> list:
@@ -269,25 +270,13 @@ class TestWarmSweeps:
             sweep()
         return log
 
-    def check(self, monkeypatch, sweep, twins: tuple[int, ...] = ()) -> tuple[int, int]:
-        """Warm against cold weights within 1e-10; total iterations of each.
-
-        ``twins``, two identical columns, are compared by their sum: the
-        split between them rests on the 1e-11 ridge alone, and the cold
-        solve itself splits them unevenly by up to 4.9e-9 on the panel
-        below (the exact split is even), so each is held to 1e-8.
-        """
+    def check(self, monkeypatch, sweep) -> tuple[int, int]:
+        """Warm against cold weights, bit for bit; total iterations of each."""
         warm = self.solves(monkeypatch, sweep, cold=False)
         cold = self.solves(monkeypatch, sweep, cold=True)
         assert len(warm) == len(cold)
         for (x_warm, _), (x_cold, _) in zip(warm, cold):
-            if twins:
-                np.testing.assert_allclose(x_warm[list(twins)], x_cold[list(twins)], rtol=0.0, atol=1e-8)
-                x_warm, x_cold = x_warm.copy(), x_cold.copy()
-                for x in (x_warm, x_cold):
-                    x[twins[0]] += x[twins[1]]
-                    x[twins[1]] = 0.0
-            np.testing.assert_allclose(x_warm, x_cold, rtol=0.0, atol=1e-10)
+            np.testing.assert_array_equal(x_warm, x_cold)
         return sum(i for _, i in warm), sum(i for _, i in cold)
 
     @staticmethod
@@ -319,13 +308,11 @@ class TestWarmSweeps:
         ids=["all_negative", "near_zero_min", "equal_means", "two_equal_pairs", "duplicated"],
     )
     def test_degenerate_panels_match_cold(self, monkeypatch, rng, kind, means):
-        twins = ()
         if means is None:
             returns = returns_with_means(rng, [0.0004, 0.0011, 0.002, 0.0028])
             values = np.column_stack([returns.values, returns.values[:, 1]])
             returns = ReturnsMatrix(assets=(*returns.assets, "DUP"), values=values)
-            twins = (1, 4)
         else:
             returns = returns_with_means(rng, means)
         for sweep in self.sweeps(returns, kind, 12):
-            self.check(monkeypatch, sweep, twins)
+            self.check(monkeypatch, sweep)
