@@ -36,13 +36,10 @@ from .frontier import (
 from .ga import (
     GaParams,
     GaTrace,
-    crossover_continuous,
     ga_frontier,
     ga_lambda_n_portfolio,
     ga_lambda_portfolio,
-    mutate_continuous,
     repair_integer,
-    roulette_select,
 )
 from .market import (
     IntegerSolution,

@@ -60,7 +60,13 @@ class FitReport:
     annual_mean_underestimation_error: float
 
 
+def _check_points(n_points: int) -> None:
+    if n_points < 1:
+        raise ValueError(f"a sweep needs at least one point, not {n_points}")
+
+
 def _target_range(mu: np.ndarray, n_points: int, low: float | None = None) -> np.ndarray:
+    _check_points(n_points)
     mu_min, mu_max = float(mu.min()), float(mu.max())
     lo = low if low is not None else mu_min + abs(mu_min) * RANGE_CLIP
     hi = mu_max - abs(mu_max) * RANGE_CLIP
@@ -69,6 +75,7 @@ def _target_range(mu: np.ndarray, n_points: int, low: float | None = None) -> np
 
 def _lambda_grid(n_points: int) -> np.ndarray:
     """Tradeoff values for a lam sweep: evenly spaced over [0, 1], rounded."""
+    _check_points(n_points)
     return np.round(np.linspace(0.0, 1.0, n_points), PARAMETER_DECIMALS)
 
 
@@ -164,8 +171,6 @@ def frontier_fit(
     as an inequality, starting from the previous one (the first from the
     minimum-risk portfolio), and then realized on the out-of-sample means.
     """
-    if n_points < 1:
-        raise ValueError("a fit needs at least one frontier point")
     if returns_out.assets != model.assets:
         extra = set(returns_out.assets) - set(model.assets)
         missing = set(model.assets) - set(returns_out.assets)

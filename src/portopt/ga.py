@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import market as mkt
-from .errors import PortfolioError
 from .frontier import FrontierPoint, _lambda_grid
 from .market import IntegerSolution, MarketParams
 from .optimizers import Portfolio, portfolio_from_weights
@@ -51,26 +50,20 @@ EARLY_STOP_WINDOW = 30
 _MUTATION = {"continuous": (0.2, 0.5), "integer": (0.3, 0.3)}
 
 
-class ZeroMassChild(PortfolioError):
-    """Crossover produced a child with no mass to renormalize."""
-
-
 @dataclass(frozen=True)
 class GaParams:
-    """Run parameters; unset fields resolve to per-binding defaults."""
+    """Run parameters.  An unset population follows the asset count; the
+    per-binding mutation rates (``_MUTATION``) and the report threshold of
+    the result's sparse view are fixed."""
 
     generations: int = 500
-    base_mutation_rate: float | None = None
     population: int | None = None
     seed: int = 0
-    report_threshold: float = 0.005
     early_stop: bool = False
 
     def __post_init__(self):
         if self.generations < 1:
             raise ValueError("generations must be at least 1")
-        if self.base_mutation_rate is not None and not 0.0 <= self.base_mutation_rate <= 1.0:
-            raise ValueError("base_mutation_rate must lie in [0, 1]")
         if self.population is not None and (self.population < 2 or self.population % 2):
             raise ValueError("population must be an even count of at least 2")
 
@@ -79,11 +72,6 @@ class GaParams:
         if self.population is not None:
             return self.population
         return max(MIN_POPULATION, 2 * (n_assets // 2))
-
-    def mutation_base(self, binding: str) -> float:
-        if self.base_mutation_rate is not None:
-            return self.base_mutation_rate
-        return _MUTATION[binding][0]
 
 
 @dataclass(frozen=True)
@@ -116,19 +104,6 @@ def _roulette_indices(mass: np.ndarray, count: int, rng: np.random.Generator) ->
     return np.minimum(np.searchsorted(cum, rng.random(count), side="left"), cum.shape[0] - 1)
 
 
-def roulette_select(fitness: np.ndarray, rng: np.random.Generator) -> int:
-    """One index drawn with probability fitness_i / sum(fitness).
-
-    Expects the nonnegative (already shifted) fitness mass; raw fitness
-    with negative entries is shifted first so the rule stays total.
-    Degenerate mass (zero or non-finite total) selects uniformly.
-    """
-    f = np.asarray(fitness, dtype=float)
-    if f.size and f.min() < 0.0:
-        f = _shifted(f)
-    return int(_roulette_indices(f, 1, rng)[0])
-
-
 def _crossover(first: np.ndarray, second: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """Single-point crossover of every pair: pair k's first child keeps
     ``cuts[k]`` leading genes of its first parent.  Shape ``(pairs, 2, N)``."""
@@ -142,26 +117,6 @@ def _normalized_children(first: np.ndarray, second: np.ndarray, cuts: np.ndarray
     children = _crossover(first, second, cuts)
     mass = children.sum(axis=-1, keepdims=True)
     return children / np.where(mass > 0.0, mass, 1.0), (mass <= 0.0).any(axis=(1, 2))
-
-
-def crossover_continuous(
-    w1: np.ndarray, w2: np.ndarray, cut: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exchange prefix/suffix at ``cut`` and renormalize both children.
-
-    ``cut`` counts genes kept from the first listed parent, so it runs
-    over 1..N-1.  A child with zero total mass cannot be renormalized;
-    that raises :class:`ZeroMassChild` and the caller resamples the cut.
-    """
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    n = w1.shape[0]
-    if not 1 <= cut <= n - 1:
-        raise ValueError(f"cut must lie in [1, {n - 1}]")
-    children, zero = _normalized_children(w1[None], w2[None], np.array([cut]))
-    if zero[0]:
-        raise ZeroMassChild(f"cut {cut} left a child with zero mass")
-    return children[0, 0], children[0, 1]
 
 
 def _cross_continuous(first: np.ndarray, second: np.ndarray, rng: np.random.Generator):
@@ -190,10 +145,10 @@ def _mutate(
     genes: np.ndarray, generation_j: int, params: GaParams, binding: str, draw_values, rng
 ) -> np.ndarray:
     """Escalating one-gene mutation of every row, in place: a row fires
-    with probability ``mr + (j/m) * ramp`` and then takes the next of
+    with probability ``base + (j/m) * ramp`` and then takes the next of
     ``draw_values(count)`` in its drawn gene.  Returns ``genes``."""
-    ramp = _MUTATION[binding][1]
-    rate = params.mutation_base(binding) + (generation_j / params.generations) * ramp
+    base, ramp = _MUTATION[binding]
+    rate = base + (generation_j / params.generations) * ramp
     rows, width = genes.shape
     fire = rng.random(rows) < rate
     gene = rng.integers(width, size=rows)
@@ -205,18 +160,6 @@ def _mutate(
 def _continuous_values(rng: np.random.Generator):
     """Mutated-gene values of the continuous binding: U(0, 2)."""
     return lambda count: rng.uniform(0.0, 2.0, count)
-
-
-def mutate_continuous(
-    w: np.ndarray, generation_j: int, params: GaParams, rng: np.random.Generator
-) -> np.ndarray:
-    """Escalating one-gene mutation: fires with probability
-    ``mr + (j/m) * 0.5`` and replaces a random gene by U(0, 2).
-
-    Renormalization happens at crossover, not here.
-    """
-    genes = np.array(w, dtype=float)[None]
-    return _mutate(genes, generation_j, params, "continuous", _continuous_values(rng), rng)[0]
 
 
 # --- the shared loop ---------------------------------------------------------
@@ -273,7 +216,7 @@ def ga_lambda_portfolio(
         w = np.ones((1, 1))
         f = _continuous_fitness(w, model, lam)
         trace = GaTrace(f.copy(), f.copy())
-        return portfolio_from_weights(model, w[0], params.report_threshold), trace
+        return portfolio_from_weights(model, w[0], mkt.REPORT_THRESHOLD), trace
 
     weights = rng.random((params.population_for(n), n))
     weights /= weights.sum(axis=1, keepdims=True)
@@ -286,7 +229,7 @@ def ga_lambda_portfolio(
         params,
         rng,
     )
-    return portfolio_from_weights(model, w, params.report_threshold), trace
+    return portfolio_from_weights(model, w, mkt.REPORT_THRESHOLD), trace
 
 
 # --- integer binding ---------------------------------------------------------
@@ -385,8 +328,7 @@ def ga_lambda_n_portfolio(
         params,
         rng,
     )
-    solution = mkt.evaluate(counts, model, market, lam, params.report_threshold)
-    return solution, trace
+    return mkt.evaluate(counts, model, market, lam), trace
 
 
 # --- frontier sweep ----------------------------------------------------------
@@ -405,9 +347,10 @@ def ga_frontier(
     :class:`IntegerSolution` when market parameters are given.
     """
     params = params or GaParams()
+    lams = _lambda_grid(n_points)
     seeds = np.random.SeedSequence(params.seed).generate_state(n_points, dtype=np.uint64)
     points = []
-    for lam, seed in zip(_lambda_grid(n_points), seeds):
+    for lam, seed in zip(lams, seeds):
         sub = dataclasses.replace(params, seed=int(seed))
         if market is None:
             best, _ = ga_lambda_portfolio(model, float(lam), sub)

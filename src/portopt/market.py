@@ -33,6 +33,9 @@ import numpy as np
 from .optimizers import _sparse_view
 from .risk_models import RiskModel, _whole, _whole_scalar, quadratic_form
 
+#: A GA result's sparse view lists only weights above this, after rounding.
+REPORT_THRESHOLD = 0.005
+
 
 def _floats(value, name: str) -> np.ndarray:
     """``value`` as a float array; anything but a number or a list of
@@ -209,7 +212,6 @@ def evaluate(
     model: RiskModel,
     params: MarketParams,
     lam: float,
-    report_threshold: float = 0.005,
 ) -> IntegerSolution:
     """Package one integer purchase as an :class:`IntegerSolution`."""
     n = np.asarray(n, dtype=int).reshape(params.n_assets)
@@ -224,7 +226,7 @@ def evaluate(
         expected_return=expected_return,
         risk=float(np.sqrt(max(variance, 0.0))),
         fitness=lam * expected_return - (1.0 - lam) * variance,
-        sparse_weights=_sparse_view(model.assets, w, report_threshold),
+        sparse_weights=_sparse_view(model.assets, w, REPORT_THRESHOLD),
         sparse_shares={
             name: int(count) for name, count in zip(model.assets, n) if count > 0
         },

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -310,15 +311,18 @@ class TestFit:
         assert len(rows) == 8
 
     def test_zero_points_exit_code(self, price_files, tmp_path):
-        # a fit of no points has no mean error; no NaN may reach a file
+        # a sweep of no points has nothing to write, and a fit of none no
+        # mean error; each exits 1 before the output directory is made
         prices, prices_eval = price_files
-        out = tmp_path / "out"
-        code = main(
-            ["fit", "--prices", str(prices), "--prices-eval", str(prices_eval),
-             "--points", "0", "--out", str(out)]
+        commands = (
+            ["frontier", "--prices", str(prices)],
+            ["frontier", "--prices", str(prices), "--ga", "--generations", "5"],
+            ["fit", "--prices", str(prices), "--prices-eval", str(prices_eval)],
         )
-        assert code == 1
-        assert not (out / "fit_summary.json").exists()
+        for k, (argv, points) in enumerate(itertools.product(commands, ("0", "-1"))):
+            out = tmp_path / f"out{k}"
+            assert main([*argv, "--points", points, "--out", str(out)]) == 1, (argv[0], points)
+            assert not out.exists(), (argv, points)
 
     def test_misaligned_assets_exit_code(self, price_files, tmp_path):
         prices, _ = price_files

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from portopt.frontier import (
     random_simplex_weights,
     two_asset_curve,
 )
+from portopt.ga import GaParams, ga_frontier
 from portopt.market_data import ReturnsMatrix
 from portopt.optimizers import ObjectiveParams, markowitz_portfolio
 from portopt.risk_models import RiskKind, build_risk_model
@@ -192,8 +195,15 @@ class TestFrontierFit:
     def test_needs_a_point(self, rng):
         returns = random_returns(rng, 3, 60)
         model = build_risk_model(returns)
-        with pytest.raises(ValueError):
-            frontier_fit(model, returns, n_points=0)
+        sweeps = (
+            lambda n: efficient_frontier(model, n),
+            lambda n: lambda_frontier(model, n),
+            lambda n: frontier_fit(model, returns, n),
+            lambda n: ga_frontier(model, GaParams(generations=5), n_points=n),
+        )
+        for sweep, n_points in itertools.product(sweeps, (0, -1)):
+            with pytest.raises(ValueError):
+                sweep(n_points)
 
     def test_range_starts_at_min_risk_return(self, rng):
         returns = random_returns(rng, 4, 150)

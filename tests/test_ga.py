@@ -11,17 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from portopt.ga import (
+    EARLY_STOP_WINDOW,
     GaParams,
-    ZeroMassChild,
+    _continuous_values,
     _cross_continuous,
     _floor_divide,
-    crossover_continuous,
+    _mutate,
+    _normalized_children,
+    _roulette_indices,
+    _shifted,
     ga_frontier,
     ga_lambda_n_portfolio,
     ga_lambda_portfolio,
-    mutate_continuous,
     repair_integer,
-    roulette_select,
 )
 from portopt.market import MarketParams, evaluate, fitness, residual_cash
 from portopt.optimizers import ObjectiveParams, lambda_portfolio
@@ -47,58 +49,55 @@ def model3():
 
 class TestRoulette:
     def test_mass_concentration(self, rng):
-        picks = {roulette_select(np.array([1.0, 0.0, 0.0]), rng) for _ in range(200)}
-        assert picks == {0}
+        picks = _roulette_indices(np.array([1.0, 0.0, 0.0]), 200, rng)
+        assert set(picks.tolist()) == {0}
 
     def test_equal_mass_is_fair(self):
-        rng = np.random.default_rng(1)
-        draws = [roulette_select(np.array([1.0, 1.0]), rng) for _ in range(10_000)]
+        draws = _roulette_indices(np.array([1.0, 1.0]), 10_000, np.random.default_rng(1))
         assert np.mean(draws) == pytest.approx(0.5, abs=0.02)
 
     def test_three_to_one(self):
-        rng = np.random.default_rng(2)
-        draws = np.array(
-            [roulette_select(np.array([3.0, 1.0]), rng) for _ in range(10_000)]
-        )
+        draws = _roulette_indices(np.array([3.0, 1.0]), 10_000, np.random.default_rng(2))
         freq0 = float((draws == 0).mean())
         assert freq0 == pytest.approx(0.75, abs=0.02)
 
     def test_negative_fitness_shifted(self):
-        rng = np.random.default_rng(3)
-        draws = [
-            roulette_select(np.array([-5.0, -1.0]), rng) for _ in range(5_000)
-        ]
+        mass = _shifted(np.array([-5.0, -1.0]))
+        assert (mass > 0.0).all()
+        draws = _roulette_indices(mass, 5_000, np.random.default_rng(3))
         # after shifting, the better (less negative) individual dominates
         assert np.mean(draws) > 0.9
 
     def test_degenerate_zero_mass_uniform(self):
-        rng = np.random.default_rng(4)
-        draws = [roulette_select(np.zeros(3), rng) for _ in range(6_000)]
+        draws = _roulette_indices(np.zeros(3), 6_000, np.random.default_rng(4))
         counts = np.bincount(draws, minlength=3) / 6_000
         assert np.abs(counts - 1 / 3).max() < 0.03
+
+
+def cross(w1, w2, cut: int):
+    """One pair's two renormalized children and whether one has zero mass."""
+    children, zero = _normalized_children(
+        np.asarray(w1, dtype=float)[None], np.asarray(w2, dtype=float)[None], np.array([cut])
+    )
+    return children[0], bool(zero[0])
 
 
 class TestCrossover:
     def test_identical_parents_fixed_point(self):
         w = np.array([0.25, 0.25, 0.5])
-        c1, c2 = crossover_continuous(w, w, cut=1)
+        (c1, c2), zero = cross(w, w, cut=1)
+        assert not zero
         np.testing.assert_allclose(c1, w, atol=1e-15)
         np.testing.assert_allclose(c2, w, atol=1e-15)
 
     def test_hand_trace_and_guard(self):
-        # child1 = (1, 1) -> (0.5, 0.5); child2 = (0, 0) trips the guard
-        with pytest.raises(ZeroMassChild):
-            crossover_continuous(np.array([1.0, 0.0]), np.array([0.0, 1.0]), cut=1)
-        c1, c2 = crossover_continuous(np.array([0.6, 0.4]), np.array([0.2, 0.8]), cut=1)
+        # child1 = (1, 1) -> (0.5, 0.5); child2 = (0, 0) is flagged
+        _, zero = cross([1.0, 0.0], [0.0, 1.0], cut=1)
+        assert zero
+        (c1, c2), zero = cross([0.6, 0.4], [0.2, 0.8], cut=1)
+        assert not zero
         np.testing.assert_allclose(c1, np.array([0.6, 0.8]) / 1.4, atol=1e-15)
         np.testing.assert_allclose(c2, np.array([0.2, 0.4]) / 0.6, atol=1e-15)
-
-    def test_cut_range_validated(self):
-        w = np.ones(3) / 3
-        with pytest.raises(ValueError):
-            crossover_continuous(w, w, cut=0)
-        with pytest.raises(ValueError):
-            crossover_continuous(w, w, cut=3)
 
     @given(
         raw1=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8),
@@ -111,11 +110,11 @@ class TestCrossover:
         w1 = np.asarray(raw1[:size])
         w2 = np.asarray(raw2[:size])
         cut = data.draw(st.integers(1, size - 1))
-        try:
-            c1, c2 = crossover_continuous(w1, w2, cut)
-        except ZeroMassChild:
+        children, zero = cross(w1, w2, cut)
+        if zero:
+            assert (children.sum(axis=1) == 0.0).any()
             return
-        for child in (c1, c2):
+        for child in children:
             assert child.sum() == pytest.approx(1.0, abs=1e-12)
             assert (child >= 0).all()
 
@@ -130,10 +129,9 @@ class TestCrossover:
         assert cuts[0] == 2 and redraw[0] != 2
         rng = np.random.default_rng(1)
         children = _cross_continuous(first, second, rng)
-        pairs = [crossover_continuous(first[0], second[0], int(redraw[0]))] + [
-            crossover_continuous(first[k], second[k], int(cuts[k])) for k in (1, 2)
-        ]
-        np.testing.assert_array_equal(children, [child for pair in pairs for child in pair])
+        expected, zero = _normalized_children(first, second, np.array([redraw[0], *cuts[1:]]))
+        assert not zero.any()
+        np.testing.assert_array_equal(children, expected.reshape(-1, 4))
         assert rng.random() == twin.random()  # one redraw, of one cut
 
     def test_pair_without_a_valid_cut_keeps_its_parents(self):
@@ -143,36 +141,39 @@ class TestCrossover:
         cut = int(np.random.default_rng(4).integers(1, 3, size=2)[1])
         children = _cross_continuous(first, second, np.random.default_rng(4))
         np.testing.assert_array_equal(children[:2], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        np.testing.assert_array_equal(children[2:], crossover_continuous(first[1], second[1], cut))
+        np.testing.assert_array_equal(children[2:], cross(first[1], second[1], cut)[0])
+
+
+def fired_share(binding: str, generation_j: int, generations: int, seed: int) -> float:
+    """Share of 20 000 rows whose genes one ``_mutate`` call changed."""
+    rng = np.random.default_rng(seed)
+    if binding == "continuous":
+        genes, draw = np.full((20_000, 4), 0.25), _continuous_values(rng)
+    else:  # integer draws are at least 1, so a hit always changes a zero gene
+        genes, draw = np.zeros((20_000, 4), dtype=int), lambda count: rng.integers(1, 10, count)
+    before = genes.copy()
+    _mutate(genes, generation_j, GaParams(generations=generations), binding, draw, rng)
+    return float((genes != before).any(axis=1).mean())
 
 
 class TestMutation:
     def test_final_generation_rate(self):
-        # mr=0.2 with the 0.5 ramp reaches 0.7 by the last generation.
-        params = GaParams(generations=100, base_mutation_rate=0.2)
-        rng = np.random.default_rng(5)
-        w = np.full(4, 0.25)
-        fired = sum(
-            not np.array_equal(mutate_continuous(w, 100, params, rng), w)
-            for _ in range(20_000)
-        )
-        assert fired / 20_000 == pytest.approx(0.7, abs=0.02)
+        # base rate plus the full ramp by the last generation:
+        # continuous 0.2 + 0.5, integer 0.3 + 0.3
+        for binding, rate in (("continuous", 0.7), ("integer", 0.6)):
+            share = fired_share(binding, 100, 100, seed=5)
+            assert share == pytest.approx(rate, abs=0.02), binding
 
     def test_early_generation_rate_near_base(self):
-        params = GaParams(generations=10_000, base_mutation_rate=0.2)
-        rng = np.random.default_rng(6)
-        w = np.full(4, 0.25)
-        fired = sum(
-            not np.array_equal(mutate_continuous(w, 1, params, rng), w)
-            for _ in range(20_000)
-        )
-        assert fired / 20_000 == pytest.approx(0.2, abs=0.02)
+        for binding, rate in (("continuous", 0.2), ("integer", 0.3)):
+            share = fired_share(binding, 1, 10_000, seed=6)
+            assert share == pytest.approx(rate, abs=0.02), binding
 
     def test_stays_nonnegative(self, rng):
-        params = GaParams(generations=10, base_mutation_rate=1.0)
-        w = np.full(5, 0.2)
-        for _ in range(100):
-            assert (mutate_continuous(w, 10, params, rng) >= 0).all()
+        genes = np.full((500, 5), 0.2)
+        _mutate(genes, 10, GaParams(generations=10), "continuous", _continuous_values(rng), rng)
+        assert (genes != 0.2).any()
+        assert (genes >= 0).all()
 
 
 class TestContinuousGa:
@@ -208,10 +209,27 @@ class TestContinuousGa:
         assert len(t1.best_fitness_per_generation) == 120
 
     def test_early_stop_flag(self, rng):
+        # The run stops at the first window of EARLY_STOP_WINDOW generations
+        # without an improvement, and only with the flag; both bindings.
         model = random_model(rng, 4)
-        params = GaParams(generations=400, seed=9, early_stop=True)
-        _, trace = ga_lambda_portfolio(model, 0.5, params)
-        assert len(trace.best_fitness_per_generation) <= 400
+        market = MarketParams(
+            capital=10_000.0,
+            prices=np.array([12.0, 30.0, 7.5, 55.0]),
+            buy_cost_rates=0.01,
+            sell_cost_rates=0.01,
+        )
+        runs = {
+            "continuous": lambda params: ga_lambda_portfolio(model, 0.5, params),
+            "integer": lambda params: ga_lambda_n_portfolio(model, 0.5, params, market),
+        }
+        for binding, run in runs.items():
+            _, trace = run(GaParams(generations=400, seed=9, early_stop=True))
+            best = trace.best_fitness_per_generation
+            assert len(best) < 400, binding
+            assert best[-1] == best[-1 - EARLY_STOP_WINDOW], binding
+            assert (best[EARLY_STOP_WINDOW:-1] > best[: -1 - EARLY_STOP_WINDOW]).all(), binding
+            _, trace = run(GaParams(generations=400, seed=9))
+            assert len(trace.best_fitness_per_generation) == 400, binding
 
     def test_sparse_view_threshold(self, rng):
         model = random_model(rng, 8)
