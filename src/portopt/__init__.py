@@ -75,8 +75,6 @@ from .risk_models import (
     correlation,
     covariance,
     mean_returns,
-    risk_model_from_dict,
-    risk_model_to_dict,
     semicovariance_estrada,
     semivariance_exact,
 )

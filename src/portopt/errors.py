@@ -19,7 +19,7 @@ class IngestionError(PortfolioError):
 
 
 class ParseError(IngestionError):
-    """Malformed number or date in a delimited price file."""
+    """Malformed header, row or number in a comma-separated price file."""
 
 
 class NonPositivePrice(IngestionError):

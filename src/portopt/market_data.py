@@ -1,9 +1,9 @@
 """Price ingestion and conversion to per-period simple returns.
 
-The input format is delimited text with a header row: the first column is
-a date label, the remaining columns are adjusted close prices, one asset
-per column.  Dates are carried for labeling only; rows are treated as
-trading periods and no calendar arithmetic is done.
+The input format is comma-separated text with a header row: the first
+column is a date label, the remaining columns are adjusted close prices,
+one asset per column.  Dates are carried for labeling only; rows are
+treated as trading periods and no calendar arithmetic is done.
 
 Missing quotes (empty cells, ``NA``/``NaN`` tokens, non-finite numbers)
 are explicit gaps.  :func:`fill_missing` applies the carry-forward rule:
@@ -13,7 +13,6 @@ each gap takes the most recent prior value in the same column.
 from __future__ import annotations
 
 import csv
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ from .errors import (
 )
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
-_ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -109,20 +107,14 @@ class ReturnsMatrix:
         return self.values.shape[1]
 
 
-def load_prices(
-    path,
-    delimiter: str = ",",
-    validate_dates: bool = False,
-) -> PriceTable:
-    """Read a delimited price file into a :class:`PriceTable`.
+def load_prices(path) -> PriceTable:
+    """Read a comma-separated price file into a :class:`PriceTable`.
 
     The header row is required; the first column is the date key and is
-    never treated as a price.  Rows and columns keep file order.  With
-    ``validate_dates`` the date labels must be ISO-8601 and strictly
-    increasing.
+    never treated as a price.  Rows and columns keep file order.
     """
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
@@ -157,12 +149,6 @@ def load_prices(
 
     if len(rows) < 2:
         raise InsufficientHistory(f"{path}: need at least 2 price rows, got {len(rows)}")
-    if validate_dates:
-        for d in dates:
-            if not _ISO_DATE.match(d):
-                raise ParseError(f"{path}: date label {d!r} is not ISO-8601")
-        if any(a >= b for a, b in zip(dates, dates[1:])):
-            raise ParseError(f"{path}: dates are not strictly increasing")
 
     values = np.array(rows)
     # Non-finite input is indistinguishable from a missing quote.

@@ -14,41 +14,38 @@ violated constraint, and take primal/dual steps until primal
 feasibility.  No feasible starting point is needed and infeasibility is
 detected as an unbounded dual step.
 
-The working set's q normals N are carried in factored form.  With
-D = LL' and the QR factorization L^-1 N = Q [R; 0], the solver keeps
+The working set's q normals N are carried as two factors (G = N'D^-1 N):
+J2, n - q columns with J2'DJ2 = I and N'J2 = 0 that span the directions
+leaving every working-set constraint unchanged (stored transposed, as the
+last rows of an n x n array), and N* = G^-1 N'D^-1, one row per
+working-set constraint, with N'N*' = I and N*DJ2 = 0.  For a candidate
+normal n+ with d2 = J2'n+, the primal step direction is z = J2 d2 and the
+dual one r = N* n+.  Adding n+ reflects J2 so that its first column,
+along z, leaves it, and updates N* by rank 1.  Dropping position k reads
+g = N*DN*'[:, k], column k of G^-1: row k of N* over sqrt(g_k) is the
+direction J2 gains, and the row-deletion formula removes it from N*.  A
+step costs O(n^2) instead of re-solving G; Goldfarb and Idnani's J1 and
+triangle R are not needed.
 
-* J = L^-T Q, split as [J1 J2] after q columns (stored transposed, so
-  J1 and J2 are row blocks); J2 spans the directions that leave every
-  working-set constraint unchanged;
-* R, the q x q upper triangle;
-* N* = R^-1 J1' = (N'D^-1 N)^-1 N'D^-1, one row per working-set
-  constraint (the transpose of W = J1 R^-T).
-
-For a candidate normal n+ with d = J'n+, the primal step direction is
-z = J2 d2 and the dual step direction is r = N* n+.  Adding n+ applies
-one Householder reflection of d2 to J2, appends the column [d1; alpha]
-to R (|alpha| = |d2|) and takes a rank-1 update of N*.  Dropping
-position k deletes column k of R, re-triangularises the trailing block
-with a QR factorization whose Q rotates the matching columns of J, and
-removes row k of N* with the row-deletion formula.  A step costs O(n^2)
-instead of re-forming and re-solving N'D^-1 N.  A constraint that
-depends on the working set has d2 = 0, so it can only take the dual
-step (a drop, or Infeasible).
+A constraint that depends on the working set has d2 = 0 (|d2|^2 <= 1e-10
+n+'D^-1 n+) and can only take the dual step, a drop.  With nothing to
+drop it proves the program infeasible, unless it has taken no dual step
+and misses its bound by float noise (1e-8 of |b| + |a||x|), as one of two
+opposed inequalities can when drift leaves its active twin ~1e-11 off:
+then it is set aside until the next drop.
 
 One pass builds the factors of a whole working set at once: the empty
 set (the cold start from the unconstrained minimum), a seed of rows
 expected to be active (such as the previous point's working set in a
 frontier sweep, where neighbouring programs differ by a few assets), and
-the final working set.  Bounds (rows with one nonzero) need no QR: order
-the variables free first and bounded last with a permutation P and factor
-P D P' = LL'.  The column of L^-1 P that a bound maps to is zero above
-the bound's own row, so the rows of L^-1 P taken bound variables first,
-in reverse, are a Q'L^-1 for which Q'B is already upper triangular: R is
-the reversed trailing block of L^-1, and N* = [-L_ZF (L_FF)^-1, I] (Z the
-bounded, F the free variables) costs one product with the free block.
-The other rows, the equalities among them, are appended by the add step,
-whose |d2| is the new diagonal of R and rejects a dependent row.  From
-the factors, x = J2 J2'd + N*'b is the minimizer on the set and
+the final working set.  Bounds (rows with one nonzero) need no
+reflection: with the variables ordered free first and bounded last by a
+permutation P and P D P' = LL', the rows of L^-1 P for the free variables
+are J2 (L^-1 is lower triangular), and N* = [-L_ZF (L_FF)^-1, I] (Z the
+bounded, F the free variables, rows over their bounds' coefficients)
+costs one product with the free block.  The other rows, the equalities
+among them, are appended by the add step, which rejects a dependent row.
+From the factors, x = J2 J2'd + N*'b is the minimizer on the set and
 u = N*(Dx - d) its multipliers.
 
 A seed enters with the equalities.  Every seeded inequality with u < 0
@@ -83,6 +80,10 @@ _ADD_TOL = 1e-11
 
 #: Dual direction entries below this cannot block a step.
 _DROP_TOL = 1e-12
+
+#: Relative miss, against |b| + |a||x| as in the 1e-8 feasibility
+#: contract, within which a dependent row that cannot enter counts as drift.
+_DRIFT_TOL = 1e-8
 
 _EMPTY = np.zeros((0,))
 
@@ -159,12 +160,13 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     working sets, and x and the multipliers are those of the final working
     set alone: any two solves that end on the same set return the same bits.
 
-    Raises :class:`Infeasible` when no point satisfies the constraints and
-    :class:`MaxIterations` past 100*N working-set steps.  The only
-    :class:`NumericalBreakdown` is a quadratic term that fails its
-    Cholesky factorization (not positive definite).  A constraint that
-    depends on the working set cannot break the factors: its primal
-    direction vanishes, so it takes the dual step (a drop, or Infeasible).
+    Raises :class:`Infeasible` when no point satisfies the constraints: a
+    violated row depends on the working set, no working-set inequality can
+    drop, and the row either has taken a dual step or misses its bound by
+    more than 1e-8 of |b| + |a||x|.  Raises :class:`MaxIterations` past
+    100*N working-set steps.  The only :class:`NumericalBreakdown` is a
+    quadratic term that fails its Cholesky factorization (not positive
+    definite).
     """
     n = qp.n
     meq = qp.b_eq.shape[0]
@@ -175,12 +177,23 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
 
     # The working set, one position per active constraint in insertion
     # order: its global index, its sign (-1 for an equality added flipped),
-    # its multiplier, and its row of R and of N*.  At most min(n, m)
-    # positions are ever used: an add needs d2 != 0, so q < n, and a seed
-    # holds at most n independent rows.
+    # its multiplier and its row of N*; jt[q:] holds J2' (jt[:q] goes stale
+    # after a drop and is never read).  At most min(n, m) positions are ever
+    # used: an add needs d2 != 0, so q < n, and a seed holds at most n
+    # independent rows.
     cap = min(n, m)
-    q, active, u, jt, rmat, nstar, x = _seed(qp, a_all, b_all, start, cap)
+    q, active, u, jt, nstar, x = _seed(qp, a_all, b_all, start, cap)
     signs = np.ones(cap)
+    # |J'a|^2 = a'D^-1 a of every row, the scale of the dependence test, from
+    # the seed's whole J: column norms of J' for a bound, a product otherwise
+    nonzero = a_all != 0.0
+    single = nonzero.sum(axis=1) == 1
+    var = nonzero[single].argmax(axis=1)
+    dnorm2 = np.empty(m)
+    dnorm2[single] = a_all[single, var] ** 2 * (jt * jt).sum(axis=0)[var]
+    dnorm2[~single] = ((jt @ a_all[~single].T) ** 2).sum(axis=0)
+    # dependent rows violated by drift alone, left out until the next drop
+    aside = np.zeros(m, dtype=bool)
 
     max_iter = 100 * max(n, 1)
     iterations = 0
@@ -190,6 +203,7 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
         slack = a_all @ x - b_all
         metric = np.where(is_eq, -np.abs(slack), slack)
         metric[active[:q]] = np.inf
+        metric[aside] = np.inf
         p = int(np.argmin(metric)) if m else -1
         if p < 0 or metric[p] >= -_ADD_TOL:
             break
@@ -204,12 +218,11 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
             if iterations > max_iter:
                 raise MaxIterations(f"no convergence within {max_iter} working-set steps")
 
-            d = jt @ nplus
-            d2 = d[q:]
+            d2 = jt[q:] @ nplus
             z = d2 @ jt[q:]  # primal direction J2 d2
             r = nstar[:q] @ nplus  # dual direction N* n+
             ztn = float(d2 @ d2)
-            full_step_possible = ztn > 1e-10 * max(float(d @ d), np.finfo(float).tiny)
+            full_step_possible = ztn > 1e-10 * max(dnorm2[p], np.finfo(float).tiny)
 
             # Blocking constraint for the dual variables (equalities never
             # drop); argmin keeps the lowest position among ties.
@@ -219,6 +232,11 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
             t2 = -s_p / ztn if full_step_possible else np.inf
 
             if not full_step_possible and t1 == np.inf:
+                # a dependent row with nothing to drop: drift or infeasibility
+                scale = abs(b_all[p]) + np.linalg.norm(a_all[p]) * np.linalg.norm(x)
+                if u_plus == 0.0 and -s_p <= _DRIFT_TOL * scale:
+                    aside[p] = True
+                    break
                 raise Infeasible("constraints admit no feasible point")
 
             step = min(t1, t2)
@@ -229,16 +247,17 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
             u_plus += step
 
             if full_step_possible and step == t2:
-                _add(jt, rmat, nstar, q, d, z, r, ztn)
+                _add(jt, nstar, q, d2, z, r, ztn)
                 active[q], signs[q], u[q] = p, sign, u_plus
                 q += 1
                 break
             # Partial or pure dual step: drop the blocking constraint.
             k = int(droppable[np.argmin(ratios)])
-            _drop(jt, rmat, nstar, q, k, qp.dmat)
+            _drop(jt, nstar, q, k, qp.dmat)
             for v in (active, signs, u):
                 v[k : q - 1] = v[k + 1 : q]
             q -= 1
+            aside[:] = False
 
     working = np.sort(active[:q])
     multipliers = np.zeros(m)
@@ -281,7 +300,7 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
 def _seed(qp, a_all, b_all, start, cap):
     """The solver's state after seeding ``start``.
 
-    Returns ``(q, active, u, jt, R, N*, x)``: the equalities and the seeded
+    Returns ``(q, active, u, jt, N*, x)``: the equalities and the seeded
     inequalities factored, x the minimizer on them and u its multipliers.
     Every inequality with u < 0 leaves at once and the rest is factored
     again, until the set is dual feasible.  The empty set, the cold start,
@@ -324,17 +343,16 @@ def _factor(qp, a_all, b_all, rows, cap):
         raise NumericalBreakdown("quadratic term is not positive definite") from None
     lpi = _lower_inverse(chol)
     back = np.argsort(perm)
-    # J' = Q'L^-1: the rows of L^-1 for the bound variables, last first,
-    # then those of the free ones, with the columns in the caller's order;
-    # one gather keeps it C-ordered, so the steps update contiguous rows
+    # J' = L^-1 P: the rows for the bound variables, last first as in the
+    # working set, then J2's for the free ones, with the columns in the
+    # caller's order; one gather keeps it C-ordered, so the steps update
+    # contiguous rows
     order = np.concatenate([np.arange(n - 1, f - 1, -1), np.arange(f)])
     jt = lpi[np.ix_(order, back)]
 
     active = np.zeros(cap, dtype=int)
-    rmat = np.zeros((cap, cap))
     nstar = np.zeros((cap, n))
     active[:k] = bound_rows[::-1]
-    rmat[:k, :k] = lpi[f:, f:][::-1, ::-1] * coef[::-1]
     block = np.zeros((k, n))
     block[:, :f] = -(chol[f:, :f] @ lpi[:f, :f])
     block[:, f:] = np.eye(k)
@@ -347,49 +365,44 @@ def _factor(qp, a_all, b_all, rows, cap):
         ztn = float(d2 @ d2)
         if not ztn > 1e-10 * max(float(d @ d), np.finfo(float).tiny):
             return None
-        _add(jt, rmat, nstar, q, d, d2 @ jt[q:], nstar[:q] @ a_all[p], ztn)
+        _add(jt, nstar, q, d2, d2 @ jt[q:], nstar[:q] @ a_all[p], ztn)
         active[q] = p
         q += 1
 
     x = jt[q:].T @ (jt[q:] @ qp.dvec) + nstar[:q].T @ b_all[active[:q]]
     u = np.zeros(cap)
     u[:q] = nstar[:q] @ (qp.dmat @ x - qp.dvec)
-    return q, active, u, jt, rmat, nstar, x
+    return q, active, u, jt, nstar, x
 
 
-def _add(jt, rmat, nstar, q, d, z, r, ztn):
-    """Append n+ (d = J'n+, z = J2 d2, r = N* n+) to the factors.
+def _add(jt, nstar, q, d2, z, r, ztn):
+    """Append n+ (d2 = J2'n+, z = J2 d2, r = N* n+) to the factors.
 
-    An add needs ztn = |d2|^2 > 1e-10 * max(|d|^2, tiny), so |alpha|
-    exceeds 1.5e-159 and is never zero or denormal; the reflector is
-    scaled by |alpha| so that no product of two small numbers is inverted.
+    An add needs ztn = |d2|^2 > 1e-10 * max(n+'D^-1 n+, tiny), so |d2|
+    exceeds 1.5e-159 and is never zero or denormal; the reflector is scaled
+    by |d2| so that no product of two small numbers is inverted.
     """
-    d2 = d[q:]
     norm = np.sqrt(ztn)
     side = 1.0 if d2[0] >= 0.0 else -1.0
     v = d2 / norm
     v[0] += side
     jv = z / norm + side * jt[q]  # J2 v
     jt[q:] -= np.outer(v / (1.0 + abs(d2[0]) / norm), jv)
-    rmat[:q, q] = d[:q]
-    rmat[q, q] = -side * norm
     nstar[:q] -= np.outer(r, z / ztn)
     nstar[q] = z / ztn
 
 
-def _drop(jt, rmat, nstar, q, k, dmat):
+def _drop(jt, nstar, q, k, dmat):
     """Remove working-set position ``k`` from the factors.
 
-    The N* update needs column k of G^-1 (G = N'D^-1 N), which is N* D
-    N*'[:, k]: no triangular solve.
+    g = N*DN*'[:, k] is column k of G^-1.  Row k of N* is orthogonal to the
+    other normals and D-orthogonal to J2; over sqrt(g_k) it becomes J2's new
+    first row, written before the row-deletion formula removes it from N*.
     """
     g = nstar[:q] @ (dmat @ nstar[k])
+    jt[q - 1] = nstar[k] / np.sqrt(g[k])
     nstar[:q] -= np.outer(g / g[k], nstar[k])
     nstar[k : q - 1] = nstar[k + 1 : q]
-    rmat[:q, k : q - 1] = rmat[:q, k + 1 : q]
-    if k < q - 1:
-        qmat, rmat[k:q, k : q - 1] = np.linalg.qr(rmat[k:q, k : q - 1], mode="complete")
-        jt[k:q] = qmat.T @ jt[k:q]
 
 
 def _polish(qp, a_all, b_all, is_eq, rows, cap, x, multipliers):
@@ -406,7 +419,7 @@ def _polish(qp, a_all, b_all, is_eq, rows, cap, x, multipliers):
     state = _factor(qp, a_all, b_all, rows, cap)
     if state is None:
         return x, multipliers
-    q, active, u, _, _, nstar, x_new = state
+    q, active, u, _, nstar, x_new = state
     # One refinement step on the working-set rows: the factors alone leave
     # the budget and return rows off by up to ~1e-14.
     x_new = x_new + nstar[:q].T @ (b_all[active[:q]] - a_all[active[:q]] @ x_new)

@@ -203,35 +203,3 @@ def build_risk_model(
         convention=convention or AnnualizationConvention(),
     )
 
-
-# --- serialization ---------------------------------------------------------
-
-
-def risk_model_to_dict(model: RiskModel) -> dict:
-    """Self-describing document for caching a model between CLI runs."""
-    return {
-        "assets": list(model.assets),
-        "kind": model.kind.value,
-        "threshold_b": model.threshold_b,
-        "mu": model.mu.tolist(),
-        "sigma": model.sigma.ravel().tolist(),
-        "convention": {
-            "daily_to_annual_expectation": model.convention.daily_to_annual_expectation,
-            "evaluation_periods": model.convention.evaluation_periods,
-        },
-    }
-
-
-def risk_model_from_dict(doc: dict) -> RiskModel:
-    assets = tuple(doc["assets"])
-    n = len(assets)
-    return RiskModel(
-        assets=assets,
-        mu=np.asarray(doc["mu"], dtype=float),
-        sigma=np.asarray(doc["sigma"], dtype=float).reshape(n, n),
-        kind=RiskKind(doc["kind"]),
-        threshold_b=float(doc.get("threshold_b", 0.0)),
-        convention=AnnualizationConvention(**doc["convention"])
-        if "convention" in doc
-        else AnnualizationConvention(),
-    )

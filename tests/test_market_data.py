@@ -69,19 +69,6 @@ class TestLoadPrices:
         assert np.isnan(table.values[2, 1])
         np.testing.assert_array_equal(table.values[[0, 0, 1, 2], [0, 1, 1, 0]], [10, 20, 21, 11])
 
-    def test_alternate_delimiter(self, tmp_path):
-        path = write(tmp_path, "date;X\nd1;10\nd2;11\n")
-        table = load_prices(path, delimiter=";")
-        assert table.values[1, 0] == 11
-
-    def test_iso_date_validation(self, tmp_path):
-        bad = write(tmp_path, "date,X\n01/02/2005,10\n01/03/2005,11\n", "a.csv")
-        with pytest.raises(ParseError):
-            load_prices(bad, validate_dates=True)
-        unordered = write(tmp_path, "date,X\n2005-01-04,10\n2005-01-03,11\n", "b.csv")
-        with pytest.raises(ParseError):
-            load_prices(unordered, validate_dates=True)
-
 
 class TestFillMissing:
     def test_carry_forward(self, tmp_path):

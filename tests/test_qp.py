@@ -332,7 +332,7 @@ def test_random_programs_kkt_or_infeasible():
         (150, 2, 0.05, 235, (7, 60, 66, 80, 89)),
     ],
 )
-def test_pinned_semivariance_working_set(n, seed, frac, iterations, inactive):
+def test_pinned_semivariance_working_set(n, seed, frac, iterations, inactive, monkeypatch):
     # Drop-heavy programs: (iterations - |active set|) / 2 = 10, 11, 46 and
     # 44 drops.  Any change to the working-set path moves these pins.
     model = build_risk_model(random_returns(np.random.default_rng(seed), n), RiskKind.SEMIVARIANCE)
@@ -345,10 +345,43 @@ def test_pinned_semivariance_working_set(n, seed, frac, iterations, inactive):
         a_ineq=np.eye(n),
         b_ineq=np.zeros(n),
     )
+    steps = {"_add": 0, "_drop": 0}
+
+    def checked(name, step, change):
+        # after every step: J2'DJ2 = I and N*DJ2 = 0 on the new working set
+        def wrapper(jt, nstar, q, *args):
+            step(jt, nstar, q, *args)
+            steps[name] += 1
+            q += change
+            j2 = jt[q:].T
+            close = dict(rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(j2.T @ qp.dmat @ j2, np.eye(n - q), **close)
+            np.testing.assert_allclose(nstar[:q] @ qp.dmat @ j2, 0.0, **close)
+
+        monkeypatch.setattr(qp_module, name, wrapper)
+
+    checked("_add", qp_module._add, 1)
+    checked("_drop", qp_module._drop, -1)
     sol = solve_qp(qp)
     assert sol.iterations == iterations
     assert sol.active_set == tuple(sorted(set(range(n + 2)) - set(inactive)))
+    assert steps["_drop"] == (iterations - len(sol.active_set)) // 2
     assert_kkt(qp, sol)
+
+
+@pytest.mark.parametrize("seed", [504, 3868, 4768, 5647, 5897])
+def test_zero_width_interval_is_not_infeasible(seed):
+    # Each program writes an equality as two opposed inequalities.  Drift
+    # leaves the working twin ~1e-11 on its side, so the other row reads
+    # as violated, yet it depends on the working set and nothing can drop.
+    # Which seeds hit that boundary, cold, from half the inequalities or
+    # from all of them, moves with any change to the loop's arithmetic.
+    gen = np.random.default_rng(seed)
+    qp, x0, y = random_program(gen)
+    assert feasible(qp, x0, y)
+    rows = np.arange(qp.b_eq.shape[0], qp.b_eq.shape[0] + qp.b_ineq.shape[0])
+    for start in ((), rows[gen.random(rows.size) < 0.5], rows):
+        assert_kkt(qp, solve_qp(qp, start=start))
 
 
 def with_bounds(qp: QuadraticProgram, x0: np.ndarray, gen: np.random.Generator):

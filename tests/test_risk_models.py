@@ -18,8 +18,6 @@ from portopt.risk_models import (
     correlation,
     covariance,
     mean_returns,
-    risk_model_from_dict,
-    risk_model_to_dict,
     semicovariance_estrada,
     semivariance_exact,
 )
@@ -157,16 +155,6 @@ class TestBuildRiskModel:
         assert unique == 4560
         iu = np.triu_indices(n)
         assert model.sigma[iu].shape[0] == unique
-
-    def test_serialization_round_trip(self, rng):
-        r = matrix(rng.normal(size=(40, 4)) * 0.01)
-        model = build_risk_model(r, RiskKind.SEMIVARIANCE, threshold_b=0.001)
-        clone = risk_model_from_dict(risk_model_to_dict(model))
-        assert clone.assets == model.assets
-        assert clone.kind is model.kind
-        assert clone.threshold_b == model.threshold_b
-        np.testing.assert_array_equal(clone.mu, model.mu)
-        np.testing.assert_array_equal(clone.sigma, model.sigma)
 
     def test_convention_validation(self):
         with pytest.raises(ValueError):
