@@ -5,9 +5,10 @@ Four subcommands: ``stats`` (per-asset dispersion table), ``optimize``
 clouds, two-asset curves) and ``fit`` (out-of-sample frontier fit).
 
 Each setting is declared once, as a flag of :func:`build_parser` with its
-type, choices and default.  A JSON config file (``--config`` or the
-``PORTOPT_CONFIG`` environment variable) may set it under the flag's
-destination name (``prices_eval``, ``lam``, ``buy_cost``, ...).  The value
+type, choices and default, on only the subcommands that read it.  A JSON
+config file (``--config`` or ``$PORTOPT_CONFIG``) may set it under the
+flag's destination name (``prices_eval``, ``lam``, ``buy_cost``, ...);
+one file may serve every subcommand, each reading its own.  The value
 is parsed by the flag's definition (a switch takes only ``true`` or
 ``false``, and ``null`` means not given) and becomes the parser's default,
 so a flag wins over the file.  Only the file sets the ``market`` block and
@@ -19,9 +20,9 @@ written with 17 significant digits, and a fixed seed makes every command
 byte-reproducible.
 
 Exit codes: 0 success, 2 ingestion failure, malformed config file (a value
-its flag would not take among them) or a cost ladder that repeats a rate,
-3 infeasible program or target out of range, 4 asset misalignment, 1
-anything else.
+its flag would not take among them), a cost ladder that repeats a rate or
+a flag the subcommand does not take, 3 infeasible program or target out of
+range, 4 asset misalignment, 1 anything else.
 """
 
 from __future__ import annotations
@@ -423,48 +424,49 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file (or set $" + CONFIG_ENV_VAR + ")")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-        flags = (
-            p.add_argument("--prices", help="in-sample price CSV"),
-            p.add_argument("--prices-eval", dest="prices_eval", help="evaluation price CSV"),
-            p.add_argument("--risk", choices=["var", "svar"], default="var",
-                           help="risk measure"),
-            p.add_argument("--threshold-b", dest="threshold_b", type=float, default=0.0,
-                           help="critical return level for the downside measure"),
-            p.add_argument("--target-return", dest="target_return", type=float),
-            p.add_argument("--lambda", dest="lam", type=float,
-                           help="risk/return tradeoff in [0, 1]"),
-            p.add_argument("--ga", action="store_true", help="use the genetic algorithm"),
-            p.add_argument("--generations", type=int, default=500),
-            p.add_argument("--population", type=int),
-            p.add_argument("--seed", type=int, default=0),
-            p.add_argument("--capital", type=float, help="capital for the integer model"),
-            p.add_argument("--buy-cost", dest="buy_cost", type=float, nargs="+",
-                           help="proportional buy cost rate(s); several values form a ladder"),
-            p.add_argument("--sell-cost", dest="sell_cost", type=float, nargs="+"),
-            p.add_argument("--risk-free", dest="risk_free", type=float),
-            p.add_argument("--horizon", type=int),
-            p.add_argument("--lot-size", dest="lot_size", type=int),
-            p.add_argument("--cloud", type=int, help="random portfolio sample count"),
-            p.add_argument("--points", type=int, default=40, help="frontier point count"),
-            p.add_argument("--two-asset", dest="two_asset", action="store_true",
+    run, evaluation, target, ga, market, sweep, plots, fmt = (
+        argparse.ArgumentParser(add_help=False) for _ in range(8))
+    flags = (
+        run.add_argument("--prices", help="in-sample price CSV"),
+        run.add_argument("--risk", choices=["var", "svar"], default="var", help="risk measure"),
+        run.add_argument("--threshold-b", dest="threshold_b", type=float, default=0.0,
+                         help="critical return level for the downside measure"),
+        run.add_argument("--seed", type=int, default=0),
+        run.add_argument("--out", default="out", help="output directory"),
+        evaluation.add_argument("--prices-eval", dest="prices_eval", help="evaluation price CSV"),
+        target.add_argument("--target-return", dest="target_return", type=float),
+        target.add_argument("--lambda", dest="lam", type=float,
+                            help="risk/return tradeoff in [0, 1]"),
+        ga.add_argument("--ga", action="store_true", help="use the genetic algorithm"),
+        ga.add_argument("--generations", type=int, default=500),
+        ga.add_argument("--population", type=int),
+        market.add_argument("--capital", type=float, help="capital for the integer model"),
+        market.add_argument("--buy-cost", dest="buy_cost", type=float, nargs="+",
+                            help="proportional buy cost rate(s); several values form a ladder"),
+        market.add_argument("--sell-cost", dest="sell_cost", type=float, nargs="+"),
+        market.add_argument("--risk-free", dest="risk_free", type=float),
+        market.add_argument("--horizon", type=int),
+        market.add_argument("--lot-size", dest="lot_size", type=int),
+        sweep.add_argument("--points", type=int, default=40, help="frontier point count"),
+        plots.add_argument("--cloud", type=int, help="random portfolio sample count"),
+        plots.add_argument("--two-asset", dest="two_asset", action="store_true",
                            help="emit all two-asset opportunity curves"),
-            p.add_argument("--out", default="out", help="output directory"),
-            p.add_argument("--format", choices=["csv", "json"], default="json",
-                           help="document format for portfolio/summary files"),
-        )
-        return {flag.dest: flag for flag in flags}
+        fmt.add_argument("--format", choices=["csv", "json"], default="json",
+                         help="document format for portfolio/summary files"),
+    )
+    # every command reads the one config file, so its keys are checked against all flags
+    defaults = _config_defaults({flag.dest: flag for flag in flags}, config or {})
 
-    for name, handler, doc in (
-        ("stats", cmd_stats, "per-asset risk/mean dispersion table"),
-        ("optimize", cmd_optimize, "solve one portfolio program"),
-        ("frontier", cmd_frontier, "sweep a frontier; optional cloud/curves"),
-        ("fit", cmd_fit, "out-of-sample frontier fit report"),
+    for name, handler, doc, groups in (
+        ("stats", cmd_stats, "per-asset risk/mean dispersion table", [run]),
+        ("optimize", cmd_optimize, "solve one portfolio program",
+         [run, evaluation, target, ga, market, fmt]),
+        ("frontier", cmd_frontier, "sweep a frontier; optional cloud/curves",
+         [run, evaluation, ga, market, sweep, plots]),
+        ("fit", cmd_fit, "out-of-sample frontier fit report", [run, evaluation, sweep, fmt]),
     ):
-        p = sub.add_parser(name, help=doc)
-        flags = add_shared(p)
-        p.set_defaults(handler=handler, **_CONFIG_ONLY)
-        p.set_defaults(**_config_defaults(flags, config or {}))
+        p = sub.add_parser(name, help=doc, parents=groups)
+        p.set_defaults(handler=handler, **{**_CONFIG_ONLY, **defaults})
     return parser
 
 

@@ -21,9 +21,9 @@ Reproducibility: one seeded generator drives each run and draws in a
 fixed order per generation: selection uniforms for the whole population;
 one mutation-firing uniform per pair; one mutated gene per pair; one
 value per pair whose mutation fires; one crossover cut per pair (absent
-for a one-asset integer run); then, for the continuous binding, a new cut
-for each pair with a zero-mass child, round by round.  Frontier sweeps
-derive one independent child seed per point from the master seed.
+for one asset); then, for the continuous binding, a new cut for each pair
+with a zero-mass child, round by round.  Frontier sweeps derive one
+independent child seed per point from the master seed.
 """
 
 from __future__ import annotations
@@ -76,10 +76,9 @@ class GaParams:
 
 @dataclass(frozen=True)
 class GaTrace:
-    """Best fitness per generation plus the closing population fitness."""
+    """Best fitness per generation."""
 
     best_fitness_per_generation: np.ndarray
-    final_population_fitness: np.ndarray
 
 
 # --- operators ---------------------------------------------------------------
@@ -102,6 +101,12 @@ def _roulette_indices(mass: np.ndarray, count: int, rng: np.random.Generator) ->
         probs = mass / total
     cum = np.cumsum(probs)
     return np.minimum(np.searchsorted(cum, rng.random(count), side="left"), cum.shape[0] - 1)
+
+
+def _cuts(n: int, pairs: int, rng: np.random.Generator) -> np.ndarray:
+    """One crossover cut per pair in 1..n-1; none is drawn for one asset,
+    whose children copy their parents."""
+    return rng.integers(1, n, size=pairs) if n > 1 else np.ones(pairs, dtype=int)
 
 
 def _crossover(first: np.ndarray, second: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -127,13 +132,13 @@ def _cross_continuous(first: np.ndarray, second: np.ndarray, rng: np.random.Gene
     cut, up to 64 cuts in all, and then keeps its parents, renormalized.
     """
     pairs, n = first.shape
-    children, zero = _normalized_children(first, second, rng.integers(1, n, size=pairs))
+    children, zero = _normalized_children(first, second, _cuts(n, pairs, rng))
     for _ in range(63):
         redo = np.flatnonzero(zero)
         if not redo.size:
             break
         children[redo], zero[redo] = _normalized_children(
-            first[redo], second[redo], rng.integers(1, n, size=redo.size)
+            first[redo], second[redo], _cuts(n, redo.size, rng)
         )
     stuck = np.flatnonzero(zero)
     parents = np.stack([first[stuck], second[stuck]], axis=1)
@@ -192,7 +197,7 @@ def _evolve(population, fitness, draw_values, recombine, binding: str, params: G
             if best[-1] <= best[-1 - EARLY_STOP_WINDOW]:
                 break
 
-    return population[-1], GaTrace(np.array(best), fit.copy())
+    return population[-1], GaTrace(np.array(best))
 
 
 # --- continuous binding ------------------------------------------------------
@@ -211,13 +216,6 @@ def ga_lambda_portfolio(
     params = params or GaParams()
     n = model.n_assets
     rng = np.random.default_rng(params.seed)
-
-    if n == 1:
-        w = np.ones((1, 1))
-        f = _continuous_fitness(w, model, lam)
-        trace = GaTrace(f.copy(), f.copy())
-        return portfolio_from_weights(model, w[0], mkt.REPORT_THRESHOLD), trace
-
     weights = rng.random((params.population_for(n), n))
     weights /= weights.sum(axis=1, keepdims=True)
     w, trace = _evolve(
@@ -295,11 +293,10 @@ def _initial_integer_population(
 
 
 def _cross_integer(first: np.ndarray, second: np.ndarray, market: MarketParams, rng):
-    """Single-point crossover of every pair (no cut for one asset), then
-    one repair of all children; rows 2k and 2k+1 are pair k's children."""
+    """Single-point crossover of every pair, then one repair of all
+    children; rows 2k and 2k+1 are pair k's children."""
     pairs, n = first.shape
-    cuts = rng.integers(1, n, size=pairs) if n > 1 else np.ones(pairs, dtype=int)
-    return repair_integer(_crossover(first, second, cuts).reshape(-1, n), market)
+    return repair_integer(_crossover(first, second, _cuts(n, pairs, rng)).reshape(-1, n), market)
 
 
 def ga_lambda_n_portfolio(

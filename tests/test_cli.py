@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 
 import numpy as np
 import pytest
 
-from portopt.cli import main
+from portopt.cli import build_parser, main
 from portopt.ga import GaParams, ga_frontier, ga_lambda_n_portfolio
 from portopt.market import MarketParams, market_params_from_dict
 from portopt.market_data import assets_return, fill_missing, load_prices
@@ -632,7 +633,9 @@ class TestConfigAndDeterminism:
     )
     def test_byte_identical_reruns(self, price_files, tmp_path, argv):
         prices, prices_eval = price_files
-        base = ["--prices", str(prices), "--prices-eval", str(prices_eval), "--seed", "11"]
+        base = ["--prices", str(prices), "--seed", "11"]
+        if argv[0] != "stats":  # stats takes no evaluation file
+            base += ["--prices-eval", str(prices_eval)]
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(argv + base + ["--out", str(out_a)]) == 0
         assert main(argv + base + ["--out", str(out_b)]) == 0
@@ -641,3 +644,88 @@ class TestConfigAndDeterminism:
         assert files_a == files_b
         for name in files_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+#: Each group of flags, and the groups each subcommand takes.
+_GROUPS = {
+    "run": ["--prices", "--risk", "--threshold-b", "--seed", "--out"],
+    "evaluation": ["--prices-eval"],
+    "target": ["--target-return", "--lambda"],
+    "ga": ["--ga", "--generations", "--population"],
+    "market": ["--capital", "--buy-cost", "--sell-cost", "--risk-free", "--horizon", "--lot-size"],
+    "sweep": ["--points"],
+    "plots": ["--cloud", "--two-asset"],
+    "format": ["--format"],
+}
+_TAKES = {
+    "stats": ["run"],
+    "optimize": ["run", "evaluation", "target", "ga", "market", "format"],
+    "frontier": ["run", "evaluation", "ga", "market", "sweep", "plots"],
+    "fit": ["run", "evaluation", "sweep", "format"],
+}
+
+
+def _options(command):
+    return [flag for group in _TAKES[command] for flag in _GROUPS[group]]
+
+
+def _dropped():
+    every = [flag for flags in _GROUPS.values() for flag in flags]
+    return [(command, flag) for command in _TAKES for flag in every
+            if flag not in _options(command)]
+
+
+def _argv(command, doc):
+    """``doc``'s settings as ``command``'s flags, leaving out those it does not take."""
+    argv = [command]
+    for flag in _options(command):
+        value = doc.get("lam" if flag == "--lambda" else flag[2:].replace("-", "_"))
+        if value is True:
+            argv.append(flag)
+        elif value is not None:
+            argv += [flag, *map(str, value if isinstance(value, list) else [value])]
+    return argv
+
+
+class TestFlagSurface:
+    def test_each_subcommand_takes_its_groups(self):
+        parser = build_parser()
+        (commands,) = [a.choices for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        for command, sub in commands.items():
+            options = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+            assert options == set(_options(command)), command
+        assert {c: len(_options(c)) for c in _TAKES} == {
+            "stats": 5, "optimize": 18, "frontier": 18, "fit": 8}
+        assert len(_dropped()) == 35
+
+    @pytest.mark.parametrize(("command", "flag"), _dropped())
+    def test_flag_the_subcommand_does_not_take(self, price_files, tmp_path, command, flag, capsys):
+        # a usage error naming the flag, before any output
+        prices, prices_eval = price_files
+        value = {"--ga": [], "--two-asset": [], "--format": ["csv"],
+                 "--prices-eval": [str(prices_eval)]}.get(flag, ["2"])
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--prices", str(prices), flag, *value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(_TAKES))
+    def test_one_config_file_for_every_subcommand(self, price_files, tmp_path, command):
+        # each command reads its own keys of a file that holds all four's settings
+        prices, prices_eval = price_files
+        doc = {"prices": str(prices), "prices_eval": str(prices_eval), "risk": "svar",
+               "seed": 7, "lam": 0.4, "ga": True, "generations": 10, "capital": 500,
+               "buy_cost": [0.01, 0.02], "lot_size": 2, "points": 4, "cloud": 20,
+               "two_asset": True, "format": "csv"}
+        by_flags, by_file = tmp_path / "flags", tmp_path / "file"
+        assert main([*_argv(command, doc), "--out", str(by_flags)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**doc, "out": str(by_file)}), encoding="utf-8")
+        assert main(["--config", str(cfg), command]) == 0
+        names = sorted(p.name for p in by_flags.iterdir())
+        assert names == sorted(p.name for p in by_file.iterdir())
+        for name in names:
+            assert (by_flags / name).read_bytes() == (by_file / name).read_bytes()

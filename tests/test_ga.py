@@ -177,11 +177,16 @@ class TestMutation:
 
 
 class TestContinuousGa:
-    def test_single_asset_immediate(self, rng):
+    def test_single_asset_runs_every_generation(self, rng):
+        # one asset has no cut to draw, yet both bindings trace each generation
         model = random_model(rng, 1)
-        portfolio, trace = ga_lambda_portfolio(model, 0.5, GaParams(generations=50))
+        params = GaParams(generations=50)
+        portfolio, trace = ga_lambda_portfolio(model, 0.5, params)
         np.testing.assert_array_equal(portfolio.weights, [1.0])
-        assert len(trace.best_fitness_per_generation) == 1
+        assert len(trace.best_fitness_per_generation) == 50
+        market = MarketParams(capital=100.0, prices=np.array([3.0]))
+        _, trace = ga_lambda_n_portfolio(model, 0.5, params, market)
+        assert len(trace.best_fitness_per_generation) == 50
 
     def test_close_to_qp_optimum(self, rng):
         model = random_model(rng, 10)
