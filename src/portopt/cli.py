@@ -20,9 +20,11 @@ written with 17 significant digits, and a fixed seed makes every command
 byte-reproducible.
 
 Exit codes: 0 success, 2 ingestion failure, malformed config file (a value
-its flag would not take among them), a cost ladder that repeats a rate or
-a flag the subcommand does not take, 3 infeasible program or target out of
-range, 4 asset misalignment, 1 anything else.
+its flag would not take among them), a cost ladder that repeats a rate, a
+flag the subcommand does not take or ``--target-return`` with another
+objective, 3 infeasible program or target out of range, 4 asset
+misalignment, 1 anything else; :func:`main` returns them, ``--help``'s 0
+and a usage error's 2 included.
 """
 
 from __future__ import annotations
@@ -317,6 +319,9 @@ def cmd_stats(cfg: argparse.Namespace) -> list[Path]:
 
 def cmd_optimize(cfg: argparse.Namespace) -> list[Path]:
     """One portfolio: minimum-risk, target-return, tradeoff, or integer GA."""
+    others = cfg.lam is not None or cfg.ga or cfg.capital is not None or cfg.market is not None
+    if cfg.target_return is not None and others:
+        raise IngestionError("--target-return takes none of --lambda, --ga or an integer market")
     model = _build_model(cfg)
     out = _out_dir(cfg)
     markets = _markets(cfg, model.n_assets)
@@ -472,9 +477,12 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        # flags win over the config file's values, installed as the defaults
-        config = _load_config_file(build_parser().parse_args(argv).config)
-        args = build_parser(config).parse_args(argv)
+        try:  # argparse exits after a usage error (2) or --help (0)
+            # flags win over the config file's values, installed as the defaults
+            config = _load_config_file(build_parser().parse_args(argv).config)
+            args = build_parser(config).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
         written = args.handler(args)
     except (PortfolioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,9 +42,6 @@ from .risk_models import RiskModel, quadratic_form
 #: Smallest population worth evolving; used when the asset count is low.
 MIN_POPULATION = 30
 
-#: Generations without improvement tolerated before an early stop.
-EARLY_STOP_WINDOW = 30
-
 #: Per binding: base mutation rate, and the escalation added to it by the
 #: final generation.
 _MUTATION = {"continuous": (0.2, 0.5), "integer": (0.3, 0.3)}
@@ -59,7 +56,6 @@ class GaParams:
     generations: int = 500
     population: int | None = None
     seed: int = 0
-    early_stop: bool = False
 
     def __post_init__(self):
         if self.generations < 1:
@@ -193,9 +189,6 @@ def _evolve(population, fitness, draw_values, recombine, binding: str, params: G
         population = np.vstack([population, children])[keep]
         fit = merged_fit[keep]
         best.append(float(fit[-1]))
-        if params.early_stop and len(best) > EARLY_STOP_WINDOW:
-            if best[-1] <= best[-1 - EARLY_STOP_WINDOW]:
-                break
 
     return population[-1], GaTrace(np.array(best))
 

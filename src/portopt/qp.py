@@ -44,15 +44,16 @@ permutation P and P D P' = LL', the rows of L^-1 P for the free variables
 are J2 (L^-1 is lower triangular), and N* = [-L_ZF (L_FF)^-1, I] (Z the
 bounded, F the free variables, rows over their bounds' coefficients)
 costs one product with the free block.  The other rows, the equalities
-among them, are appended by the add step, which rejects a dependent row.
-From the factors, x = J2 J2'd + N*'b is the minimizer on the set and
-u = N*(Dx - d) its multipliers.
+among them, are appended by the add step; a row that depends on the rows
+before it is left out.  From the factors, x = J2 J2'd + N*'b is the
+minimizer on the set and u = N*(Dx - d) its multipliers.
 
-A seed enters with the equalities.  Every seeded inequality with u < 0
-leaves at once and the rest is factored again, until the set is dual
-feasible; the add/drop loop above then runs unchanged.  A seed with no
-inequality, more rows than variables or a dependent row falls back to the
-empty set.  The seed changes the path, not the optimum, which is unique.
+A seed's inequalities are factored with the equalities; with none
+seeded, the start is the empty set.  Seeded inequalities with u < 0 then
+leave one at a time, most negative first, by the drop step, x and u read
+from the factors after each, until the set is dual feasible; the add/drop
+loop above then runs unchanged.  The seed changes the path, not the
+optimum, which is unique.
 The loop's x drifts over many small steps, so the answer is taken from the
 final working set factored afresh in sorted order, plus one refinement
 step on its rows (unless that point fails the polish's feasibility guard);
@@ -159,6 +160,8 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     cold start.  One factorization serves the empty, seeded and final
     working sets, and x and the multipliers are those of the final working
     set alone: any two solves that end on the same set return the same bits.
+    ``iterations`` counts the add/drop loop's steps; the drops that make a
+    seed dual feasible are not among them.
 
     Raises :class:`Infeasible` when no point satisfies the constraints: a
     violated row depends on the working set, no working-set inequality can
@@ -182,7 +185,12 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     # used: an add needs d2 != 0, so q < n, and a seed holds at most n
     # independent rows.
     cap = min(n, m)
-    q, active, u, jt, nstar, x = _seed(qp, a_all, b_all, start, cap)
+    start = np.unique(np.asarray(start, dtype=int))
+    if start.size and (start[0] < 0 or start[-1] >= m):
+        raise ValueError("start must index the program's constraints")
+    seeded = start[start >= meq]
+    rows = np.concatenate([np.arange(meq), seeded]) if seeded.size else seeded
+    q, active, u, jt, nstar, x = _factor(qp, a_all, b_all, rows, cap)
     signs = np.ones(cap)
     # |J'a|^2 = a'D^-1 a of every row, the scale of the dependence test, from
     # the seed's whole J: column norms of J' for a bound, a product otherwise
@@ -192,6 +200,14 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     dnorm2 = np.empty(m)
     dnorm2[single] = a_all[single, var] ** 2 * (jt * jt).sum(axis=0)[var]
     dnorm2[~single] = ((jt @ a_all[~single].T) ** 2).sum(axis=0)
+    # seeded inequalities with u < 0 leave one at a time, most negative
+    # first; a drop leaves J1 stale, so dnorm2 is read before
+    while (dual := np.where(is_eq[active[:q]], 0.0, u[:q])).min(initial=0.0) < 0.0:
+        k = int(np.argmin(dual))
+        _drop(jt, nstar, q, k, qp.dmat)
+        active[k : q - 1] = active[k + 1 : q]
+        q -= 1
+        x, u[:q] = _point(qp, b_all, q, active, jt, nstar)
     # dependent rows violated by drift alone, left out until the next drop
     aside = np.zeros(m, dtype=bool)
 
@@ -297,34 +313,10 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _seed(qp, a_all, b_all, start, cap):
-    """The solver's state after seeding ``start``.
-
-    Returns ``(q, active, u, jt, N*, x)``: the equalities and the seeded
-    inequalities factored, x the minimizer on them and u its multipliers.
-    Every inequality with u < 0 leaves at once and the rest is factored
-    again, until the set is dual feasible.  The empty set, the cold start,
-    when no inequality is seeded or the rows are dependent, more than n of
-    them included.
-    """
-    m, meq = b_all.shape[0], qp.b_eq.shape[0]
-    start = np.unique(np.asarray(start, dtype=int))
-    if start.size and (start[0] < 0 or start[-1] >= m):
-        raise ValueError("start must index the program's constraints")
-    rows = np.concatenate([np.arange(meq), start[start >= meq]])
-    if meq < rows.size <= qp.n:
-        while (state := _factor(qp, a_all, b_all, rows, cap)) is not None:
-            q, active, u = state[:3]
-            negative = (u[:q] < 0.0) & (active[:q] >= meq)
-            if not negative.any():
-                return state
-            rows = active[:q][~negative]
-    return _factor(qp, a_all, b_all, np.zeros(0, dtype=int), cap)
-
-
 def _factor(qp, a_all, b_all, rows, cap):
     """The solver's state with working set ``rows``, factored in one pass
-    as the module docstring describes, or None if a row is dependent."""
+    as the module docstring describes; a row that depends on the rows
+    factored before it is left out."""
     n = qp.n
     nonzero = a_all[rows] != 0.0
     single = np.flatnonzero(nonzero.sum(axis=1) == 1)
@@ -364,15 +356,21 @@ def _factor(qp, a_all, b_all, rows, cap):
         d2 = d[q:]
         ztn = float(d2 @ d2)
         if not ztn > 1e-10 * max(float(d @ d), np.finfo(float).tiny):
-            return None
+            continue
         _add(jt, nstar, q, d2, d2 @ jt[q:], nstar[:q] @ a_all[p], ztn)
         active[q] = p
         q += 1
 
-    x = jt[q:].T @ (jt[q:] @ qp.dvec) + nstar[:q].T @ b_all[active[:q]]
     u = np.zeros(cap)
-    u[:q] = nstar[:q] @ (qp.dmat @ x - qp.dvec)
+    x, u[:q] = _point(qp, b_all, q, active, jt, nstar)
     return q, active, u, jt, nstar, x
+
+
+def _point(qp, b_all, q, active, jt, nstar):
+    """x = J2 J2'd + N*'b, the minimizer on the working set, and its
+    multipliers u = N*(Dx - d)."""
+    x = jt[q:].T @ (jt[q:] @ qp.dvec) + nstar[:q].T @ b_all[active[:q]]
+    return x, nstar[:q] @ (qp.dmat @ x - qp.dvec)
 
 
 def _add(jt, nstar, q, d2, z, r, ztn):
@@ -413,13 +411,10 @@ def _polish(qp, a_all, b_all, is_eq, rows, cap, x, multipliers):
     quadratic term) that drift can reach the 1e-6 scale.  One direct
     solve on the converged working set removes it: ``rows``, sorted, are
     factored afresh by :func:`_factor`.  The polished point is kept only
-    if it stays feasible for the constraints left inactive and its
+    if it stays feasible for every row the factors left out and its
     inequality multipliers stay nonnegative.
     """
-    state = _factor(qp, a_all, b_all, rows, cap)
-    if state is None:
-        return x, multipliers
-    q, active, u, _, nstar, x_new = state
+    q, active, u, _, nstar, x_new = _factor(qp, a_all, b_all, rows, cap)
     # One refinement step on the working-set rows: the factors alone leave
     # the budget and return rows off by up to ~1e-14.
     x_new = x_new + nstar[:q].T @ (b_all[active[:q]] - a_all[active[:q]] @ x_new)
@@ -427,7 +422,7 @@ def _polish(qp, a_all, b_all, is_eq, rows, cap, x, multipliers):
     u_new[active[:q]] = u[:q]
     slack = a_all @ x_new - b_all
     inactive = np.ones(b_all.shape[0], dtype=bool)
-    inactive[rows] = False
+    inactive[active[:q]] = False
     ok = (
         (np.abs(slack[inactive & is_eq]) < 1e-8).all()
         and (slack[inactive & ~is_eq] > -1e-8).all()

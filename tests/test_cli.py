@@ -181,6 +181,33 @@ class TestOptimize:
         assert "must be finite" in capsys.readouterr().err
         assert not (out / "solution_summary.csv").exists()
 
+    @pytest.mark.parametrize(
+        "extra, market",
+        [
+            (["--prices-eval", "{eval}", "--capital", "500", "--target-return", "0.5"], False),
+            (["--target-return", "0.0008", "--ga"], False),
+            (["--target-return", "0.0008", "--lambda", "0.3"], False),
+            (["--target-return", "0.0008"], True),
+        ],
+        ids=["capital", "ga", "lambda", "market_block"],
+    )
+    def test_target_return_with_another_objective_exit_code(
+        self, price_files, tmp_path, extra, market, capsys
+    ):
+        # a target return pins the exact program; a tradeoff, the GA or an
+        # integer market would be ignored, so the run is refused unwritten
+        prices, prices_eval = price_files
+        out = tmp_path / "o"
+        argv = ["optimize", "--prices", str(prices), "--out", str(out)]
+        if market:
+            cfg = tmp_path / "cfg.json"
+            block = {"capital": 500, "prices": [10.9, 23.0, 5.5]}
+            cfg.write_text(json.dumps({"market": block}), encoding="utf-8")
+            argv = ["--config", str(cfg), *argv]
+        assert main(argv + [e.format(eval=prices_eval) for e in extra]) == 2
+        assert "--target-return takes none of" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFrontier:
     def test_default_row_count(self, price_files, tmp_path):
@@ -706,11 +733,14 @@ class TestFlagSurface:
         value = {"--ga": [], "--two-asset": [], "--format": ["csv"],
                  "--prices-eval": [str(prices_eval)]}.get(flag, ["2"])
         out = tmp_path / "o"
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--prices", str(prices), flag, *value, "--out", str(out)])
-        assert exc.value.code == 2
+        assert main([command, "--prices", str(prices), flag, *value, "--out", str(out)]) == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [[], *([c] for c in _TAKES)], ids=["portopt", *_TAKES])
+    def test_help_returns_zero(self, argv, capsys):
+        assert main([*argv, "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: portopt")
 
     @pytest.mark.parametrize("command", list(_TAKES))
     def test_one_config_file_for_every_subcommand(self, price_files, tmp_path, command):

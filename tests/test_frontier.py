@@ -306,6 +306,16 @@ class TestWarmSweeps:
             assert warm < cold
 
     @pytest.mark.parametrize("kind", list(RiskKind))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_second_point_keeps_most_of_its_seed(self, monkeypatch, kind, seed):
+        # The second point seeds the first one's ~N bounds, a few of them
+        # dual infeasible; those leave one by one and the rest stay, so the
+        # point does not re-add its bounds one step at a time.
+        model = build_risk_model(random_returns(np.random.default_rng(seed), 150, 500), kind=kind)
+        steps = [i for _, i in self.solves(monkeypatch, lambda: efficient_frontier(model, 8), False)]
+        assert steps[1] < steps[0] / 3, steps
+
+    @pytest.mark.parametrize("kind", list(RiskKind))
     @pytest.mark.parametrize(
         "means",
         [

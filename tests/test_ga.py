@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from portopt.ga import (
-    EARLY_STOP_WINDOW,
     GaParams,
     _continuous_values,
     _cross_continuous,
@@ -212,29 +211,6 @@ class TestContinuousGa:
         )
         assert (np.diff(t1.best_fitness_per_generation) >= 0).all()
         assert len(t1.best_fitness_per_generation) == 120
-
-    def test_early_stop_flag(self, rng):
-        # The run stops at the first window of EARLY_STOP_WINDOW generations
-        # without an improvement, and only with the flag; both bindings.
-        model = random_model(rng, 4)
-        market = MarketParams(
-            capital=10_000.0,
-            prices=np.array([12.0, 30.0, 7.5, 55.0]),
-            buy_cost_rates=0.01,
-            sell_cost_rates=0.01,
-        )
-        runs = {
-            "continuous": lambda params: ga_lambda_portfolio(model, 0.5, params),
-            "integer": lambda params: ga_lambda_n_portfolio(model, 0.5, params, market),
-        }
-        for binding, run in runs.items():
-            _, trace = run(GaParams(generations=400, seed=9, early_stop=True))
-            best = trace.best_fitness_per_generation
-            assert len(best) < 400, binding
-            assert best[-1] == best[-1 - EARLY_STOP_WINDOW], binding
-            assert (best[EARLY_STOP_WINDOW:-1] > best[: -1 - EARLY_STOP_WINDOW]).all(), binding
-            _, trace = run(GaParams(generations=400, seed=9))
-            assert len(trace.best_fitness_per_generation) == 400, binding
 
     def test_sparse_view_threshold(self, rng):
         model = random_model(rng, 8)

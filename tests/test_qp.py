@@ -411,23 +411,34 @@ def test_seeded_start_reaches_the_cold_optimum(monkeypatch):
     # Whatever the seed, Infeasible is raised exactly when the cold solve
     # raises it; otherwise KKT holds and x is the cold x, the same bits
     # when both end on the same working set.
-    seen = {"seeded": 0, "fallback": 0, "rows_dropped": 0, "infeasible": 0, "bounds": 0}
-    real_seed = qp_module._seed
-    last = [None]
+    seen = {"skipped": 0, "rows_dropped": 0, "bounds": 0, "infeasible": 0}
+    log = []  # (name, args, result) of this solve's _factor and _point calls
 
-    def counting_seed(qp, a_all, b_all, start, cap):
-        result = last[0] = real_seed(qp, a_all, b_all, start, cap)
-        q, active = result[:2]
-        if q == 0:
-            seen["fallback"] += 1
-        else:
-            seen["seeded"] += 1
-            seeded = np.setdiff1d(start, np.arange(qp.b_eq.shape[0])).size
-            seen["rows_dropped"] += (active[:q] >= qp.b_eq.shape[0]).sum() < seeded
-            seen["bounds"] += ((a_all[active[:q]] != 0.0).sum(axis=1) == 1).any()
-        return result
+    def spy(name):
+        real = getattr(qp_module, name)
 
-    monkeypatch.setattr(qp_module, "_seed", counting_seed)
+        def wrapper(*args):
+            result = real(*args)
+            log.append((name, args, result))
+            return result
+
+        monkeypatch.setattr(qp_module, name, wrapper)
+
+    spy("_factor")
+    spy("_point")
+
+    def seeded_solve(qp, start):
+        log.clear()
+        try:
+            return solve_qp(qp, start=start)
+        finally:
+            # the first _factor is the seed's; every other _point follows a seed drop
+            factors = [(args, result) for name, args, result in log if name == "_factor"]
+            (_, a_all, _, rows, _), (q, active, *_) = factors[0]
+            seen["skipped"] += q < rows.size
+            seen["rows_dropped"] += len(log) > 2 * len(factors)
+            seen["bounds"] += bool(((a_all[active[:q]] != 0.0).sum(axis=1) == 1).any())
+
     for seed in range(300):
         gen = np.random.default_rng(seed)
         program, x0, _ = random_program(gen)
@@ -454,18 +465,18 @@ def test_seeded_start_reaches_the_cold_optimum(monkeypatch):
             for start in starts:
                 if cold is None:
                     with pytest.raises(Infeasible):
-                        solve_qp(qp, start=start)
-                    seen["infeasible"] += last[0][0] > 0
+                        seeded_solve(qp, start)
+                    seen["infeasible"] += start.size > 0
                     continue
-                sol = solve_qp(qp, start=start)
+                sol = seeded_solve(qp, start)
                 assert_kkt(qp, sol)
                 scale = max(1.0, float(np.abs(cold.x).max()))
                 np.testing.assert_allclose(sol.x, cold.x, rtol=0.0, atol=1e-9 * scale)
                 if sol.active_set == cold.active_set:
                     np.testing.assert_array_equal(sol.x, cold.x)
                     np.testing.assert_array_equal(sol.multipliers, cold.multipliers)
-    # the seeds reach every path: factored with and without bounds,
-    # dual-infeasible rows dropped, cold fallback, Infeasible from a seed
+    # the seeds reach every path: a dependent row left out, dual-infeasible
+    # rows dropped, bounds factored, Infeasible from a seed
     assert min(seen.values()) >= 30, seen
 
 
