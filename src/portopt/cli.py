@@ -70,16 +70,30 @@ _EXIT_CODES = (
 )
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+def _text_cell(text: str) -> str:
+    """``text`` as a CSV cell, double-quoted by ``csv.QUOTE_MINIMAL``'s rule:
+    only when it holds a comma, a double quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write ``header`` and ``rows`` to ``path`` as CSV with ``\\n`` line ends.
+
+    A column is text when the first row's cell is a ``str``, written as
+    :func:`_text_cell` quotes it; any other cell is a number written with
+    17 significant digits (``%.17g``, as ``format(float(x), ".17g")``).
+    The rows are formatted with one ``%`` over the whole table.
+    """
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
+    text = [isinstance(c, str) for c in rows[0]] if rows else []
+    if any(text):
+        rows = [[_text_cell(c) if t else c for c, t in zip(row, text)] for row in rows]
+    line = ",".join("%s" if t else "%.17g" for t in text) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(str(c) if isinstance(c, str) else _fmt(c) for c in row))
-            handle.write("\n")
+        handle.write(",".join(map(_text_cell, header)) + "\n")
+        handle.write(line * len(rows) % tuple(itertools.chain.from_iterable(rows)))
     return path
 
 

@@ -111,8 +111,86 @@ def load_prices(path) -> PriceTable:
     """Read a comma-separated price file into a :class:`PriceTable`.
 
     The header row is required; the first column is the date key and is
-    never treated as a price.  Rows and columns keep file order.
+    never treated as a price.  Rows and columns keep file order.  The text
+    is UTF-8; rows end in ``\\n``, ``\\r\\n`` or ``\\r``, and a row whose
+    every cell is blank or whitespace is skipped.  Cells follow the
+    ``csv`` module's default dialect (a double-quoted cell may hold commas,
+    quotes doubled, and line breaks) and are stripped of surrounding
+    whitespace.  A price cell that is empty or spells ``NA``, ``N/A``,
+    ``NaN``, ``null`` or ``None`` in any case is a gap, and so is a
+    non-finite number; any other cell must be a number ``float`` reads.
+
+    A file that needs no quoting and spells its gaps as ``NA`` or empty
+    cells is parsed by numpy's C reader in one pass over the whole text;
+    any other file, and every malformed one, is read record by record,
+    and that reader alone raises :class:`ParseError`.  Both give the same
+    table.
     """
+    dates, assets, values = _parse_text(path) or _parse_records(path)
+    # Non-finite input is indistinguishable from a missing quote.
+    values[~np.isfinite(values)] = np.nan
+    return PriceTable(dates=dates, assets=assets, values=values)
+
+
+def _parse_text(path):
+    """The dates, assets and values of the file at ``path``, or None where
+    the record reader must decide.
+
+    numpy's text reader takes a strict subset of what ``float`` takes and
+    reads it to the same doubles, so the text only needs the gaps it can
+    rewrite exactly (``NA`` and empty cells) spelled ``nan``.  It refuses
+    every other gap spelling and every malformed number.
+    """
+    with open(path, encoding="utf-8", newline="") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError:
+            return None
+    if '"' in text:
+        return None
+    if "\r" in text:  # one statement per pass holds two copies of the text, not three
+        text = text.replace("\r\n", "\n")
+        text = text.replace("\r", "\n")
+    lines = text.split("\n")
+    del text
+    header = lines[0].split(",")
+    width = len(header)
+    limit = csv.field_size_limit()  # a longer cell is a csv.Error
+    if width < 2 or any(
+        len(line) > limit and max(map(len, line.split(","))) > limit for line in lines
+    ):
+        return None
+    # a row that starts with a date needs no closer look to be kept
+    rows = [
+        line
+        for line in lines[1:]
+        if line[:1].strip() not in ("", ",") or line.replace(",", "").strip()
+    ]
+    del lines
+    # empty cells take two more passes, paid only by a file that has them
+    empty = any(",," in row or row[-1] == "," for row in rows)
+    dates = []
+    for i, row in enumerate(rows):
+        if row.count(",") != width - 1:
+            return None
+        dates.append(row[: row.index(",")].strip())
+        row = row.replace(",NA", ",nan")
+        if empty:
+            row = row.replace(",,", ",nan,").replace(",,", ",nan,")
+            row = row + "nan" if row[-1] == "," else row
+        rows[i] = row
+    if len(rows) < 2:
+        return None
+    try:
+        values = np.loadtxt(rows, delimiter=",", comments=None, usecols=range(1, width), ndmin=2)
+    except ValueError:
+        return None
+    return tuple(dates), tuple(name.strip() for name in header[1:]), values
+
+
+def _parse_records(path):
+    """The dates, assets and values of the file at ``path``, read record by
+    record with :mod:`csv`."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -149,11 +227,7 @@ def load_prices(path) -> PriceTable:
 
     if len(rows) < 2:
         raise InsufficientHistory(f"{path}: need at least 2 price rows, got {len(rows)}")
-
-    values = np.array(rows)
-    # Non-finite input is indistinguishable from a missing quote.
-    values[~np.isfinite(values)] = np.nan
-    return PriceTable(dates=tuple(dates), assets=assets, values=values)
+    return tuple(dates), assets, np.array(rows)
 
 
 def fill_missing(raw: PriceTable) -> PriceTable:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
 
 import numpy as np
 import pytest
 
-from portopt.cli import build_parser, main
+from portopt.cli import _write_csv, build_parser, main
 from portopt.ga import GaParams, ga_frontier, ga_lambda_n_portfolio
 from portopt.market import MarketParams, market_params_from_dict
 from portopt.market_data import assets_return, fill_missing, load_prices
@@ -368,6 +369,38 @@ class TestFit:
 
 #: A complete ``market`` block for the three-asset price files.
 _BLOCK = {"capital": 400, "prices": [11.0, 23.0, 5.5]}
+
+
+class TestCsvCells:
+    def test_text_cells_round_trip(self, tmp_path):
+        # asset names that need quoting come back whole from every table
+        names = ["Foo, Inc.", 'B "b"', "CCC"]
+        header = ",".join(["date", '"Foo, Inc."', '"B ""b"""', "CCC"])
+        prices = tmp_path / "quoted.csv"
+        prices.write_text(header + "\n" + PRICES.split("\n", 1)[1], encoding="utf-8")
+        out = tmp_path / "out"
+        for argv in (
+            ["stats"],
+            ["optimize", "--format", "csv"],
+            ["frontier", "--points", "3", "--two-asset"],
+        ):
+            assert main([*argv, "--prices", str(prices), "--out", str(out)]) == 0
+        tables = {}
+        for path in sorted(out.glob("*.csv")):
+            with open(path, encoding="utf-8", newline="") as handle:
+                header, *rows = csv.reader(handle)
+            assert all(len(row) == len(header) for row in rows), path.name
+            tables[path.stem] = rows
+        assert [row[0] for row in tables["stats"]] == names
+        assert [row[0] for row in tables["portfolio"]] == names
+        pairs = {(row[0], row[1]) for row in tables["two_asset_curves"]}
+        assert pairs == set(itertools.combinations(names, 2))
+
+    def test_numbers_as_17_digit_text(self, tmp_path):
+        values = [0.1, -0.0, 1e-300, 2.5e16, np.float64(1) / 3, 7, float("nan"), float("inf")]
+        path = _write_csv(tmp_path / "t.csv", ["name", "value"], [("x", v) for v in values])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines == ["name,value"] + [f"x,{format(float(v), '.17g')}" for v in values]
 
 
 class TestConfigAndDeterminism:

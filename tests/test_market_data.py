@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from portopt import market_data
 from portopt.errors import (
     DuplicateAssetHeader,
     InsufficientHistory,
     LeadingGap,
     NonPositivePrice,
     ParseError,
+    PortfolioError,
 )
 from portopt.market_data import PriceTable, assets_return, fill_missing, load_prices
 
@@ -68,6 +74,79 @@ class TestLoadPrices:
         assert np.isnan(table.values[1, 0])
         assert np.isnan(table.values[2, 1])
         np.testing.assert_array_equal(table.values[[0, 0, 1, 2], [0, 1, 1, 0]], [10, 20, 21, 11])
+
+
+def _outcome(path):
+    """What ``load_prices`` makes of ``path``: the table's dates, assets and
+    value bits, or the error's class and message."""
+    try:
+        table = load_prices(path)
+    except (PortfolioError, ValueError) as exc:
+        return type(exc), str(exc)
+    return table.dates, table.assets, table.values.shape, table.values.tobytes()
+
+
+def _any_case(word):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda flips: "".join(c.upper() if f else c for c, f in zip(word, flips))
+    )
+
+
+_PAD = st.sampled_from(["", " ", "\t", " \t "])
+_NUMBER = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e6).map(repr),
+    st.floats(min_value=1e-3, max_value=1e6).map(lambda x: f"{x:.6f}"),
+    st.from_regex(r"[1-9][0-9]{0,4}(\.[0-9]{0,9})?(e[+-]?[0-9])?", fullmatch=True),
+)
+#: Cells the whole-text reader parses: numbers (padded or not), NA and empty.
+_CLEAN = st.one_of(
+    _NUMBER, st.tuples(_PAD, _NUMBER, _PAD).map("".join), st.sampled_from(["NA", "NA ", ""])
+)
+_MISSING = st.tuples(
+    _PAD, st.sampled_from(["na", "n/a", "nan", "null", "none"]).flatmap(_any_case), _PAD
+).map("".join)
+_ODD = st.sampled_from([
+    '"1.5"', '" 2.5 "', '"NA"', "oops", "1.2.3", "1_000", "\u0661\u0662\u0663", "inf",
+    "-Infinity", "0", "0.0", "-3.5", "-nan", "1e400", "1e-400", " ", "NA1", "NAN", ",",
+])
+_NAME = st.sampled_from(["A", "B", "Foo", " C ", "D1"])
+_QUOTED_NAME = st.sampled_from(['"Foo, Inc."', '"B ""b"""', '"x\ny"', '"C"'])
+_DATE = st.sampled_from(["d1", "2005-01-03", " d2 ", ""])
+_ODD_DATE = st.sampled_from(['"3 Jan, 2005"', "d\u00e9"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_load_prices_matches_the_record_reader(data):
+    """Every file gives the record reader's table bits or its error."""
+    odd = data.draw(st.booleans(), label="odd")
+    n_assets = data.draw(st.integers(min_value=0 if odd else 1, max_value=3), label="n_assets")
+    cell = st.one_of(_CLEAN, _MISSING, _ODD) if odd else _CLEAN
+    names = st.one_of(_NAME, _QUOTED_NAME) if odd else _NAME
+    dates = st.one_of(_DATE, _ODD_DATE) if odd else _DATE
+    header = ["date", *data.draw(st.lists(names, min_size=n_assets, max_size=n_assets))]
+    records = []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=5), label="rows")):
+        width = n_assets
+        if odd:
+            width = max(width + data.draw(st.sampled_from([0, 0, 0, -1, 1]), label="width"), 0)
+        cells = data.draw(st.lists(cell, min_size=width, max_size=width))
+        records.append(",".join([data.draw(dates), *cells]))
+        if data.draw(st.integers(min_value=0, max_value=5)) == 0:
+            records.append(data.draw(st.sampled_from(["", ",,", " , ", "\t"])))
+    end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
+    text = end.join([",".join(header), *records])
+    if data.draw(st.booleans(), label="final newline"):
+        text += end
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        path.write_bytes(text.encode("utf-8"))
+        if not odd and sum(bool(r.replace(",", "").strip()) for r in records) >= 2:
+            assert market_data._parse_text(path) is not None
+        whole = _outcome(path)
+        with mock.patch.object(market_data, "_parse_text", return_value=None):
+            assert whole == _outcome(path)
 
 
 class TestFillMissing:
