@@ -120,13 +120,17 @@ def load_prices(path) -> PriceTable:
     ``NaN``, ``null`` or ``None`` in any case is a gap, and so is a
     non-finite number; any other cell must be a number ``float`` reads.
 
-    A file that needs no quoting and spells its gaps as ``NA`` or empty
-    cells is parsed by numpy's C reader in one pass over the whole text;
-    any other file, and every malformed one, is read record by record,
-    and that reader alone raises :class:`ParseError`.  Both give the same
-    table.
+    A file with ``\\n`` line ends, no quoted cell, no blank row and every
+    gap spelled ``NA`` is parsed by numpy's C reader in one pass over the
+    whole text; any other file, and every malformed one, is read record by
+    record, and that reader alone raises :class:`ParseError`.  Both give
+    the same table, but only the record reader refuses a cell longer than
+    ``csv.field_size_limit()``.
     """
-    dates, assets, values = _parse_text(path) or _parse_records(path)
+    try:
+        dates, assets, values = _parse_text(path) or _parse_records(path)
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
     # Non-finite input is indistinguishable from a missing quote.
     values[~np.isfinite(values)] = np.nan
     return PriceTable(dates=dates, assets=assets, values=values)
@@ -137,55 +141,36 @@ def _parse_text(path):
     the record reader must decide.
 
     numpy's text reader takes a strict subset of what ``float`` takes and
-    reads it to the same doubles, so the text only needs the gaps it can
-    rewrite exactly (``NA`` and empty cells) spelled ``nan``.  It refuses
-    every other gap spelling and every malformed number.
+    reads it to the same doubles, so a file with no quoted cell and ``\\n``
+    line ends only needs its ``NA`` gaps spelled ``nan``.  It refuses every
+    other gap spelling, an empty cell (so a blank row too) and every
+    malformed number.
     """
     with open(path, encoding="utf-8", newline="") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError:
             return None
-    if '"' in text:
+    if '"' in text or "\r" in text:
         return None
-    if "\r" in text:  # one statement per pass holds two copies of the text, not three
-        text = text.replace("\r\n", "\n")
-        text = text.replace("\r", "\n")
-    lines = text.split("\n")
+    header, *rows = text.split("\n")
     del text
-    header = lines[0].split(",")
-    width = len(header)
-    limit = csv.field_size_limit()  # a longer cell is a csv.Error
-    if width < 2 or any(
-        len(line) > limit and max(map(len, line.split(","))) > limit for line in lines
-    ):
+    if rows and not rows[-1]:
+        rows.pop()  # the final line end
+    width = header.count(",") + 1
+    if width < 2 or len(rows) < 2:
         return None
-    # a row that starts with a date needs no closer look to be kept
-    rows = [
-        line
-        for line in lines[1:]
-        if line[:1].strip() not in ("", ",") or line.replace(",", "").strip()
-    ]
-    del lines
-    # empty cells take two more passes, paid only by a file that has them
-    empty = any(",," in row or row[-1] == "," for row in rows)
     dates = []
     for i, row in enumerate(rows):
         if row.count(",") != width - 1:
             return None
         dates.append(row[: row.index(",")].strip())
-        row = row.replace(",NA", ",nan")
-        if empty:
-            row = row.replace(",,", ",nan,").replace(",,", ",nan,")
-            row = row + "nan" if row[-1] == "," else row
-        rows[i] = row
-    if len(rows) < 2:
-        return None
+        rows[i] = row.replace(",NA", ",nan")
     try:
         values = np.loadtxt(rows, delimiter=",", comments=None, usecols=range(1, width), ndmin=2)
     except ValueError:
         return None
-    return tuple(dates), tuple(name.strip() for name in header[1:]), values
+    return tuple(dates), tuple(name.strip() for name in header.split(",")[1:]), values
 
 
 def _parse_records(path):

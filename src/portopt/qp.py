@@ -58,8 +58,7 @@ The loop's x drifts over many small steps, so the answer is taken from the
 final working set factored afresh in sorted order, plus one refinement
 step on its rows (unless that point fails the polish's feasibility guard);
 it depends only on the program and that set, and a seeded solve that ends
-on the cold solve's working set returns the same bits.  A solve that takes
-no drop and no step already holds those factors and is not factored again.
+on the cold solve's working set returns the same bits.
 
 Everything is plain deterministic linear algebra: the same program solved
 twice yields bit-identical results.  Tie-breaks pick the lowest
@@ -191,8 +190,7 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
         raise ValueError("start must index the program's constraints")
     seeded = start[start >= meq]
     rows = np.concatenate([np.arange(meq), seeded]) if seeded.size else seeded
-    initial = _factor(qp, a_all, b_all, rows, cap)
-    q, active, u, jt, nstar, x = initial
+    q, active, u, jt, nstar, x = _factor(qp, a_all, b_all, rows, cap)
     signs = np.ones(cap)
     # |J'a|^2 = a'D^-1 a of every row, the scale of the dependence test, from
     # the seed's whole J: column norms of J' for a bound, a product otherwise
@@ -280,12 +278,7 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     working = np.sort(active[:q])
     multipliers = np.zeros(m)
     multipliers[active[:q]] = signs[:q] * u[:q]
-    # With no drop and no step the initial factors are those of the final set
-    # factored afresh: the rows are the same, in the same order, and a row
-    # left out as dependent changed no factor.
-    moved = iterations > 0 or q < initial[0]
-    final = _factor(qp, a_all, b_all, working, cap) if moved else initial
-    x, multipliers = _polish(a_all, b_all, is_eq, final, x, multipliers)
+    x, multipliers = _polish(qp, a_all, b_all, is_eq, working, cap, x, multipliers)
 
     objective = 0.5 * float(x @ qp.dmat @ x) - float(qp.dvec @ x)
     return QpSolution(
@@ -410,18 +403,18 @@ def _drop(jt, nstar, q, k, dmat):
     nstar[k : q - 1] = nstar[k + 1 : q]
 
 
-def _polish(a_all, b_all, is_eq, final, x, multipliers):
+def _polish(qp, a_all, b_all, is_eq, rows, cap, x, multipliers):
     """Re-solve the working-set KKT system from the original data.
 
     The iteration accumulates x through many small steps; on badly scaled
     programs (for example a 1e-11 ridge standing in for a vanished
     quadratic term) that drift can reach the 1e-6 scale.  One direct
-    solve on the converged working set removes it: ``final`` is that set,
-    sorted, factored afresh by :func:`_factor`.  The polished point is
-    kept only if it stays feasible for every row the factors left out and
-    its inequality multipliers stay nonnegative.
+    solve on the converged working set removes it: ``rows``, sorted, are
+    factored afresh by :func:`_factor`.  The polished point is kept only
+    if it stays feasible for every row the factors left out and its
+    inequality multipliers stay nonnegative.
     """
-    q, active, u, _, nstar, x_new = final
+    q, active, u, _, nstar, x_new = _factor(qp, a_all, b_all, rows, cap)
     # One refinement step on the working-set rows: the factors alone leave
     # the budget and return rows off by up to ~1e-14.
     x_new = x_new + nstar[:q].T @ (b_all[active[:q]] - a_all[active[:q]] @ x_new)

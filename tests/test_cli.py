@@ -408,6 +408,12 @@ class TestConfigAndDeterminism:
         assert main(["stats", "--prices", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_overlong_cell_exit_code(self, tmp_path):
+        # a quoted cell longer than csv.field_size_limit() used to escape as _csv.Error
+        prices = tmp_path / "long.csv"
+        prices.write_text('date,X\n"' + "d" * 140_000 + '",10\nd2,11\n', encoding="utf-8")
+        assert main(["stats", "--prices", str(prices), "--out", str(tmp_path / "o")]) == 2
+
     def test_config_file_with_flag_override(self, price_files, tmp_path):
         prices, _ = price_files
         cfg = tmp_path / "cfg.json"
