@@ -120,16 +120,17 @@ def load_prices(path) -> PriceTable:
     ``NaN``, ``null`` or ``None`` in any case is a gap, and so is a
     non-finite number; any other cell must be a number ``float`` reads.
 
-    A file with ``\\n`` line ends, no quoted cell, no blank row and every
-    gap spelled ``NA`` is parsed by numpy's C reader in one pass over the
-    whole text; any other file, and every malformed one, is read record by
-    record, and that reader alone raises :class:`ParseError`.  Both give
-    the same table, but only the record reader refuses a cell longer than
-    ``csv.field_size_limit()``.
+    A file with ``\\n`` line ends, no quoted cell, no blank row, no cell
+    longer than ``csv.field_size_limit()`` and every gap spelled ``NA`` is
+    parsed by numpy's C reader in one pass over the whole text; any other
+    file, and every malformed one, is read record by record, and that
+    reader alone raises :class:`ParseError`.  Both give the same table.
+    Text that is not UTF-8 raises :class:`ParseError` before either reads
+    a cell.
     """
     try:
         dates, assets, values = _parse_text(path) or _parse_records(path)
-    except csv.Error as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     # Non-finite input is indistinguishable from a missing quote.
     values[~np.isfinite(values)] = np.nan
@@ -144,13 +145,12 @@ def _parse_text(path):
     reads it to the same doubles, so a file with no quoted cell and ``\\n``
     line ends only needs its ``NA`` gaps spelled ``nan``.  It refuses every
     other gap spelling, an empty cell (so a blank row too) and every
-    malformed number.
+    malformed number.  A file with a cell longer than
+    ``csv.field_size_limit()``, which the record reader refuses, is left to
+    it too.
     """
     with open(path, encoding="utf-8", newline="") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError:
-            return None
+        text = handle.read()
     if '"' in text or "\r" in text:
         return None
     header, *rows = text.split("\n")
@@ -160,6 +160,10 @@ def _parse_text(path):
     width = header.count(",") + 1
     if width < 2 or len(rows) < 2:
         return None
+    limit = csv.field_size_limit()
+    for line in (header, *rows):
+        if len(line) > limit and max(map(len, line.split(","))) > limit:
+            return None
     dates = []
     for i, row in enumerate(rows):
         if row.count(",") != width - 1:

@@ -414,6 +414,13 @@ class TestConfigAndDeterminism:
         prices.write_text('date,X\n"' + "d" * 140_000 + '",10\nd2,11\n', encoding="utf-8")
         assert main(["stats", "--prices", str(prices), "--out", str(tmp_path / "o")]) == 2
 
+    def test_not_utf8_exit_code(self, tmp_path, capsys):
+        # a Latin-1 e-acute is an ingestion failure, not "anything else"
+        prices = tmp_path / "latin1.csv"
+        prices.write_bytes(b"date,X\nd\xe9,10\nd2,11\n")
+        assert main(["stats", "--prices", str(prices), "--out", str(tmp_path / "o")]) == 2
+        assert "utf-8" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, price_files, tmp_path):
         prices, _ = price_files
         cfg = tmp_path / "cfg.json"

@@ -19,7 +19,7 @@ from portopt.frontier import (
 )
 from portopt.ga import GaParams, ga_frontier
 from portopt.market_data import ReturnsMatrix
-from portopt.optimizers import ObjectiveParams, markowitz_portfolio
+from portopt.optimizers import ObjectiveParams, lambda_portfolio, markowitz_portfolio
 from portopt.risk_models import RiskKind, build_risk_model
 
 from conftest import random_model, random_returns, simplex_grid
@@ -260,34 +260,39 @@ class TestSweepRangeInsideMeans:
 
 class TestWarmSweeps:
     """Each sweep point starts from its neighbour's solution; the answers
-    are the cold per-point ones, bit for bit, and the warm sweep takes
-    fewer steps."""
+    are the cold per-point ones, bit for bit, and a warm point keeps its
+    seed instead of rebuilding it one step at a time."""
 
     @staticmethod
     def solves(monkeypatch, sweep, cold: bool) -> list:
-        """``(x, iterations)`` of every ``solve_qp`` the sweep makes; with
+        """``(seed, solution)`` of every ``solve_qp`` the sweep makes; with
         ``cold`` every seed is dropped."""
         real = optimizers.solve_qp
         log = []
 
         def spy(qp, start=()):
-            solution = real(qp, start=() if cold else start)
-            log.append((solution.x, solution.iterations))
-            return solution
+            start = () if cold else start
+            log.append((np.asarray(start, dtype=int), real(qp, start=start)))
+            return log[-1][1]
 
         with monkeypatch.context() as patch:
             patch.setattr(optimizers, "solve_qp", spy)
             sweep()
         return log
 
-    def check(self, monkeypatch, sweep) -> tuple[int, int]:
-        """Warm against cold weights, bit for bit; total iterations of each."""
+    def check(self, monkeypatch, sweep) -> list:
+        """Warm against cold weights, bit for bit; the warm solves."""
         warm = self.solves(monkeypatch, sweep, cold=False)
         cold = self.solves(monkeypatch, sweep, cold=True)
         assert len(warm) == len(cold)
-        for (x_warm, _), (x_cold, _) in zip(warm, cold):
-            np.testing.assert_array_equal(x_warm, x_cold)
-        return sum(i for _, i in warm), sum(i for _, i in cold)
+        for (_, warm_solution), (_, cold_solution) in zip(warm, cold):
+            np.testing.assert_array_equal(warm_solution.x, cold_solution.x)
+        return warm
+
+    @staticmethod
+    def kept(seed, solution) -> int:
+        """How many rows of ``seed`` are active at the solution."""
+        return int(np.isin(seed, solution.active_set).sum())
 
     @staticmethod
     def sweeps(returns, kind, n_points):
@@ -299,11 +304,13 @@ class TestWarmSweeps:
         )
 
     @pytest.mark.parametrize("kind", list(RiskKind))
-    def test_matches_cold_and_takes_fewer_steps(self, monkeypatch, kind):
+    def test_matches_cold_and_keeps_its_seeds(self, monkeypatch, kind):
+        # the warm points take fewer loop steps than the seed rows they keep
         returns = random_returns(np.random.default_rng(3), 30, 250)
         for sweep in self.sweeps(returns, kind, 12):
-            warm, cold = self.check(monkeypatch, sweep)
-            assert warm < cold
+            warm = self.check(monkeypatch, sweep)[1:]
+            steps = sum(solution.iterations for _, solution in warm)
+            assert steps < sum(self.kept(*solve) for solve in warm)
 
     @pytest.mark.parametrize("kind", list(RiskKind))
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -312,8 +319,10 @@ class TestWarmSweeps:
         # dual infeasible; those leave one by one and the rest stay, so the
         # point does not re-add its bounds one step at a time.
         model = build_risk_model(random_returns(np.random.default_rng(seed), 150, 500), kind=kind)
-        steps = [i for _, i in self.solves(monkeypatch, lambda: efficient_frontier(model, 8), False)]
-        assert steps[1] < steps[0] / 3, steps
+        start, second = self.solves(monkeypatch, lambda: efficient_frontier(model, 8), False)[1]
+        kept = self.kept(start, second)
+        assert kept >= 0.8 * start.size, (kept, start.size)
+        assert second.iterations < kept / 3, (second.iterations, kept)
 
     @pytest.mark.parametrize("kind", list(RiskKind))
     @pytest.mark.parametrize(
@@ -336,3 +345,76 @@ class TestWarmSweeps:
             returns = returns_with_means(rng, means)
         for sweep in self.sweeps(returns, kind, 12):
             self.check(monkeypatch, sweep)
+
+
+def scaled_kkt(qp, solution) -> float:
+    """Largest violation of the KKT conditions of ``solution``, each over its
+    own scale: stationarity over |D||x| + |d| + |A'||y|, each row's slack
+    over |a||x| + |b| + max|a| max|x|, and the inequality multipliers' sign
+    and complementarity over that gradient scale per largest row entry."""
+    x, y = solution.x, solution.multipliers
+    meq = qp.b_eq.shape[0]
+    a = np.vstack([qp.a_eq, qp.a_ineq])
+    b = np.concatenate([qp.b_eq, qp.b_ineq])
+    stat_scale = (np.abs(qp.dmat) @ np.abs(x) + np.abs(qp.dvec) + np.abs(a.T) @ np.abs(y)).max()
+    slack = a @ x - b
+    row_scale = np.abs(a) @ np.abs(x) + np.abs(b) + np.abs(a).max(axis=1) * np.abs(x).max()
+    y_scale = stat_scale / np.abs(a).max()
+    return max(
+        np.abs(qp.dmat @ x - qp.dvec - a.T @ y).max() / stat_scale,
+        (np.abs(slack[:meq]) / row_scale[:meq]).max(initial=0.0),
+        (-slack[meq:] / row_scale[meq:]).max(initial=0.0),
+        (-y[meq:] / y_scale).max(initial=0.0),
+        (np.abs(y[meq:] * slack[meq:]) / (y_scale * row_scale[meq:])).max(initial=0.0),
+    )
+
+
+def degenerate_panel(rng, name: str) -> np.ndarray:
+    """In-sample returns of one of the degenerate panels below."""
+    base = random_returns(rng, 5, 250).values
+    periods = base.shape[0]
+    if name == "n_above_t":
+        return random_returns(rng, 100, 50).values
+    if name == "duplicate":
+        return np.column_stack([base, base[:, 1]])
+    if name == "collinear":
+        return np.column_stack([base, 0.3 * base[:, 0] + 0.7 * base[:, 2]])
+    if name == "equal_means":
+        return base - base.mean(axis=0) + 0.0011
+    if name == "all_negative":
+        return base - base.mean(axis=0) + np.array([-0.003, -0.0021, -0.0012, -0.0005, -0.0001])
+    if name == "zero_downside":  # never below the 0 critical level
+        return np.column_stack([base, np.abs(base[:, 0])])
+    assert name == "constant"
+    return np.column_stack([base, np.full(periods, 0.0005)])
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+@pytest.mark.parametrize(
+    "name",
+    ["n_above_t", "duplicate", "collinear", "equal_means", "all_negative", "zero_downside", "constant"],
+)
+def test_degenerate_panels_certify_every_solve(monkeypatch, rng, kind, name):
+    # Singular and tied risk models, through the cold start's pivot and the
+    # warm seeds: every solve of the three sweeps and of the tradeoff
+    # program at both ends meets its KKT conditions to 1e-8, scaled.
+    values = degenerate_panel(rng, name)
+    assets = tuple(f"A{i:03d}" for i in range(values.shape[1]))
+    model = build_risk_model(ReturnsMatrix(assets=assets, values=values), kind=kind)
+    returns_out = ReturnsMatrix(assets=assets, values=random_returns(rng, len(assets), 50).values)
+    real = optimizers.solve_qp
+    solves = []
+
+    def spy(qp, start=()):
+        solves.append((qp, real(qp, start=start)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(optimizers, "solve_qp", spy)
+    efficient_frontier(model, 8)
+    lambda_frontier(model, 8)
+    frontier_fit(model, returns_out, 8)
+    for lam in (0.0, 1.0):
+        lambda_portfolio(model, ObjectiveParams(lam=lam))
+    assert len(solves) == 8 + 8 + 9 + 2
+    for qp, solution in solves:
+        assert scaled_kkt(qp, solution) <= 1e-8

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -56,6 +58,16 @@ class TestLoadPrices:
         with pytest.raises(DuplicateAssetHeader):
             load_prices(path)
 
+    @pytest.mark.parametrize("reader", ["text", "records"])
+    def test_not_utf8_is_a_parse_error(self, tmp_path, reader):
+        # a Latin-1 e-acute, whichever reader meets it
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"date,X\nd\xe9,10\nd2,11\n")
+        records = mock.patch.object(market_data, "_parse_text", return_value=None)
+        with records if reader == "records" else contextlib.nullcontext():
+            with pytest.raises(ParseError, match="utf-8"):
+                load_prices(path)
+
     def test_malformed_number(self, tmp_path):
         path = write(tmp_path, "date,X\nd1,10\nd2,oops\n")
         with pytest.raises(ParseError):
@@ -92,6 +104,8 @@ def _any_case(word):
     )
 
 
+#: A date one character longer than the record reader takes in a cell.
+_LONG = "d" * (csv.field_size_limit() + 1)
 _PAD = st.sampled_from(["", " ", "\t", " \t "])
 _NUMBER = st.one_of(
     st.floats(min_value=1e-3, max_value=1e6).map(repr),
@@ -135,6 +149,10 @@ def test_load_prices_matches_the_record_reader(data):
         if data.draw(st.integers(min_value=0, max_value=5)) == 0:
             records.append(data.draw(st.sampled_from(["", ",,", " , ", "\t"])))
             blank_rows += 1
+    long = bool(records) and data.draw(st.integers(min_value=0, max_value=4), label="long") == 0
+    if long:  # the first date longer than the record reader takes, bare or quoted
+        _, comma, rest = records[0].partition(",")
+        records[0] = data.draw(st.sampled_from([_LONG, f'"{_LONG}"'])) + comma + rest
     end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
     text = end.join([",".join(header), *records])
     if data.draw(st.booleans(), label="final newline"):
@@ -143,7 +161,7 @@ def test_load_prices_matches_the_record_reader(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "prices.csv"
         path.write_bytes(text.encode("utf-8"))
-        if not odd and not blank_rows and end == "\n" and len(records) >= 2:
+        if not (odd or long or blank_rows) and end == "\n" and len(records) >= 2:
             assert market_data._parse_text(path) is not None
         whole = _outcome(path)
         with mock.patch.object(market_data, "_parse_text", return_value=None):

@@ -101,6 +101,20 @@ class TestBasicCases:
         with pytest.raises(NumericalBreakdown):
             solve_qp(qp)
 
+    @pytest.mark.parametrize("off", [1.0, 2.0], ids=["singular", "indefinite"])
+    @pytest.mark.parametrize("start", [(), (1,), (0, 1)])
+    def test_not_positive_definite_with_positive_definite_free_block(self, off, start):
+        # the seeded bound on x1 leaves only D's block over x0 to factor,
+        # and that block is positive definite; all of D is not
+        qp = QuadraticProgram(
+            dmat=np.array([[1.0, off], [off, 1.0]]),
+            dvec=np.ones(2),
+            a_ineq=np.eye(2),
+            b_ineq=np.zeros(2),
+        )
+        with pytest.raises(NumericalBreakdown):
+            solve_qp(qp, start=start)
+
 
 class TestOracles:
     def test_grid_oracle_random_instances(self, rng):
@@ -324,17 +338,19 @@ def test_random_programs_kkt_or_infeasible():
 
 
 @pytest.mark.parametrize(
-    ("n", "seed", "frac", "iterations", "inactive"),
+    ("n", "seed", "frac", "iterations", "drops", "inactive"),
     [
-        (30, 0, 0.45, 33, (2, 3, 4, 5, 6, 9, 12, 14, 15, 17, 18, 19, 21, 24, 25, 27, 28, 29, 30)),
-        (30, 1, 0.15, 44, (2, 5, 6, 9, 12, 15, 17, 21, 25, 27)),
-        (150, 0, 0.05, 240, (19, 49, 107, 144)),
-        (150, 2, 0.05, 235, (7, 60, 66, 80, 89)),
+        (30, 0, 0.45, 45, 31, (2, 3, 4, 5, 6, 9, 12, 14, 15, 17, 18, 19, 21, 24, 25, 27, 28, 29, 30)),
+        (30, 1, 0.15, 58, 33, (2, 5, 6, 9, 12, 15, 17, 21, 25, 27)),
+        (150, 0, 0.05, 222, 112, (19, 49, 107, 144)),
+        (150, 2, 0.05, 225, 114, (7, 60, 66, 80, 89)),
     ],
 )
-def test_pinned_semivariance_working_set(n, seed, frac, iterations, inactive, monkeypatch):
-    # Drop-heavy programs: (iterations - |active set|) / 2 = 10, 11, 46 and
-    # 44 drops.  Any change to the working-set path moves these pins.
+def test_pinned_semivariance_working_set(n, seed, frac, iterations, drops, inactive, monkeypatch):
+    # Drop-heavy paths: seeded with every bound, the equalities depend on
+    # the seed and most bounds leave again, 31, 33, 112 and 114 drops.  The
+    # cold solve, which guesses its set, ends on the same set.  Any change
+    # to the working-set path moves these pins.
     model = build_risk_model(random_returns(np.random.default_rng(seed), n), RiskKind.SEMIVARIANCE)
     target = model.mu.min() + frac * (model.mu.max() - model.mu.min())
     qp = QuadraticProgram(
@@ -345,27 +361,41 @@ def test_pinned_semivariance_working_set(n, seed, frac, iterations, inactive, mo
         a_ineq=np.eye(n),
         b_ineq=np.zeros(n),
     )
+    a_all = np.vstack([qp.a_eq, qp.a_ineq])
     steps = {"_add": 0, "_drop": 0}
 
+    def check(jt, nstar, q):
+        # J2'DJ2 = I and N*DJ2 = 0 on the working set
+        j2 = jt[q:].T
+        close = dict(rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(j2.T @ qp.dmat @ j2, np.eye(n - q), **close)
+        np.testing.assert_allclose(nstar[:q] @ qp.dmat @ j2, 0.0, **close)
+
     def checked(name, step, change):
-        # after every step: J2'DJ2 = I and N*DJ2 = 0 on the new working set
         def wrapper(jt, nstar, q, *args):
             step(jt, nstar, q, *args)
             steps[name] += 1
-            q += change
-            j2 = jt[q:].T
-            close = dict(rtol=0.0, atol=1e-10)
-            np.testing.assert_allclose(j2.T @ qp.dmat @ j2, np.eye(n - q), **close)
-            np.testing.assert_allclose(nstar[:q] @ qp.dmat @ j2, 0.0, **close)
+            check(jt, nstar, q + change)
 
         monkeypatch.setattr(qp_module, name, wrapper)
 
+    def factored(*args, factor=qp_module._factor):
+        # a fresh factorization also has N'N*' = I
+        q, active, u, jt, nstar, x = state = factor(*args)
+        check(jt, nstar, q)
+        np.testing.assert_allclose(a_all[active[:q]] @ nstar[:q].T, np.eye(q), rtol=0.0, atol=1e-10)
+        return state
+
     checked("_add", qp_module._add, 1)
     checked("_drop", qp_module._drop, -1)
-    sol = solve_qp(qp)
+    monkeypatch.setattr(qp_module, "_factor", factored)
+    cold = solve_qp(qp)
+    steps.update(_add=0, _drop=0)
+    sol = solve_qp(qp, start=range(2, n + 2))
     assert sol.iterations == iterations
-    assert sol.active_set == tuple(sorted(set(range(n + 2)) - set(inactive)))
-    assert steps["_drop"] == (iterations - len(sol.active_set)) // 2
+    assert steps["_drop"] == drops
+    assert sol.active_set == cold.active_set == tuple(sorted(set(range(n + 2)) - set(inactive)))
+    np.testing.assert_array_equal(sol.x, cold.x)
     assert_kkt(qp, sol)
 
 
@@ -432,9 +462,10 @@ def test_seeded_start_reaches_the_cold_optimum(monkeypatch):
         try:
             return solve_qp(qp, start=start)
         finally:
-            # the first _factor is the seed's; every other _point follows a seed drop
+            # the first _factor is the seed's (the equalities' when the seed
+            # is empty); every other _point follows a seed drop
             factors = [(args, result) for name, args, result in log if name == "_factor"]
-            (_, a_all, _, rows, _), (q, active, *_) = factors[0]
+            (_, a_all, _, rows, *_), (q, active, *_) = factors[0]
             seen["skipped"] += q < rows.size
             seen["rows_dropped"] += len(log) > 2 * len(factors)
             seen["bounds"] += bool(((a_all[active[:q]] != 0.0).sum(axis=1) == 1).any())
