@@ -124,6 +124,7 @@ def two_asset_curve(mu: np.ndarray, sigma: np.ndarray, n_points: int = 30) -> np
     Sweeps the first asset's weight from 0 to 1 and returns an
     ``(n_points, 2)`` array of (risk, expected return) rows.
     """
+    _check_points(n_points)
     mu = np.asarray(mu, dtype=float).reshape(2)
     sigma = np.asarray(sigma, dtype=float).reshape(2, 2)
     w_a = np.linspace(0.0, 1.0, n_points)

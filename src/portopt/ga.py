@@ -11,25 +11,27 @@ Two problem bindings share one elitist loop:
 
 Per generation: roulette selection over shifted fitness, one escalating
 mutation per pair (applied to the first parent), single-point crossover,
-then a merge of parents and children keeping the best half - so the best
-fitness trace is nondecreasing by construction.  A generation is array
-work over the whole population: every operator acts on all pairs at
-once.  A binding supplies only its initial population, fitness,
-mutated-gene values and recombination.
+the binding's repair of the children, then a merge of parents and
+children keeping the best half - so the best fitness trace is
+nondecreasing by construction.  A generation is array work over the
+whole population: every operator acts on all pairs at once.  A binding
+supplies only its initial population, fitness, mutated-gene values and
+repair.
 
 Reproducibility: one seeded generator drives each run and draws in a
 fixed order per generation: selection uniforms for the whole population;
 one mutation-firing uniform per pair; one mutated gene per pair; one
 value per pair whose mutation fires; one crossover cut per pair (absent
-for one asset); then, for the continuous binding, a new cut for each pair
-with a zero-mass child, round by round.  Frontier sweeps derive one
-independent child seed per point from the master seed.
+for one asset).  Frontier sweeps derive one independent child seed per
+point from the master seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,32 +44,39 @@ from .risk_models import RiskModel, quadratic_form
 #: Smallest population worth evolving; used when the asset count is low.
 MIN_POPULATION = 30
 
-#: Per binding: base mutation rate, and the escalation added to it by the
-#: final generation.
-_MUTATION = {"continuous": (0.2, 0.5), "integer": (0.3, 0.3)}
+#: Base mutation rate, and the escalation added to it by the final
+#: generation, of the continuous and of the integer binding.
+_CONTINUOUS_MUTATION = (0.2, 0.5)
+_INTEGER_MUTATION = (0.3, 0.3)
 
 
 @dataclass(frozen=True)
 class GaParams:
-    """Run parameters.  An unset population follows the asset count; the
-    per-binding mutation rates (``_MUTATION``) and the report threshold of
-    the result's sparse view are fixed."""
+    """Run parameters: whole numbers, the seed nonnegative.  An unset
+    population follows the asset count; the per-binding mutation rates and
+    the report threshold of the result's sparse view are fixed."""
 
     generations: int = 500
     population: int | None = None
     seed: int = 0
 
     def __post_init__(self):
+        whole = (self.generations, self.seed, 2 if self.population is None else self.population)
+        for name, value in zip(("generations", "seed", "population"), whole):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be a whole number, not {value!r}") from None
         if self.generations < 1:
             raise ValueError("generations must be at least 1")
         if self.population is not None and (self.population < 2 or self.population % 2):
             raise ValueError("population must be an even count of at least 2")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def population_for(self, n_assets: int) -> int:
         """Even population matching the gene count, floored at 30."""
-        if self.population is not None:
-            return self.population
-        return max(MIN_POPULATION, 2 * (n_assets // 2))
+        return self.population or max(MIN_POPULATION, 2 * (n_assets // 2))
 
 
 @dataclass(frozen=True)
@@ -107,49 +116,17 @@ def _cuts(n: int, pairs: int, rng: np.random.Generator) -> np.ndarray:
 
 def _crossover(first: np.ndarray, second: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """Single-point crossover of every pair: pair k's first child keeps
-    ``cuts[k]`` leading genes of its first parent.  Shape ``(pairs, 2, N)``."""
+    ``cuts[k]`` leading genes of its first parent.  Rows 2k and 2k+1 are
+    pair k's children."""
     keep = np.arange(first.shape[-1]) < cuts[:, None]
-    return np.stack([np.where(keep, first, second), np.where(keep, second, first)], axis=1)
+    children = np.stack([np.where(keep, first, second), np.where(keep, second, first)], axis=1)
+    return children.reshape(-1, first.shape[-1])
 
 
-def _normalized_children(first: np.ndarray, second: np.ndarray, cuts: np.ndarray):
-    """Crossover children scaled to unit mass, and per pair whether a child
-    has zero mass (such a child is left unscaled)."""
-    children = _crossover(first, second, cuts)
-    mass = children.sum(axis=-1, keepdims=True)
-    return children / np.where(mass > 0.0, mass, 1.0), (mass <= 0.0).any(axis=(1, 2))
-
-
-def _cross_continuous(first: np.ndarray, second: np.ndarray, rng: np.random.Generator):
-    """Renormalized crossover of every pair; rows 2k and 2k+1 are pair k's children.
-
-    Zero-mass children only arise from exactly-zero gene blocks, which
-    evolved populations never contain.  A pair with one redraws its own
-    cut, up to 64 cuts in all, and then keeps its parents, renormalized.
-    """
-    pairs, n = first.shape
-    children, zero = _normalized_children(first, second, _cuts(n, pairs, rng))
-    for _ in range(63):
-        redo = np.flatnonzero(zero)
-        if not redo.size:
-            break
-        children[redo], zero[redo] = _normalized_children(
-            first[redo], second[redo], _cuts(n, redo.size, rng)
-        )
-    stuck = np.flatnonzero(zero)
-    parents = np.stack([first[stuck], second[stuck]], axis=1)
-    children[stuck] = parents / parents.sum(axis=-1, keepdims=True)
-    return children.reshape(-1, n)
-
-
-def _mutate(
-    genes: np.ndarray, generation_j: int, params: GaParams, binding: str, draw_values, rng
-) -> np.ndarray:
-    """Escalating one-gene mutation of every row, in place: a row fires
-    with probability ``base + (j/m) * ramp`` and then takes the next of
-    ``draw_values(count)`` in its drawn gene.  Returns ``genes``."""
-    base, ramp = _MUTATION[binding]
-    rate = base + (generation_j / params.generations) * ramp
+def _mutate(genes: np.ndarray, rate: float, draw_values, rng) -> np.ndarray:
+    """One-gene mutation of every row, in place: a row fires with
+    probability ``rate`` and then takes the next of ``draw_values(count)``
+    in its drawn gene.  Returns ``genes``."""
     rows, width = genes.shape
     fire = rng.random(rows) < rate
     gene = rng.integers(width, size=rows)
@@ -158,23 +135,20 @@ def _mutate(
     return genes
 
 
-def _continuous_values(rng: np.random.Generator):
-    """Mutated-gene values of the continuous binding: U(0, 2)."""
-    return lambda count: rng.uniform(0.0, 2.0, count)
-
-
 # --- the shared loop ---------------------------------------------------------
 
 
-def _evolve(population, fitness, draw_values, recombine, binding: str, params: GaParams, rng):
+def _evolve(population, fitness, draw_values, repair, mutation, params: GaParams, rng):
     """Run the elitist generations; returns the best individual and the trace.
 
     ``fitness`` scores a population, ``draw_values(count)`` gives the new
-    values of the genes mutation hits in the first parents, and
-    ``recombine(first, second)`` turns the pairs' parents into the
-    children, rows 2k and 2k+1 coming from pair k.
+    values of the genes mutation hits in the first parents, ``mutation``
+    is the binding's (base rate, ramp) pair - generation j of m fires at
+    ``base + (j/m) * ramp`` - and ``repair(children)`` makes the crossover
+    children individuals of the binding.
     """
-    pop = population.shape[0]
+    pop, n = population.shape
+    base, ramp = mutation
     fit = fitness(population)
     order = np.argsort(fit, kind="stable")
     population, fit = population[order], fit[order]
@@ -182,8 +156,9 @@ def _evolve(population, fitness, draw_values, recombine, binding: str, params: G
 
     for j in range(2, params.generations + 1):
         chosen = _roulette_indices(_shifted(fit), pop, rng)
-        first = _mutate(population[chosen[0::2]], j, params, binding, draw_values, rng)
-        children = recombine(first, population[chosen[1::2]])
+        rate = base + (j / params.generations) * ramp
+        first = _mutate(population[chosen[0::2]], rate, draw_values, rng)
+        children = repair(_crossover(first, population[chosen[1::2]], _cuts(n, pop // 2, rng)))
         merged_fit = np.concatenate([fit, fitness(children)])
         keep = np.argsort(merged_fit, kind="stable")[pop:]
         population = np.vstack([population, children])[keep]
@@ -194,6 +169,14 @@ def _evolve(population, fitness, draw_values, recombine, binding: str, params: G
 
 
 # --- continuous binding ------------------------------------------------------
+
+
+def _renormalize(weights: np.ndarray) -> np.ndarray:
+    """Repair of the continuous binding: every row scaled onto the simplex;
+    a row of zero mass becomes the equal-weight portfolio."""
+    mass = weights.sum(axis=1, keepdims=True)
+    equal = np.full(weights.shape, 1.0 / weights.shape[1])
+    return np.divide(weights, mass, out=equal, where=mass > 0.0)
 
 
 def _continuous_fitness(weights: np.ndarray, model: RiskModel, lam: float) -> np.ndarray:
@@ -209,14 +192,12 @@ def ga_lambda_portfolio(
     params = params or GaParams()
     n = model.n_assets
     rng = np.random.default_rng(params.seed)
-    weights = rng.random((params.population_for(n), n))
-    weights /= weights.sum(axis=1, keepdims=True)
     w, trace = _evolve(
-        weights,
+        _renormalize(rng.random((params.population_for(n), n))),
         lambda pop: _continuous_fitness(pop, model, lam),
-        _continuous_values(rng),
-        lambda first, second: _cross_continuous(first, second, rng),
-        "continuous",
+        lambda count: rng.uniform(0.0, 2.0, count),
+        _renormalize,
+        _CONTINUOUS_MUTATION,
         params,
         rng,
     )
@@ -285,13 +266,6 @@ def _initial_integer_population(
     return counts
 
 
-def _cross_integer(first: np.ndarray, second: np.ndarray, market: MarketParams, rng):
-    """Single-point crossover of every pair, then one repair of all
-    children; rows 2k and 2k+1 are pair k's children."""
-    pairs, n = first.shape
-    return repair_integer(_crossover(first, second, _cuts(n, pairs, rng)).reshape(-1, n), market)
-
-
 def ga_lambda_n_portfolio(
     model: RiskModel,
     lam: float,
@@ -313,8 +287,8 @@ def ga_lambda_n_portfolio(
         _initial_integer_population(params.population_for(model.n_assets), market, rng),
         lambda pop: mkt.fitness(pop, model, market, lam),
         lambda count: rng.integers(1, mutation_cap + 1, count),
-        lambda first, second: _cross_integer(first, second, market, rng),
-        "integer",
+        lambda children: repair_integer(children, market),
+        _INTEGER_MUTATION,
         params,
         rng,
     )
@@ -339,12 +313,6 @@ def ga_frontier(
     params = params or GaParams()
     lams = _lambda_grid(n_points)
     seeds = np.random.SeedSequence(params.seed).generate_state(n_points, dtype=np.uint64)
-    points = []
-    for lam, seed in zip(lams, seeds):
-        sub = dataclasses.replace(params, seed=int(seed))
-        if market is None:
-            best, _ = ga_lambda_portfolio(model, float(lam), sub)
-        else:
-            best, _ = ga_lambda_n_portfolio(model, float(lam), sub, market)
-        points.append(FrontierPoint(float(lam), best))
-    return points
+    run = ga_lambda_portfolio if market is None else partial(ga_lambda_n_portfolio, market=market)
+    subs = [dataclasses.replace(params, seed=int(seed)) for seed in seeds]
+    return [FrontierPoint(lam, run(model, lam, sub)[0]) for lam, sub in zip(lams.tolist(), subs)]

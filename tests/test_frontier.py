@@ -115,6 +115,11 @@ class TestTwoAssetCurve:
         assert curve[-1, 0] == pytest.approx(0.02, abs=1e-15)
         assert curve[-1, 1] == pytest.approx(0.002, abs=1e-15)
 
+    @pytest.mark.parametrize("n_points", [0, -1])
+    def test_needs_a_point(self, n_points):
+        with pytest.raises(ValueError, match="at least one point"):
+            two_asset_curve(np.array([0.001, 0.002]), np.diag([4e-4, 9e-4]), n_points)
+
     def test_diversification_monotone_in_correlation(self):
         # For fixed weights the risk never grows as correlation falls.
         sa, sb = 0.03, 0.04

@@ -4,19 +4,24 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import portopt.ga as ga_mod
 from portopt.ga import (
+    _CONTINUOUS_MUTATION,
+    _INTEGER_MUTATION,
     GaParams,
-    _continuous_values,
-    _cross_continuous,
+    _crossover,
+    _cuts,
+    _evolve,
     _floor_divide,
     _mutate,
-    _normalized_children,
+    _renormalize,
     _roulette_indices,
     _shifted,
     ga_frontier,
@@ -73,85 +78,95 @@ class TestRoulette:
         assert np.abs(counts - 1 / 3).max() < 0.03
 
 
-def cross(w1, w2, cut: int):
-    """One pair's two renormalized children and whether one has zero mass."""
-    children, zero = _normalized_children(
-        np.asarray(w1, dtype=float)[None], np.asarray(w2, dtype=float)[None], np.array([cut])
-    )
-    return children[0], bool(zero[0])
+def cross(w1, w2, cut: int) -> np.ndarray:
+    """One pair's two children, crossed at ``cut`` and renormalized."""
+    first, second = np.asarray(w1, dtype=float)[None], np.asarray(w2, dtype=float)[None]
+    return _renormalize(_crossover(first, second, np.array([cut])))
 
 
 class TestCrossover:
     def test_identical_parents_fixed_point(self):
         w = np.array([0.25, 0.25, 0.5])
-        (c1, c2), zero = cross(w, w, cut=1)
-        assert not zero
+        c1, c2 = cross(w, w, cut=1)
         np.testing.assert_allclose(c1, w, atol=1e-15)
         np.testing.assert_allclose(c2, w, atol=1e-15)
 
     def test_hand_trace_and_guard(self):
-        # child1 = (1, 1) -> (0.5, 0.5); child2 = (0, 0) is flagged
-        _, zero = cross([1.0, 0.0], [0.0, 1.0], cut=1)
-        assert zero
-        (c1, c2), zero = cross([0.6, 0.4], [0.2, 0.8], cut=1)
-        assert not zero
+        # child1 = (1, 1) -> (0.5, 0.5); child2 = (0, 0) becomes equal weight
+        np.testing.assert_array_equal(cross([1.0, 0.0], [0.0, 1.0], cut=1), [[0.5, 0.5]] * 2)
+        c1, c2 = cross([0.6, 0.4], [0.2, 0.8], cut=1)
         np.testing.assert_allclose(c1, np.array([0.6, 0.8]) / 1.4, atol=1e-15)
         np.testing.assert_allclose(c2, np.array([0.2, 0.4]) / 0.6, atol=1e-15)
 
     @given(
-        raw1=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8),
-        raw2=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8),
+        raw1=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=8),
+        raw2=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=8),
         data=st.data(),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_children_on_simplex(self, raw1, raw2, data):
         size = min(len(raw1), len(raw2))
-        w1 = np.asarray(raw1[:size])
-        w2 = np.asarray(raw2[:size])
-        cut = data.draw(st.integers(1, size - 1))
-        children, zero = cross(w1, w2, cut)
-        if zero:
-            assert (children.sum(axis=1) == 0.0).any()
-            return
-        for child in children:
+        first, second = np.asarray(raw1[:size])[None], np.asarray(raw2[:size])[None]
+        cut = data.draw(st.integers(1, max(size - 1, 1)))
+        raw = _crossover(first, second, np.array([cut]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            children = _renormalize(raw)
+        for before, child in zip(raw, children):
+            if not before.any():
+                np.testing.assert_array_equal(child, np.full(size, 1.0 / size))
             assert child.sum() == pytest.approx(1.0, abs=1e-12)
             assert (child >= 0).all()
 
-    def test_zero_mass_pair_redraws_only_its_own_cut(self):
-        # Pair 0 has a zero-mass child only at cut 2, which seed 1 draws
-        # first; pairs 1 and 2 have no zero-mass child at any cut.
-        first = np.array([[1.0, 1.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]])
-        second = np.array([[0.0, 0.0, 1.0, 1.0], [0.25, 0.25, 0.25, 0.25], [0.3, 0.3, 0.2, 0.2]])
-        twin = np.random.default_rng(1)
-        cuts = twin.integers(1, 4, size=3)
-        redraw = twin.integers(1, 4, size=1)
-        assert cuts[0] == 2 and redraw[0] != 2
-        rng = np.random.default_rng(1)
-        children = _cross_continuous(first, second, rng)
-        expected, zero = _normalized_children(first, second, np.array([redraw[0], *cuts[1:]]))
-        assert not zero.any()
-        np.testing.assert_array_equal(children, expected.reshape(-1, 4))
-        assert rng.random() == twin.random()  # one redraw, of one cut
+    def test_generation_draws_one_cut_per_pair_and_nothing_else(self):
+        # pairing (1, 0, 0, 0) with (0, 0, 0, 1) leaves a zero-mass child at
+        # every cut; mutation writes zeros and draws no value of its own
+        population = np.tile([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]], (3, 1))
+        crossed = []
 
-    def test_pair_without_a_valid_cut_keeps_its_parents(self):
-        # every cut of pair 0 leaves its second child empty; pair 1 crosses once
-        first = np.array([[0.5, 0.0, 0.0], [0.2, 0.3, 0.5]])
-        second = np.array([[0.0, 0.0, 2.0], [0.3, 0.3, 0.4]])
-        cut = int(np.random.default_rng(4).integers(1, 3, size=2)[1])
-        children = _cross_continuous(first, second, np.random.default_rng(4))
-        np.testing.assert_array_equal(children[:2], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        np.testing.assert_array_equal(children[2:], cross(first[1], second[1], cut)[0])
+        def repair(children):
+            crossed.append(children.copy())
+            return _renormalize(children)
+
+        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+        best, _ = _evolve(
+            population,
+            lambda pop: np.zeros(len(pop)),
+            np.zeros,
+            repair,
+            (0.5, 0.0),
+            GaParams(generations=2),
+            rng,
+        )
+        twin.random(6)  # selection
+        twin.random(3)  # mutation firing
+        twin.integers(4, size=3)  # mutated genes
+        twin.integers(1, 4, size=3)  # cuts
+        assert rng.random() == twin.random()
+        assert (crossed[0].sum(axis=1) == 0.0).any()
+        assert best.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_one_asset_draws_no_cut_and_copies_its_parents(self):
+        first, second = np.array([[0.3], [0.0]]), np.array([[0.7], [0.0]])
+        rng, twin = np.random.default_rng(2), np.random.default_rng(2)
+        children = _crossover(first, second, _cuts(1, 2, rng))
+        np.testing.assert_array_equal(children, [[0.3], [0.7], [0.0], [0.0]])
+        assert rng.random() == twin.random()
+        np.testing.assert_array_equal(_renormalize(children), np.ones((4, 1)))
 
 
 def fired_share(binding: str, generation_j: int, generations: int, seed: int) -> float:
-    """Share of 20 000 rows whose genes one ``_mutate`` call changed."""
+    """Share of 20 000 rows whose genes one ``_mutate`` call changed at the
+    binding's rate for generation ``generation_j`` of ``generations``."""
     rng = np.random.default_rng(seed)
     if binding == "continuous":
-        genes, draw = np.full((20_000, 4), 0.25), _continuous_values(rng)
+        (base, ramp), genes = _CONTINUOUS_MUTATION, np.full((20_000, 4), 0.25)
+        draw = partial(rng.uniform, 0.0, 2.0)
     else:  # integer draws are at least 1, so a hit always changes a zero gene
-        genes, draw = np.zeros((20_000, 4), dtype=int), lambda count: rng.integers(1, 10, count)
+        (base, ramp), genes = _INTEGER_MUTATION, np.zeros((20_000, 4), dtype=int)
+        draw = partial(rng.integers, 1, 10)
     before = genes.copy()
-    _mutate(genes, generation_j, GaParams(generations=generations), binding, draw, rng)
+    _mutate(genes, base + (generation_j / generations) * ramp, draw, rng)
     return float((genes != before).any(axis=1).mean())
 
 
@@ -168,11 +183,21 @@ class TestMutation:
             share = fired_share(binding, 1, 10_000, seed=6)
             assert share == pytest.approx(rate, abs=0.02), binding
 
-    def test_stays_nonnegative(self, rng):
-        genes = np.full((500, 5), 0.2)
-        _mutate(genes, 10, GaParams(generations=10), "continuous", _continuous_values(rng), rng)
-        assert (genes != 0.2).any()
-        assert (genes >= 0).all()
+    def test_stays_nonnegative(self, rng, monkeypatch):
+        # the continuous binding's mutated genes take U(0, 2) values
+        written = []
+
+        def spy(genes, rate, draw_values, rng):
+            before = genes.copy()
+            _mutate(genes, rate, draw_values, rng)
+            written.append(genes[genes != before])
+            return genes
+
+        monkeypatch.setattr(ga_mod, "_mutate", spy)
+        ga_lambda_portfolio(random_model(rng, 5), 0.5, GaParams(generations=10, seed=1))
+        values = np.concatenate(written)
+        assert values.size
+        assert ((values >= 0.0) & (values <= 2.0)).all()
 
 
 class TestContinuousGa:
@@ -223,6 +248,28 @@ class TestContinuousGa:
         assert GaParams(population=44).population_for(95) == 44
         with pytest.raises(ValueError):
             GaParams(population=7)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"generations": 2.5},
+            {"generations": "3"},
+            {"generations": None},
+            {"population": 4.0},
+            {"seed": 1.0},
+            {"seed": None},
+            {"seed": -1},
+        ],
+    )
+    def test_params_refuse_what_a_run_cannot_use(self, kwargs):
+        with pytest.raises(ValueError):
+            GaParams(**kwargs)
+
+    def test_params_take_any_whole_numbers(self, rng):
+        # ga_frontier's child seeds are uint64 values up to 2**64 - 1
+        params = GaParams(generations=np.int64(3), population=np.int32(4), seed=2**64 - 1)
+        _, trace = ga_lambda_portfolio(random_model(rng, 3), 0.5, params)
+        assert len(trace.best_fitness_per_generation) == 3
 
 
 class TestRepair:
