@@ -9,8 +9,12 @@ Three variants, all long-only over the budget simplex:
 
 ``S`` is whichever risk matrix the :class:`~portopt.risk_models.RiskModel`
 carries, so the same code serves the variance and semivariance models.
-The tradeoff program feeds the solver ``2(1-l)S`` to fit its
-``0.5 x'Dx - d'x`` form.
+Every program built from a model hands the solver the same quadratic
+term ``2S`` (diagonal-shifted when S is not strictly positive definite),
+so a sweep over one model factors it once: for l < 1 the tradeoff
+program is divided by 1-l, min w'Sw - (l/(1-l)) mu'w, which has the same
+optimum.  At l = 1 the quadratic term vanishes and the solver gets the
+regularization shift alone.
 """
 
 from __future__ import annotations
@@ -91,6 +95,12 @@ def _shifted(dmat: np.ndarray, min_eigenvalue: float) -> np.ndarray:
     if min_eigenvalue > PD_EIGENVALUE_MIN:
         return dmat
     return dmat + REGULARIZATION * np.eye(dmat.shape[0])
+
+
+def _risk_term(model: RiskModel) -> np.ndarray:
+    """The quadratic term ``2S`` that every program of ``model`` hands the
+    solver (except the tradeoff at l = 1), so a sweep factors it once."""
+    return 2.0 * _shifted(model.sigma, model.min_eigenvalue)
 
 
 def _sparse_view(assets, weights: np.ndarray, report_threshold: float) -> dict[str, float]:
@@ -174,7 +184,7 @@ def markowitz_portfolio(
             b_ineq = np.concatenate([[target], b_ineq])
 
     qp = QuadraticProgram(
-        dmat=2.0 * _shifted(model.sigma, model.min_eigenvalue),
+        dmat=_risk_term(model),
         dvec=np.zeros(n),
         a_eq=a_eq,
         b_eq=b_eq,
@@ -189,16 +199,22 @@ def lambda_portfolio(
 ) -> Portfolio:
     """Tradeoff portfolio min (1-l) w'Sw - l mu'w over the simplex.
 
-    At l = 1 the quadratic term vanishes and the regularization shift
-    takes over, so the program stays strictly convex and resolves to the
-    highest-mean vertex.  ``near`` is as for :func:`markowitz_portfolio`.
+    For l < 1 the solver gets the program divided by 1-l, with
+    :func:`markowitz_portfolio`'s quadratic term.  At l = 1 the quadratic
+    term vanishes and the regularization shift takes over, so the program
+    stays strictly convex and resolves to the highest-mean vertex.
+    ``near`` is as for :func:`markowitz_portfolio`.
     """
     n = model.n_assets
     a_eq, b_eq, a_ineq, b_ineq = _simplex_constraints(n)
-    scale = 2.0 * (1.0 - params.lam)
+    lam = params.lam
+    if lam < 1.0:
+        dmat, dvec = _risk_term(model), lam / (1.0 - lam) * model.mu
+    else:
+        dmat, dvec = REGULARIZATION * np.eye(n), model.mu
     qp = QuadraticProgram(
-        dmat=_shifted(scale * model.sigma, scale * model.min_eigenvalue),
-        dvec=params.lam * model.mu,
+        dmat=dmat,
+        dvec=dvec,
         a_eq=a_eq,
         b_eq=b_eq,
         a_ineq=a_ineq,

@@ -41,6 +41,28 @@ def random_model(rng: np.random.Generator, n_assets: int, periods: int = 300) ->
     return build_risk_model(random_returns(rng, n_assets, periods))
 
 
+def scaled_kkt(qp, solution) -> float:
+    """Largest violation of the KKT conditions of ``solution``, each over its
+    own scale: stationarity over |D||x| + |d| + |A'||y|, each row's slack
+    over |a||x| + |b| + max|a| max|x|, and the inequality multipliers' sign
+    and complementarity over that gradient scale per largest row entry."""
+    x, y = solution.x, solution.multipliers
+    meq = qp.b_eq.shape[0]
+    a = np.vstack([qp.a_eq, qp.a_ineq])
+    b = np.concatenate([qp.b_eq, qp.b_ineq])
+    stat_scale = (np.abs(qp.dmat) @ np.abs(x) + np.abs(qp.dvec) + np.abs(a.T) @ np.abs(y)).max()
+    slack = a @ x - b
+    row_scale = np.abs(a) @ np.abs(x) + np.abs(b) + np.abs(a).max(axis=1) * np.abs(x).max()
+    y_scale = stat_scale / np.abs(a).max()
+    return max(
+        np.abs(qp.dmat @ x - qp.dvec - a.T @ y).max() / stat_scale,
+        (np.abs(slack[:meq]) / row_scale[:meq]).max(initial=0.0),
+        (-slack[meq:] / row_scale[meq:]).max(initial=0.0),
+        (-y[meq:] / y_scale).max(initial=0.0),
+        (np.abs(y[meq:] * slack[meq:]) / (y_scale * row_scale[meq:])).max(initial=0.0),
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(2024)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from portopt import optimizers
+from portopt import qp as qp_module
 from portopt.errors import AssetAlignmentError
 from portopt.frontier import (
     efficient_frontier,
@@ -22,7 +23,7 @@ from portopt.market_data import ReturnsMatrix
 from portopt.optimizers import ObjectiveParams, lambda_portfolio, markowitz_portfolio
 from portopt.risk_models import RiskKind, build_risk_model
 
-from conftest import random_model, random_returns, simplex_grid
+from conftest import random_model, random_returns, scaled_kkt, simplex_grid
 
 
 class TestEfficientFrontier:
@@ -318,6 +319,31 @@ class TestWarmSweeps:
             assert steps < sum(self.kept(*solve) for solve in warm)
 
     @pytest.mark.parametrize("kind", list(RiskKind))
+    def test_kept_factor_gives_the_bits_of_a_fresh_one(self, monkeypatch, kind):
+        # every point solved again with the solver's kept factor of the
+        # risk matrix cleared first returns the same bits
+        returns = random_returns(np.random.default_rng(4), 30, 250)
+        real = optimizers.solve_qp
+        log = []
+
+        def spy(qp, start=()):
+            log.append((qp, start, real(qp, start=start)))
+            return log[-1][2]
+
+        monkeypatch.setattr(qp_module, "_last_factor", None)
+        monkeypatch.setattr(optimizers, "solve_qp", spy)
+        for sweep in self.sweeps(returns, kind, 8):
+            sweep()
+        assert len(log) == 8 + 8 + 9
+        for qp, start, kept in log:
+            qp_module._last_factor = None
+            fresh = real(qp, start=start)
+            np.testing.assert_array_equal(kept.x, fresh.x)
+            np.testing.assert_array_equal(kept.multipliers, fresh.multipliers)
+            assert kept.active_set == fresh.active_set
+            assert kept.iterations == fresh.iterations
+
+    @pytest.mark.parametrize("kind", list(RiskKind))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_second_point_keeps_most_of_its_seed(self, monkeypatch, kind, seed):
         # The second point seeds the first one's ~N bounds, a few of them
@@ -350,28 +376,6 @@ class TestWarmSweeps:
             returns = returns_with_means(rng, means)
         for sweep in self.sweeps(returns, kind, 12):
             self.check(monkeypatch, sweep)
-
-
-def scaled_kkt(qp, solution) -> float:
-    """Largest violation of the KKT conditions of ``solution``, each over its
-    own scale: stationarity over |D||x| + |d| + |A'||y|, each row's slack
-    over |a||x| + |b| + max|a| max|x|, and the inequality multipliers' sign
-    and complementarity over that gradient scale per largest row entry."""
-    x, y = solution.x, solution.multipliers
-    meq = qp.b_eq.shape[0]
-    a = np.vstack([qp.a_eq, qp.a_ineq])
-    b = np.concatenate([qp.b_eq, qp.b_ineq])
-    stat_scale = (np.abs(qp.dmat) @ np.abs(x) + np.abs(qp.dvec) + np.abs(a.T) @ np.abs(y)).max()
-    slack = a @ x - b
-    row_scale = np.abs(a) @ np.abs(x) + np.abs(b) + np.abs(a).max(axis=1) * np.abs(x).max()
-    y_scale = stat_scale / np.abs(a).max()
-    return max(
-        np.abs(qp.dmat @ x - qp.dvec - a.T @ y).max() / stat_scale,
-        (np.abs(slack[:meq]) / row_scale[:meq]).max(initial=0.0),
-        (-slack[meq:] / row_scale[meq:]).max(initial=0.0),
-        (-y[meq:] / y_scale).max(initial=0.0),
-        (np.abs(y[meq:] * slack[meq:]) / (y_scale * row_scale[meq:])).max(initial=0.0),
-    )
 
 
 def degenerate_panel(rng, name: str) -> np.ndarray:

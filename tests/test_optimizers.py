@@ -17,9 +17,10 @@ from portopt.optimizers import (
     portfolio_from_weights,
     regularize,
 )
+from portopt.qp import QuadraticProgram, solve_qp
 from portopt.risk_models import RiskModel, build_risk_model
 
-from conftest import random_model, random_returns, simplex_grid
+from conftest import random_model, random_returns, scaled_kkt, simplex_grid
 
 
 class TestRegularize:
@@ -41,8 +42,8 @@ class TestRegularize:
 
 class TestProgramMatrix:
     """The programs test positive definiteness with the model's own
-    smallest eigenvalue: the same matrices as ``regularize`` gives, and no
-    eigenvalue computation per point."""
+    smallest eigenvalue, with no eigenvalue computation per point, and all
+    but the l = 1 tradeoff share one quadratic term, ``2 regularize(S)``."""
 
     @staticmethod
     def models(rng):
@@ -53,19 +54,58 @@ class TestProgramMatrix:
         )
         return [build_risk_model(returns), build_risk_model(duplicated)]
 
-    def test_same_matrices_as_regularize(self, rng, monkeypatch):
-        matrices = []
+    @staticmethod
+    def spied(monkeypatch) -> list:
+        """``(qp, solution)`` of every solve the optimizers make from now on."""
+        solves = []
         real = optimizers.solve_qp
-        monkeypatch.setattr(
-            optimizers, "solve_qp", lambda qp, start=(): matrices.append(qp.dmat) or real(qp)
-        )
+
+        def spy(qp, start=()):
+            solves.append((qp, real(qp, start=start)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(optimizers, "solve_qp", spy)
+        return solves
+
+    def test_one_quadratic_term_per_model(self, rng, monkeypatch):
+        solves = self.spied(monkeypatch)
         for model in self.models(rng):
+            shared = 2.0 * regularize(model.sigma)
             markowitz_portfolio(model)
-            np.testing.assert_array_equal(matrices.pop(), 2.0 * regularize(model.sigma))
-            for lam in (0.0, 0.3, 0.9, 1.0):
+            np.testing.assert_array_equal(solves.pop()[0].dmat, shared)
+            for lam in (0.0, 0.3, 0.9):
                 lambda_portfolio(model, ObjectiveParams(lam=lam))
-                expected = regularize(2.0 * (1.0 - lam) * model.sigma)
-                np.testing.assert_array_equal(matrices.pop(), expected)
+                np.testing.assert_array_equal(solves.pop()[0].dmat, shared)
+            lambda_portfolio(model, ObjectiveParams(lam=1.0))
+            np.testing.assert_array_equal(solves.pop()[0].dmat, regularize(0.0 * model.sigma))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tradeoff_matches_the_scaled_program(self, seed, monkeypatch):
+        # min (1-l) w'Sw - l mu'w in its unscaled form, D = regularize(2(1-l)S)
+        # and d = l mu, against the program lambda_portfolio solves.  On a
+        # positive definite model the optimum is the same to 1e-12; on the
+        # singular one the two programs carry different ridges, and the
+        # solve is certified by its own KKT conditions.
+        pd_model, duplicated = self.models(np.random.default_rng(seed))
+        solves = self.spied(monkeypatch)
+        n = pd_model.n_assets
+        for lam in [*np.round(np.linspace(0.1, 0.9, 9), 1), 1.0 - 1e-9]:
+            params = ObjectiveParams(lam=float(lam))
+            scale = 2.0 * (1.0 - lam)
+            scaled = QuadraticProgram(
+                dmat=regularize(scale * pd_model.sigma),
+                dvec=lam * pd_model.mu,
+                a_eq=np.ones((1, n)),
+                b_eq=np.ones(1),
+                a_ineq=np.eye(n),
+                b_ineq=np.zeros(n),
+            )
+            expected = np.maximum(solve_qp(scaled).x, 0.0)
+            np.testing.assert_allclose(
+                lambda_portfolio(pd_model, params).weights, expected, rtol=0.0, atol=1e-12
+            )
+            lambda_portfolio(duplicated, params)
+            assert scaled_kkt(*solves.pop()) <= 1e-8
 
     def test_no_eigenvalues_per_point(self, rng, monkeypatch):
         calls = []

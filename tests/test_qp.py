@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from portopt import qp as qp_module
 from portopt.errors import Infeasible, NumericalBreakdown
+from portopt.frontier import efficient_frontier
 from portopt.optimizers import regularize
 from portopt.qp import QuadraticProgram, solve_qp
-from portopt.risk_models import RiskKind, build_risk_model
+from portopt.risk_models import RiskKind, RiskModel, build_risk_model
 
-from conftest import random_returns, simplex_grid
+from conftest import random_model, random_returns, simplex_grid
 
 FEAS_TOL = 1e-8
 KKT_TOL = 1e-8
@@ -534,3 +537,129 @@ def test_seed_outside_the_program_rejected(start):
     qp = simplex_qp(np.eye(2))
     with pytest.raises(ValueError, match="start"):
         solve_qp(qp, start=start)
+
+
+@pytest.mark.parametrize(
+    ("upper", "lower", "symmetric"),
+    [
+        (np.nan, np.nan, False),
+        (np.nan, 0.0, False),
+        (np.inf, np.inf, True),
+        (-np.inf, -np.inf, True),
+        (np.inf, -np.inf, False),
+        (np.inf, 0.0, False),
+        (0.0, 1e-12, True),
+        (0.0, -1e-12, True),
+        (0.0, 1.0000001e-12, False),
+        (0.5, 0.5 + 1e-12, True),
+    ],
+)
+def test_symmetry_check_is_allclose(upper, lower, symmetric):
+    # the elementwise test in front of allclose changes no verdict
+    dmat = np.array([[1.0, upper], [lower, 1.0]])
+    assert np.allclose(dmat, dmat.T, rtol=0.0, atol=1e-12) == symmetric
+
+    def accepted(build) -> bool:
+        try:
+            build()
+        except ValueError as exc:
+            assert "symmetric" in str(exc)
+            return False
+        return True
+
+    assert accepted(lambda: QuadraticProgram(dmat=dmat, dvec=np.zeros(2))) == symmetric
+    if np.isfinite(dmat).all():
+        assert accepted(lambda: RiskModel(("A", "B"), np.zeros(2), dmat)) == symmetric
+
+
+class TestKeptFactor:
+    """The factor of the last quadratic term is kept for the next solve
+    with an equal D, and never answers for another one."""
+
+    @staticmethod
+    def assert_same_bits(first, second):
+        np.testing.assert_array_equal(first.x, second.x)
+        np.testing.assert_array_equal(first.multipliers, second.multipliers)
+        assert first.active_set == second.active_set
+        assert first.iterations == second.iterations
+
+    def test_mutated_dmat_is_factored_afresh(self, rng, monkeypatch):
+        # the entry holds a copy of D: a caller that changes its own array
+        # in place gets the answer for the new D
+        a = rng.normal(size=(8, 5))
+        dmat = a.T @ a / 8.0
+        qp = simplex_qp(dmat, rng.normal(size=5))
+        assert qp.dmat is dmat
+        first = solve_qp(qp)
+        dmat[:] = 4.0 * dmat + np.eye(5)
+        again = solve_qp(qp)
+        monkeypatch.setattr(qp_module, "_last_factor", None)
+        self.assert_same_bits(again, solve_qp(qp))
+        assert not np.array_equal(again.x, first.x)
+
+    def test_signed_zero_is_another_matrix(self, monkeypatch):
+        # an entry of -0.0 where the kept D has 0.0 can change the factor's
+        # bits, so the factor is computed again
+        monkeypatch.setattr(qp_module, "_last_factor", None)
+        calls = []
+        real = qp_module._inverse_cholesky
+        monkeypatch.setattr(
+            qp_module, "_inverse_cholesky", lambda dmat: calls.append(1) or real(dmat)
+        )
+        for off in (0.0, -0.0, -0.0):
+            solve_qp(simplex_qp(np.array([[2.0, off], [off, 1.0]])))
+        assert len(calls) == 2
+
+    def test_not_positive_definite_is_never_kept(self, rng):
+        a = rng.normal(size=(6, 3))
+        good = simplex_qp(a.T @ a / 6.0, rng.normal(size=3))
+        bad = simplex_qp(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        first = solve_qp(good)
+        for _ in range(2):
+            with pytest.raises(NumericalBreakdown):
+                solve_qp(bad)
+        np.testing.assert_array_equal(qp_module._last_factor[0], good.dmat)
+        self.assert_same_bits(first, solve_qp(good))
+
+    def test_threads_sharing_the_entry_get_their_own_answers(self, rng):
+        # two programs with different D solved from more threads than cores,
+        # switching often, so the entry can change between one thread's
+        # check and its use of it
+        programs = []
+        for _ in range(2):
+            a = rng.normal(size=(30, 12))
+            programs.append(simplex_qp(a.T @ a / 30.0, rng.normal(size=12)))
+        expected = [solve_qp(qp).x for qp in programs]
+        wrong = []
+
+        def work(offset):
+            for i in range(40):
+                k = (i + offset) % 2
+                if not np.array_equal(solve_qp(programs[k]).x, expected[k]):
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_one_factor_of_the_risk_matrix_per_frontier(self, rng, monkeypatch):
+        model = random_model(rng, 20)
+        monkeypatch.setattr(qp_module, "_last_factor", None)
+        shapes = []
+        real = qp_module._inverse_cholesky
+        monkeypatch.setattr(
+            qp_module, "_inverse_cholesky", lambda dmat: shapes.append(dmat.shape) or real(dmat)
+        )
+        efficient_frontier(model, 8)
+        # a working set's free block is smaller than D whenever it holds a
+        # bound, and the whole factor stands in for it otherwise
+        assert shapes.count((20, 20)) == 1
