@@ -129,11 +129,10 @@ class QuadraticProgram:
         dmat = np.asarray(self.dmat, dtype=float)
         if dmat.shape != (n, n):
             raise ValueError("dmat must be square and match dvec")
-        # the elementwise test settles the common case; allclose decides
-        # the rest (NaN and inf entries) as before
+        # allclose(rtol=0, atol=1e-12)'s verdict: equal infinities pass, NaN fails
         with np.errstate(invalid="ignore"):
-            symmetric = (np.abs(dmat - dmat.T) <= 1e-12).all()
-        if not (symmetric or np.allclose(dmat, dmat.T, rtol=0.0, atol=1e-12)):
+            symmetric = ((np.abs(dmat - dmat.T) <= 1e-12) | (dmat == dmat.T)).all()
+        if not symmetric:
             raise ValueError("dmat is not symmetric within 1e-12")
         a_eq = np.asarray(self.a_eq, dtype=float).reshape(-1, n)
         a_ineq = np.asarray(self.a_ineq, dtype=float).reshape(-1, n)

@@ -99,9 +99,7 @@ class RiskModel:
             raise ValueError("mu/sigma dimensions do not match the asset list")
         if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
             raise ValueError("mu and sigma must be finite")
-        # allclose only where the cheaper elementwise test fails
-        symmetric = (np.abs(sigma - sigma.T) <= 1e-12).all()
-        if not (symmetric or np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12)):
+        if not (np.abs(sigma - sigma.T) <= 1e-12).all():
             raise ValueError("risk matrix is not symmetric within 1e-12")
         diag = np.diag(sigma)
         if (diag < 0).any():

@@ -555,7 +555,7 @@ def test_seed_outside_the_program_rejected(start):
     ],
 )
 def test_symmetry_check_is_allclose(upper, lower, symmetric):
-    # the elementwise test in front of allclose changes no verdict
+    # the elementwise checks give np.allclose's verdict
     dmat = np.array([[1.0, upper], [lower, 1.0]])
     assert np.allclose(dmat, dmat.T, rtol=0.0, atol=1e-12) == symmetric
 
