@@ -13,6 +13,13 @@ period, giving the net per-period portfolio return
 
     R_p = sum(mu_i p_i n_i) / K  -  sum(Cs_i) / (K T)  +  residual * Rf / K.
 
+Every term is linear in the counts once the residual is written out as
+``K - sum(n_i p_i (1 + cb_i))``, so R_p is computed as one sum over a
+per-asset vector plus the risk-free rate:
+
+    R_p = sum(n_i c_i) + Rf,
+    c_i = (mu_i p_i - (p_i + T mu_i p_i) cs_i / T - p_i (1 + cb_i) Rf) / K.
+
 Risk keeps the usual quadratic form on the implied weights
 ``w_i = n_i p_i / K``, and the tradeoff objective
 
@@ -185,13 +192,14 @@ def net_portfolio_return(
     n: np.ndarray, model: RiskModel, params: MarketParams
 ) -> np.ndarray | float:
     """Expected per-period return net of amortized sell costs plus
-    risk-free income on the residual."""
-    n = np.asarray(n)
-    k, horizon = params.capital, params.horizon
-    gross = (n * model.mu * params.effective_prices).sum(axis=-1) / k
-    selling = sell_cost(n, model.mu, params).sum(axis=-1) / (k * horizon)
-    riskfree = residual_cash(n, params) * params.risk_free_rate / k
-    return gross - selling + riskfree
+    risk-free income on the residual, as ``sum(n_i c_i) + Rf``."""
+    rf = params.risk_free_rate
+    per_lot = (
+        model.mu * params.effective_prices
+        - sell_cost(1, model.mu, params) / params.horizon
+        - params.lot_cost * rf
+    )
+    return (np.asarray(n) * (per_lot / params.capital)).sum(axis=-1) + rf
 
 
 def portfolio_variance(n: np.ndarray, model: RiskModel, params: MarketParams):

@@ -129,11 +129,6 @@ class QuadraticProgram:
         dmat = np.asarray(self.dmat, dtype=float)
         if dmat.shape != (n, n):
             raise ValueError("dmat must be square and match dvec")
-        # allclose(rtol=0, atol=1e-12)'s verdict: equal infinities pass, NaN fails
-        with np.errstate(invalid="ignore"):
-            symmetric = ((np.abs(dmat - dmat.T) <= 1e-12) | (dmat == dmat.T)).all()
-        if not symmetric:
-            raise ValueError("dmat is not symmetric within 1e-12")
         a_eq = np.asarray(self.a_eq, dtype=float).reshape(-1, n)
         a_ineq = np.asarray(self.a_ineq, dtype=float).reshape(-1, n)
         b_eq = np.asarray(self.b_eq, dtype=float).reshape(-1)
@@ -146,6 +141,12 @@ class QuadraticProgram:
         object.__setattr__(self, "b_eq", b_eq)
         object.__setattr__(self, "a_ineq", a_ineq)
         object.__setattr__(self, "b_ineq", b_ineq)
+        for name in ("dmat", "dvec", "a_eq", "b_eq", "a_ineq", "b_ineq"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        # on finite data this is allclose(rtol=0, atol=1e-12)'s verdict
+        if not (np.abs(dmat - dmat.T) <= 1e-12).all():
+            raise ValueError("dmat is not symmetric within 1e-12")
 
     @property
     def n(self) -> int:

@@ -284,6 +284,38 @@ def test_population_call_matches_rows_bitwise(function, n_assets):
         assert all(isinstance(value, float) for value in rows)
 
 
+@given(data=st.data(), n_assets=st.integers(1, 6), rows=st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_net_return_is_the_three_term_formula(data, n_assets, rows):
+    def per_asset(elements):
+        return data.draw(st.lists(elements, min_size=n_assets, max_size=n_assets))
+
+    model = RiskModel(
+        assets=tuple(f"A{i}" for i in range(n_assets)),
+        mu=per_asset(st.floats(-0.01, 0.01)),
+        sigma=np.eye(n_assets) * 1e-4,
+    )
+    # capital affords the dearest possible lot: 100 shares at 1e3 plus 20%
+    params = MarketParams(
+        capital=data.draw(st.floats(2e5, 1e7)),
+        prices=per_asset(st.floats(0.01, 1e3)),
+        buy_cost_rates=per_asset(st.floats(0.0, 0.2)),
+        sell_cost_rates=per_asset(st.floats(0.0, 0.2)),
+        risk_free_rate=data.draw(st.floats(0.0, 1e-3)),
+        horizon=data.draw(st.integers(1, 1000)),
+        lot_sizes=per_asset(st.integers(1, 100)),
+    )
+    n = np.array([per_asset(st.integers(0, 1000)) for _ in range(rows)])
+    k, horizon, rf = params.capital, params.horizon, params.risk_free_rate
+    earned = n * model.mu * params.effective_prices
+    selling = sell_cost(n, model.mu, params).sum(axis=-1) / (k * horizon)
+    three_terms = earned.sum(axis=-1) / k - selling + residual_cash(n, params) * rf / k
+    # relative to the terms' magnitudes, since R_p itself may cancel to 0
+    outlay = (n * params.lot_cost).sum(axis=-1)
+    scale = np.abs(earned).sum(axis=-1) / k + selling + rf * (k + outlay) / k
+    assert (np.abs(net_portfolio_return(n, model, params) - three_terms) <= 1e-14 * scale).all()
+
+
 @given(
     counts=st.lists(st.integers(0, 50), min_size=2, max_size=5),
     rate=st.floats(0.0, 0.2),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import sys
 import threading
@@ -555,7 +556,8 @@ def test_seed_outside_the_program_rejected(start):
     ],
 )
 def test_symmetry_check_is_allclose(upper, lower, symmetric):
-    # the elementwise checks give np.allclose's verdict
+    # the elementwise checks give np.allclose's verdict on finite data; a
+    # program with a NaN or an infinity is refused before the check
     dmat = np.array([[1.0, upper], [lower, 1.0]])
     assert np.allclose(dmat, dmat.T, rtol=0.0, atol=1e-12) == symmetric
 
@@ -567,9 +569,24 @@ def test_symmetry_check_is_allclose(upper, lower, symmetric):
             return False
         return True
 
-    assert accepted(lambda: QuadraticProgram(dmat=dmat, dvec=np.zeros(2))) == symmetric
     if np.isfinite(dmat).all():
+        assert accepted(lambda: QuadraticProgram(dmat=dmat, dvec=np.zeros(2))) == symmetric
         assert accepted(lambda: RiskModel(("A", "B"), np.zeros(2), dmat)) == symmetric
+    else:
+        with pytest.raises(ValueError, match="dmat must be finite"):
+            QuadraticProgram(dmat=dmat, dvec=np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    ("field", "entry", "value"),
+    [("dmat", (0, 0), np.inf), ("dvec", (1,), np.nan), ("b_ineq", (0,), np.inf)],
+)
+def test_non_finite_program_data_rejected(field, entry, value):
+    # refused when the program is built, so solve_qp never sees it
+    data = dataclasses.asdict(simplex_qp(np.eye(2), np.ones(2)))
+    data[field][entry] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        QuadraticProgram(**data)
 
 
 class TestKeptFactor:
