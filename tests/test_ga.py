@@ -557,6 +557,33 @@ class TestSeededPins:
             4.6703220117169625e-05, rel=1e-12
         )
 
+    def test_integer_bench_scale(self, rng):
+        """The benchmark's integer case: 100 assets, 1% costs, lots of
+        1/10/100 and a 7% risk-free rate, 50 generations."""
+        model = random_model(rng, 100, 500)
+        market = MarketParams(
+            capital=1_000_000.0,
+            prices=rng.uniform(10.0, 100.0, 100),
+            buy_cost_rates=0.01,
+            sell_cost_rates=0.01,
+            risk_free_rate=0.07 / 251,
+            horizon=251,
+            lot_sizes=rng.choice([1, 10, 100], 100),
+        )
+        solution, trace = ga_lambda_n_portfolio(
+            model, 0.01, GaParams(generations=50, seed=1), market
+        )
+        held = {4: 2533, 24: 1071, 29: 644, 40: 1612, 51: 1597, 52: 177, 58: 346,
+                61: 117, 68: 11, 78: 1, 79: 153, 89: 72, 90: 18}
+        shares = np.zeros(100, dtype=int)
+        shares[list(held)] = list(held.values())
+        np.testing.assert_array_equal(solution.shares, shares)
+        assert solution.residual == pytest.approx(295.7853253456997, rel=1e-12)
+        assert len(trace.best_fitness_per_generation) == 50
+        assert trace.best_fitness_per_generation[-1] == pytest.approx(
+            1.3361609001518958e-05, rel=1e-12
+        )
+
     def test_continuous_random_model(self, rng):
         model = random_model(rng, 8)
         _, trace = ga_lambda_portfolio(model, 0.05, GaParams(generations=120, seed=8))

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from portopt.ga import repair_integer
@@ -284,11 +284,14 @@ def test_population_call_matches_rows_bitwise(function, n_assets):
         assert all(isinstance(value, float) for value in rows)
 
 
-@given(data=st.data(), n_assets=st.integers(1, 6), rows=st.integers(1, 4))
-@settings(max_examples=200, deadline=None)
-def test_net_return_is_the_three_term_formula(data, n_assets, rows):
+@st.composite
+def _net_return_cases(draw):
+    """A model, a market whose capital affords every drawn lot, and 1-4
+    rows of counts."""
+    n_assets = draw(st.integers(1, 6))
+
     def per_asset(elements):
-        return data.draw(st.lists(elements, min_size=n_assets, max_size=n_assets))
+        return draw(st.lists(elements, min_size=n_assets, max_size=n_assets))
 
     model = RiskModel(
         assets=tuple(f"A{i}" for i in range(n_assets)),
@@ -297,23 +300,46 @@ def test_net_return_is_the_three_term_formula(data, n_assets, rows):
     )
     # capital affords the dearest possible lot: 100 shares at 1e3 plus 20%
     params = MarketParams(
-        capital=data.draw(st.floats(2e5, 1e7)),
+        capital=draw(st.floats(2e5, 1e7)),
         prices=per_asset(st.floats(0.01, 1e3)),
         buy_cost_rates=per_asset(st.floats(0.0, 0.2)),
         sell_cost_rates=per_asset(st.floats(0.0, 0.2)),
-        risk_free_rate=data.draw(st.floats(0.0, 1e-3)),
-        horizon=data.draw(st.integers(1, 1000)),
+        risk_free_rate=draw(st.floats(0.0, 1e-3)),
+        horizon=draw(st.integers(1, 1000)),
         lot_sizes=per_asset(st.integers(1, 100)),
     )
-    n = np.array([per_asset(st.integers(0, 1000)) for _ in range(rows)])
+    n = np.array([per_asset(st.integers(0, 1000)) for _ in range(draw(st.integers(1, 4)))])
+    return model, params, n
+
+
+@given(case=_net_return_cases())
+# a subnormal sell rate: the two sums differ by one subnormal spacing, 5e-324
+@example(
+    case=(
+        RiskModel(assets=("A0", "A1"), mu=np.zeros(2), sigma=np.eye(2) * 1e-4),
+        MarketParams(
+            capital=2e5,
+            prices=[1.0, 1.0],
+            sell_cost_rates=[0.0, 1.1125369292536007e-308],
+            horizon=1,
+        ),
+        np.array([[0, 2]]),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_net_return_is_the_three_term_formula(case):
+    model, params, n = case
     k, horizon, rf = params.capital, params.horizon, params.risk_free_rate
     earned = n * model.mu * params.effective_prices
     selling = sell_cost(n, model.mu, params).sum(axis=-1) / (k * horizon)
     three_terms = earned.sum(axis=-1) / k - selling + residual_cash(n, params) * rf / k
-    # relative to the terms' magnitudes, since R_p itself may cancel to 0
+    # relative to the terms' magnitudes, since R_p itself may cancel to 0;
+    # the floor of a few subnormal spacings keeps a subnormal scale's bound
+    # from underflowing to 0
     outlay = (n * params.lot_cost).sum(axis=-1)
     scale = np.abs(earned).sum(axis=-1) / k + selling + rf * (k + outlay) / k
-    assert (np.abs(net_portfolio_return(n, model, params) - three_terms) <= 1e-14 * scale).all()
+    bound = 1e-14 * scale + 4 * np.finfo(float).smallest_subnormal
+    assert (np.abs(net_portfolio_return(n, model, params) - three_terms) <= bound).all()
 
 
 @given(
