@@ -18,6 +18,13 @@ whole population: every operator acts on all pairs at once.  A binding
 supplies only its initial population, fitness, mutated-gene values and
 repair.
 
+The integer binding carries its counts as float64 whole numbers, so no
+product with a price vector first casts the population; below 2**53 the
+values and every product's bits are those of int counts.  The initial
+draws bound each purchase by a running cash balance, and
+``market.residual_cash`` alone decides which rows are over budget and
+go to ``repair_integer``.  ``market.evaluate`` returns int shares.
+
 Reproducibility: one seeded generator drives each run and draws in a
 fixed order per generation: selection uniforms for the whole population;
 one mutation-firing uniform per pair; one mutated gene per pair; one
@@ -217,18 +224,23 @@ def repair_integer(n_raw: np.ndarray, params: MarketParams) -> np.ndarray:
     not positive, and a rounding guard then takes lots back, largest
     proportion first (ties by ascending index), until the residual is
     nonnegative.
+
+    The work is done in float64; whole numbers below 2**53 convert
+    exactly, so float counts and int counts give the same values.  The
+    result follows the input's kind: float counts (as the GA carries
+    them) come back float64, anything else int64.
     """
-    n_raw = np.asarray(n_raw, dtype=int)
+    n_raw = np.asarray(n_raw)
     value = params.effective_prices * n_raw.reshape(-1, n_raw.shape[-1])
     total = value.sum(axis=-1, keepdims=True)
     props = np.divide(value, total, out=np.zeros_like(value), where=total > 0.0)
-    out = np.where(props > 0.0, _floor_divide(props * params.capital, params.lot_cost), 0)
-    out = out.astype(int)
+    out = np.where(props > 0.0, _floor_divide(props * params.capital, params.lot_cost), 0.0)
     for row in np.flatnonzero(mkt.residual_cash(out, params) < 0.0):
         order = np.argsort(-props[row], kind="stable")
         while mkt.residual_cash(out[row], params) < 0.0:
             out[row, order[out[row, order] > 0][0]] -= 1
-    return out.reshape(n_raw.shape)
+    out = out.reshape(n_raw.shape)
+    return out if np.issubdtype(n_raw.dtype, np.floating) else out.astype(np.int64)
 
 
 def _floor_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -252,16 +264,20 @@ def _initial_integer_population(
 ) -> np.ndarray:
     """Each individual visits the assets in its own random order and buys
     U{0..capacity} lots of each, capacity being what its remaining cash
-    affords."""
+    affords.  The remaining cash is a running balance, each draw's cost
+    taken off it; it only bounds the draws, and ``residual_cash`` then
+    picks the rows that go over budget for repair.  Counts are float64
+    whole numbers."""
     n = params.n_assets
-    counts = np.zeros((pop, n), dtype=int)
+    counts = np.zeros((pop, n))
     individuals = np.arange(pop)
     remaining = np.full(pop, float(params.capital))
     for assets in rng.permuted(np.tile(np.arange(n), (pop, 1)), axis=1).T:
-        capacity = np.maximum(remaining // params.lot_cost[assets], 0.0).astype(int)
-        counts[individuals, assets] = rng.integers(0, capacity + 1)
-        remaining = mkt.residual_cash(counts, params)
-    over = remaining < 0.0
+        cost = params.lot_cost[assets]
+        bought = rng.integers(0, np.maximum(remaining // cost, 0.0).astype(int) + 1)
+        counts[individuals, assets] = bought
+        remaining = remaining - bought * cost
+    over = mkt.residual_cash(counts, params) < 0.0
     counts[over] = repair_integer(counts[over], params)
     return counts
 

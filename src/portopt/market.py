@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,14 +61,18 @@ def _float_scalar(value, name: str) -> float:
     return float(arr)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def _per_asset(value, n: int, name: str, whole: bool = False) -> np.ndarray:
     arr = _whole(value, name) if whole else _floats(value, name)
     if arr.ndim == 0:
         arr = np.full(n, arr)
     if arr.shape != (n,):
         raise ValueError(f"{name} must be a scalar or a length-{n} vector")
-    arr.setflags(write=False)
-    return arr
+    return _read_only(arr)
 
 
 @dataclass(frozen=True)
@@ -86,9 +91,8 @@ class MarketParams:
     lot_sizes: np.ndarray | int = 1
 
     def __post_init__(self):
-        prices = _floats(self.prices, "prices")
+        prices = _read_only(_floats(self.prices, "prices"))
         n = prices.shape[0]
-        prices.setflags(write=False)
         object.__setattr__(self, "prices", prices)
         for name in ("capital", "risk_free_rate"):
             object.__setattr__(self, name, _float_scalar(getattr(self, name), name))
@@ -128,15 +132,17 @@ class MarketParams:
     def n_assets(self) -> int:
         return self.prices.shape[0]
 
-    @property
+    @cached_property
     def effective_prices(self) -> np.ndarray:
-        """Per-lot prices: the per-share price times the lot size."""
-        return self.prices * self.lot_sizes
+        """Per-lot prices: the per-share price times the lot size; computed
+        on first use and kept read-only."""
+        return _read_only(self.prices * self.lot_sizes)
 
-    @property
+    @cached_property
     def lot_cost(self) -> np.ndarray:
-        """Cash one lot takes: its per-lot price plus the buy cost on it."""
-        return self.effective_prices * (1.0 + self.buy_cost_rates)
+        """Cash one lot takes: its per-lot price plus the buy cost on it;
+        computed on first use and kept read-only."""
+        return _read_only(self.effective_prices * (1.0 + self.buy_cost_rates))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from portopt.ga import (
     _cuts,
     _evolve,
     _floor_divide,
+    _initial_integer_population,
     _mutate,
     _renormalize,
     _roulette_indices,
@@ -370,6 +371,63 @@ class TestRepair:
         repaired = repair_integer(np.array([5]), params)
         assert residual_cash(repaired, params) >= 0.0
         assert evaluate(repaired, ONE_ASSET, params, lam=1.0).residual >= 0.0
+
+    @pytest.mark.parametrize(
+        "params, five_of_the_first",
+        [
+            # the guard takes one of the 393 lots back, as above
+            (MarketParams(capital=51.09, prices=np.array([0.10, 5.0]), buy_cost_rates=0.3), 392),
+            (
+                MarketParams(
+                    capital=1e5,
+                    prices=np.linspace(1.0, 100.0, 8),
+                    buy_cost_rates=0.02,
+                    lot_sizes=np.array([1, 10, 100, 1, 10, 100, 1, 10]),
+                ),
+                98_039,
+            ),
+        ],
+    )
+    def test_float_counts_repair_like_int_counts(self, params, five_of_the_first):
+        counts = np.random.default_rng(7).integers(0, 2000, size=(40, params.n_assets))
+        counts[:3] = 0
+        counts[2, 0] = 5
+        from_int = repair_integer(counts, params)
+        from_float = repair_integer(counts.astype(float), params)
+        assert from_int.dtype == np.int64 and from_float.dtype == np.float64
+        np.testing.assert_array_equal(from_float, from_int)
+        assert from_float[2, 0] == five_of_the_first
+        assert repair_integer(counts[2].tolist(), params).dtype == np.int64
+
+
+class TestInitialPopulation:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        capital=st.floats(1.0, 1e6),
+        rate=st.floats(0.0, 0.3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_row_within_budget(self, seed, capital, rate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # tiny-capital warning is fine here
+            params = MarketParams(
+                capital=capital,
+                prices=np.linspace(0.1, 40.0, 6),
+                buy_cost_rates=rate,
+                lot_sizes=np.array([1, 10, 1, 100, 1, 3]),
+            )
+        counts = _initial_integer_population(20, params, np.random.default_rng(seed))
+        assert counts.dtype == np.float64
+        assert (counts >= 0).all() and (counts == np.floor(counts)).all()
+        assert (residual_cash(counts, params) >= 0.0).all()
+
+    def test_residual_cash_judges_the_running_balance(self):
+        # 393 lots of 0.10 * 1.3 are one ulp over 51.09 in residual_cash's
+        # order; rows that draw them are repaired whatever the balance says
+        params = MarketParams(capital=51.09, prices=np.array([0.10]), buy_cost_rates=0.3)
+        counts = _initial_integer_population(2000, params, np.random.default_rng(0))
+        assert counts.max() == 392.0
+        assert (residual_cash(counts, params) >= 0.0).all()
 
 
 class TestIntegerGa:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -170,6 +171,34 @@ class TestLots:
         n = np.array([3, 2, 10])
         assert fitness(n, model3, lots, 0.5) == fitness(n, model3, scaled, 0.5)
         assert residual_cash(n, lots) == residual_cash(n, scaled)
+
+    def test_market_vectors_are_computed_once_and_read_only(self):
+        params = MarketParams(
+            capital=10_000.0,
+            prices=np.array([10.0, 5.0, 2.5]),
+            buy_cost_rates=np.array([0.01, 0.0, 0.2]),
+            lot_sizes=np.array([1, 10, 100]),
+        )
+        effective = params.prices * params.lot_sizes
+        fresh = {"effective_prices": effective, "lot_cost": effective * (1.0 + params.buy_cost_rates)}
+        for name, expected in fresh.items():
+            vector = getattr(params, name)
+            np.testing.assert_array_equal(vector, expected)
+            assert getattr(params, name) is vector
+            with pytest.raises(ValueError, match="read-only"):
+                vector[0] = 1.0
+
+    def test_market_vectors_are_not_fields(self):
+        # the CLI's market block takes exactly the dataclass fields
+        assert [field.name for field in dataclasses.fields(MarketParams)] == [
+            "capital",
+            "prices",
+            "buy_cost_rates",
+            "sell_cost_rates",
+            "risk_free_rate",
+            "horizon",
+            "lot_sizes",
+        ]
 
     def test_capital_warning(self):
         with pytest.warns(UserWarning) as record:
