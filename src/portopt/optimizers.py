@@ -139,9 +139,9 @@ def _simplex_constraints(n: int):
 def _solve(model: RiskModel, qp: QuadraticProgram, near: Portfolio | None) -> Portfolio:
     """Solve ``qp`` (budget equality first, the n bounds last) and report it.
 
-    With ``near``, a solution of a neighbouring program, the solver starts
-    from the bounds of the assets ``near`` leaves out plus every inequality
-    that is not a bound (the return constraint).
+    With ``near``, the solver starts from the bounds of the assets ``near``
+    leaves out plus every inequality that is not a bound (the return
+    constraint); only the zero pattern of its weights is read.
     """
     start = ()
     if near is not None:
@@ -160,10 +160,11 @@ def markowitz_portfolio(
 
     Without a target this is the global minimum-risk portfolio.  With one,
     the return constraint is ``mu'w >= beta`` by default and an equality
-    when ``pin_return_equality`` is set.  ``near``, the portfolio of a
-    neighbouring program (the previous point of a sweep), only speeds the
-    solve up: the solver starts from its zero weights, and the answer is
-    the program's unique optimum either way.
+    when ``pin_return_equality`` is set.  ``near``, a portfolio of a
+    neighbouring program, or one whose zero weights are the bounds of a
+    sweep point's segment of the critical line, only speeds the solve up:
+    the solver starts from its zero weights, and the answer is the
+    program's unique optimum either way.
     """
     params = params or ObjectiveParams()
     n = model.n_assets

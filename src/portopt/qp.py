@@ -36,8 +36,8 @@ opposed inequalities can when drift leaves its active twin ~1e-11 off:
 then it is set aside until the next drop.
 
 One pass builds the factors of a whole working set at once: a seed of
-rows expected to be active (such as the previous point's working set in
-a frontier sweep, where neighbouring programs differ by a few assets),
+rows expected to be active (such as the bounds that a frontier point's
+segment of the critical line holds, see :mod:`portopt.critical_line`),
 each guess of a cold start, and the final working set.  Bounds (rows
 with one nonzero) need no reflection: with Z the bounded and F the free
 variables and D_FF = CC', J2 is C^-1 in the free columns, and N*'s bound
@@ -69,11 +69,13 @@ The loop's x drifts over many small steps, so the answer is taken from the
 final working set factored afresh in sorted order, plus one refinement
 step on its rows (unless that point fails the polish's feasibility guard);
 it depends only on the program and that set, and a seeded solve that ends
-on the cold solve's working set returns the same bits.
+on the cold solve's working set returns the same bits.  A seed or guess
+that needs no drop and no step is already that factorization (the pass
+orders a set's rows by itself), so it is not factored twice.
 
 Everything is plain deterministic linear algebra: the same program solved
-twice, with the same BLAS build and thread count, yields bit-identical
-results.  Tie-breaks pick the lowest constraint index.
+twice, with the same BLAS build, CPU kernel and thread count, yields
+bit-identical results.  Tie-breaks pick the lowest constraint index.
 """
 
 from __future__ import annotations
@@ -232,6 +234,7 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     # seeded or guessed inequalities with u < 0 leave one at a time, most
     # negative first
     while (dual := np.where(is_eq[active[:q]], 0.0, u[:q])).min(initial=0.0) < 0.0:
+        state = None
         k = int(np.argmin(dual))
         _drop(jt, nstar, q, k, qp.dmat)
         active[k : q - 1] = active[k + 1 : q]
@@ -258,6 +261,7 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
         s_p = sign * slack[p]  # negative while violated
         u_plus = 0.0
 
+        state = None
         while True:
             iterations += 1
             if iterations > max_iter:
@@ -307,7 +311,9 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     working = np.sort(active[:q])
     multipliers = np.zeros(m)
     multipliers[active[:q]] = signs[:q] * u[:q]
-    x, multipliers = _polish(qp, a_all, b_all, is_eq, working, cap, dnorm2, whole, x, multipliers)
+    # a start that neither dropped nor stepped is the final set's factors
+    final = state or _factor(qp, a_all, b_all, working, cap, dnorm2, whole)
+    x, multipliers = _polish(qp, a_all, b_all, is_eq, final, x, multipliers)
 
     objective = 0.5 * float(x @ qp.dmat @ x) - float(qp.dvec @ x)
     return QpSolution(
@@ -485,18 +491,20 @@ def _drop(jt, nstar, q, k, dmat):
     nstar[k : q - 1] = nstar[k + 1 : q]
 
 
-def _polish(qp, a_all, b_all, is_eq, rows, cap, dnorm2, whole, x, multipliers):
+def _polish(qp, a_all, b_all, is_eq, state, x, multipliers):
     """Re-solve the working-set KKT system from the original data.
 
     The iteration accumulates x through many small steps; on badly scaled
     programs (for example a 1e-11 ridge standing in for a vanished
     quadratic term) that drift can reach the 1e-6 scale.  One direct
-    solve on the converged working set removes it: ``rows``, sorted, are
-    factored afresh by :func:`_factor`.  The polished point is kept only
-    if it stays feasible for every row the factors left out and its
-    inequality multipliers stay nonnegative.
+    solve on the converged working set removes it: ``state`` is that set,
+    sorted, factored afresh by :func:`_factor` (or the start's own factors
+    when the solve neither dropped nor stepped: :func:`_factor` orders a
+    set's rows by itself, so they are the same bits).  The polished point
+    is kept only if it stays feasible for every row the factors left out
+    and its inequality multipliers stay nonnegative.
     """
-    q, active, u, _, nstar, x_new = _factor(qp, a_all, b_all, rows, cap, dnorm2, whole)
+    q, active, u, _, nstar, x_new = state
     # One refinement step on the working-set rows: the factors alone leave
     # the budget and return rows off by up to ~1e-14.
     x_new = x_new + nstar[:q].T @ (b_all[active[:q]] - a_all[active[:q]] @ x_new)

@@ -1,0 +1,247 @@
+"""The critical-line pass that seeds the frontier sweeps."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from portopt import critical_line as cl
+from portopt import frontier, optimizers
+from portopt.frontier import efficient_frontier, frontier_fit, lambda_frontier
+from portopt.market_data import ReturnsMatrix
+from portopt.optimizers import _risk_term, markowitz_portfolio
+from portopt.risk_models import RiskKind, RiskModel, build_risk_model
+
+from conftest import random_returns, scaled_kkt
+from test_frontier import degenerate_panel, keeps_its_seed, returns_with_means
+
+
+@pytest.fixture
+def traces(monkeypatch):
+    """The ``(dmat, mu)`` of every pass traced, from an empty kept pass."""
+    log = []
+    real = cl._trace
+
+    def spy(dmat, mu):
+        log.append((dmat, mu))
+        return real(dmat, mu)
+
+    monkeypatch.setattr(cl, "_last_line", None)
+    monkeypatch.setattr(cl, "_trace", spy)
+    return log
+
+
+def sweep_solves(monkeypatch, model, returns, n_points=8) -> list:
+    """``(seed, qp, solution)`` of every solve of the model's three sweeps."""
+    real = optimizers.solve_qp
+    log = []
+
+    def spy(qp, start=()):
+        log.append((np.asarray(start, dtype=int), qp, real(qp, start=start)))
+        return log[-1][2]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizers, "solve_qp", spy)
+        efficient_frontier(model, n_points)
+        lambda_frontier(model, n_points)
+        frontier_fit(model, returns, n_points)
+    return log
+
+
+def with_means(kind, means, seed=7):
+    """A model on random returns, with exactly ``means`` as its mean vector."""
+    returns = random_returns(np.random.default_rng(seed), len(means), 250)
+    base = build_risk_model(returns, kind=kind)
+    model = RiskModel(base.assets, np.array(means, dtype=float), base.sigma, kind=kind)
+    return model, returns
+
+
+def line_of(model):
+    return cl._trace(_risk_term(model), model.mu)
+
+
+def check_cold_bits(monkeypatch, model, returns):
+    """Every seeded solve of the sweeps has the cold solve's bits and meets
+    its KKT conditions; returns the solves."""
+    solves = sweep_solves(monkeypatch, model, returns)
+    for _, qp, solution in solves:
+        cold = optimizers.solve_qp(qp)
+        np.testing.assert_array_equal(solution.x, cold.x)
+        assert scaled_kkt(qp, solution) <= 1e-8
+    return solves
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+def test_one_pass_per_model(traces, kind):
+    returns = random_returns(np.random.default_rng(5), 30, 250)
+    model = build_risk_model(returns, kind=kind)
+    efficient_frontier(model, 6)
+    lambda_frontier(model, 6)
+    frontier_fit(model, returns, 6)
+    assert len(traces) == 1
+    # one ulp off in a mean, then in a symmetric pair of risk entries
+    mu = model.mu.copy()
+    mu[3] = np.nextafter(mu[3], 1.0)
+    sigma = model.sigma.copy()
+    sigma[1, 2] = sigma[2, 1] = np.nextafter(sigma[1, 2], 1.0)
+    other_mu = RiskModel(model.assets, mu, model.sigma, kind=kind)
+    other_sigma = RiskModel(model.assets, model.mu, sigma, kind=kind)
+    for other in (other_mu, other_sigma):
+        efficient_frontier(other, 6)
+        lambda_frontier(other, 6)
+    assert len(traces) == 3
+    np.testing.assert_array_equal(traces[1][1], mu)
+    np.testing.assert_array_equal(traces[2][0], _risk_term(other_sigma))
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+def test_segments_are_the_optimal_free_sets(kind):
+    # the cold optimum pinned at the return halfway down a segment holds
+    # exactly the segment's free set, on both branches of the line
+    model = build_risk_model(random_returns(np.random.default_rng(6), 20, 250), kind=kind)
+    line = line_of(model)
+    assert line.t_low[-1] == line.return_low[-1] == -np.inf
+    assert (np.diff(line.t_low) <= 0.0).all() and (np.diff(line.return_low) <= 0.0).all()
+    assert line.t_low[0] > 0.0 > line.t_low[-2]
+    for high, low, free in zip(line.return_low, line.return_low[1:-1], line.free[1:-1]):
+        middle = (high + low) / 2.0
+        params = optimizers.ObjectiveParams(target_return=middle, pin_return_equality=True)
+        weights = markowitz_portfolio(model, params).weights
+        np.testing.assert_array_equal(np.flatnonzero(weights), np.sort(free))
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+def test_tie_at_the_highest_mean(monkeypatch, kind):
+    # The line starts from the tied assets' own minimum-risk portfolio,
+    # and every point still takes no step.
+    means = [0.002, 0.001, 0.002, 0.0005, 0.002, 0.0007]
+    model, returns = with_means(kind, means)
+    top = [0, 2, 4]
+    assets = tuple(model.assets[i] for i in top)
+    tied = RiskModel(assets, model.mu[top], model.sigma[np.ix_(top, top)])
+    held = np.array(top)[markowitz_portfolio(tied).weights > 0.0]
+    np.testing.assert_array_equal(np.sort(line_of(model).free[0]), held)
+    for _, _, solution in check_cold_bits(monkeypatch, model, returns):
+        assert solution.iterations == 0
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+def test_near_tie_at_the_lowest_mean(monkeypatch, kind):
+    # Two means equal but for roundoff: the pass's last corner falls at
+    # |t| ~ 1e13, where mu_F'alpha + t mu_F'beta is noise times t.  The
+    # corner returns still fall, so the lowest target finds its segment.
+    means = [0.0004, 0.0004, 0.0011, 0.0011, 0.002]
+    returns = returns_with_means(np.random.default_rng(7), means)
+    model = build_risk_model(returns, kind=kind)
+    assert abs(line_of(model).t_low[-2]) > 1e12
+    for _, _, solution in check_cold_bits(monkeypatch, model, returns):
+        assert solution.iterations == 0
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+def test_all_equal_means_are_one_segment(monkeypatch, kind):
+    # every portfolio has the same return, so the line is one point: the
+    # minimum-risk portfolio, from t = +inf to -inf
+    model, returns = with_means(kind, [0.0011] * 6)
+    line = line_of(model)
+    np.testing.assert_array_equal(line.t_low, [-np.inf])
+    held = np.flatnonzero(markowitz_portfolio(model).weights)
+    np.testing.assert_array_equal(np.sort(line.free[0]), held)
+    check_cold_bits(monkeypatch, model, returns)
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_duplicated_column_keeps_t_falling(monkeypatch, kind, seed):
+    # a column and its exact copy enter at one corner: drift puts the
+    # copy's corner above the one just taken, and the pass takes it there
+    values = degenerate_panel(np.random.default_rng(seed), "duplicate")
+    returns = ReturnsMatrix(tuple(f"A{i}" for i in range(values.shape[1])), values)
+    model = build_risk_model(returns, kind=kind)
+    line = line_of(model)
+    assert (np.diff(line.t_low) <= 0.0).all()
+    for _, _, solution in check_cold_bits(monkeypatch, model, returns):
+        assert solution.iterations == 0
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+def test_lam_one_is_the_highest_mean_vertex(monkeypatch, kind):
+    model = build_risk_model(random_returns(np.random.default_rng(8), 30, 250), kind=kind)
+    real = optimizers.solve_qp
+    log = []
+
+    def spy(qp, start=()):
+        log.append((np.asarray(start, dtype=int), real(qp, start=start)))
+        return log[-1][1]
+
+    monkeypatch.setattr(optimizers, "solve_qp", spy)
+    last = lambda_frontier(model, 5)[-1]
+    assert last.parameter == 1.0
+    np.testing.assert_array_equal(last.portfolio.weights, np.eye(30)[np.argmax(model.mu)])
+    start, solution = log[-1]
+    assert solution.iterations == 0
+    assert start.size == 29 and np.isin(start, solution.active_set).all()
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+def test_non_positive_pivot_refactors(monkeypatch, kind):
+    # with every bordering refused, each entry refactors D_FF from scratch
+    # and the pass finds the same corners
+    model = build_risk_model(random_returns(np.random.default_rng(9), 40, 250), kind=kind)
+    bordered = line_of(model)
+    monkeypatch.setattr(cl._FreeSet, "_border", lambda self: False)
+    refactored = line_of(model)
+    assert len(refactored.free) == len(bordered.free) > 40
+    for a, b in zip(refactored.free, bordered.free):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_allclose(refactored.t_low, bordered.t_low, rtol=1e-9)
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+def test_fit_target_below_the_minimum_risk_return(monkeypatch, kind):
+    # A target just below the first corner under t = 0 is slack: its point
+    # is the minimum-risk portfolio, seeded from the t = 0 segment and not
+    # from the segment that the target's return falls on.
+    returns = random_returns(np.random.default_rng(11), 30, 250)
+    model = build_risk_model(returns, kind=kind)
+    line = line_of(model)
+    below = line.return_low[line.segment_at(0.0)]
+    monkeypatch.setattr(frontier, "_target_range", lambda mu, n, low=None: np.array([below - 1e-9]))
+    solves = sweep_solves(monkeypatch, model, returns, n_points=1)
+    start, qp, solution = solves[-1]
+    np.testing.assert_array_equal(solution.x, solves[-2][2].x)  # the base point's
+    assert solution.iterations == 0
+    assert keeps_its_seed(start, solution, qp) and start.size > 0
+
+
+def check_early_end(monkeypatch, model, returns, segments):
+    """The pass ends after ``segments`` segments, above t = -inf; the sweep
+    points below its end get no seed, and every answer keeps its bits."""
+    line = line_of(model)
+    assert len(line.free) == segments and np.isfinite(line.t_low[-1])
+    monkeypatch.setattr(cl, "_last_line", None)
+    solves = sweep_solves(monkeypatch, model, returns)
+    seedless = [start.size == 0 for start, *_ in solves]
+    assert 0 < sum(seedless) < len(solves)
+    for _, qp, solution in solves:
+        np.testing.assert_array_equal(solution.x, optimizers.solve_qp(qp).x)
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+def test_corner_cap_ends_the_pass(monkeypatch, kind):
+    returns = random_returns(np.random.default_rng(10), 30, 250)
+    model = build_risk_model(returns, kind=kind)
+    assert len(line_of(model).free) > 30
+    monkeypatch.setattr(cl, "CORNERS_PER_ASSET", 1)
+    check_early_end(monkeypatch, model, returns, 30)
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+def test_failed_refactor_ends_the_pass(monkeypatch, kind):
+    # the first entry's bordering is refused and its refactor fails
+    returns = random_returns(np.random.default_rng(10), 30, 250)
+    model = build_risk_model(returns, kind=kind)
+    real = cl._FreeSet.refactor
+    monkeypatch.setattr(cl._FreeSet, "_border", lambda self: False)
+    monkeypatch.setattr(cl._FreeSet, "refactor", lambda self: self.size == 1 and real(self))
+    check_early_end(monkeypatch, model, returns, 1)

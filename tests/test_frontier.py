@@ -264,21 +264,35 @@ class TestSweepRangeInsideMeans:
         self.check_in_range(ReturnsMatrix(assets=(*returns.assets, "DUP"), values=values), kind)
 
 
+def keeps_its_seed(seed, solution, qp) -> bool:
+    """Every seeded row is active at the solution, except a return
+    inequality that the solution holds slack: a fit target that rounds
+    below the minimum-risk return lies on the t = 0 segment, but ``near=``
+    seeds every row that is not a bound."""
+    left = np.setdiff1d(seed, solution.active_set)
+    if not left.size:
+        return True
+    meq = qp.b_eq.shape[0]
+    slack = qp.b_ineq.shape[0] > qp.n and qp.a_ineq[0] @ solution.x > qp.b_ineq[0]
+    return left.tolist() == [meq] and bool(slack)
+
+
 class TestWarmSweeps:
-    """Each sweep point starts from its neighbour's solution; the answers
-    are the cold per-point ones, bit for bit, and a warm point keeps its
-    seed instead of rebuilding it one step at a time."""
+    """Each sweep point starts from the free set of its segment of the
+    model's critical line.  The answers are the cold per-point ones, bit
+    for bit, and a point seeded with its optimal working set keeps the
+    whole seed and takes no step."""
 
     @staticmethod
     def solves(monkeypatch, sweep, cold: bool) -> list:
-        """``(seed, solution)`` of every ``solve_qp`` the sweep makes; with
-        ``cold`` every seed is dropped."""
+        """``(seed, solution, program)`` of every ``solve_qp`` the sweep
+        makes; with ``cold`` every seed is dropped."""
         real = optimizers.solve_qp
         log = []
 
         def spy(qp, start=()):
             start = () if cold else start
-            log.append((np.asarray(start, dtype=int), real(qp, start=start)))
+            log.append((np.asarray(start, dtype=int), real(qp, start=start), qp))
             return log[-1][1]
 
         with monkeypatch.context() as patch:
@@ -291,14 +305,9 @@ class TestWarmSweeps:
         warm = self.solves(monkeypatch, sweep, cold=False)
         cold = self.solves(monkeypatch, sweep, cold=True)
         assert len(warm) == len(cold)
-        for (_, warm_solution), (_, cold_solution) in zip(warm, cold):
+        for (_, warm_solution, _), (_, cold_solution, _) in zip(warm, cold):
             np.testing.assert_array_equal(warm_solution.x, cold_solution.x)
         return warm
-
-    @staticmethod
-    def kept(seed, solution) -> int:
-        """How many rows of ``seed`` are active at the solution."""
-        return int(np.isin(seed, solution.active_set).sum())
 
     @staticmethod
     def sweeps(returns, kind, n_points):
@@ -311,12 +320,25 @@ class TestWarmSweeps:
 
     @pytest.mark.parametrize("kind", list(RiskKind))
     def test_matches_cold_and_keeps_its_seeds(self, monkeypatch, kind):
-        # the warm points take fewer loop steps than the seed rows they keep
         returns = random_returns(np.random.default_rng(3), 30, 250)
         for sweep in self.sweeps(returns, kind, 12):
-            warm = self.check(monkeypatch, sweep)[1:]
-            steps = sum(solution.iterations for _, solution in warm)
-            assert steps < sum(self.kept(*solve) for solve in warm)
+            for seed, solution, qp in self.check(monkeypatch, sweep):
+                assert solution.iterations == 0
+                assert keeps_its_seed(seed, solution, qp)
+
+    @pytest.mark.parametrize("kind", list(RiskKind))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_solve_starts_on_its_working_set(self, monkeypatch, kind, seed):
+        # bench-scale panels: every point of the three sweeps is seeded with
+        # its optimal working set, takes no loop step, and has the cold bits
+        returns = random_returns(np.random.default_rng(seed), 150, 500)
+        solves = 0
+        for sweep in self.sweeps(returns, kind, 8):
+            for start, solution, qp in self.check(monkeypatch, sweep):
+                assert solution.iterations == 0
+                assert keeps_its_seed(start, solution, qp)
+                solves += 1
+        assert solves == 8 + 8 + 9
 
     @pytest.mark.parametrize("kind", list(RiskKind))
     def test_kept_factor_gives_the_bits_of_a_fresh_one(self, monkeypatch, kind):
@@ -346,14 +368,13 @@ class TestWarmSweeps:
     @pytest.mark.parametrize("kind", list(RiskKind))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_second_point_keeps_most_of_its_seed(self, monkeypatch, kind, seed):
-        # The second point seeds the first one's ~N bounds, a few of them
-        # dual infeasible; those leave one by one and the rest stay, so the
-        # point does not re-add its bounds one step at a time.
+        # The second point's seed is its segment's ~N bounds: it keeps every
+        # one of them and takes no step.
         model = build_risk_model(random_returns(np.random.default_rng(seed), 150, 500), kind=kind)
-        start, second = self.solves(monkeypatch, lambda: efficient_frontier(model, 8), False)[1]
-        kept = self.kept(start, second)
-        assert kept >= 0.8 * start.size, (kept, start.size)
-        assert second.iterations < kept / 3, (second.iterations, kept)
+        start, second, _ = self.solves(monkeypatch, lambda: efficient_frontier(model, 8), False)[1]
+        assert start.size > 150 // 2
+        assert np.isin(start, second.active_set).all()
+        assert second.iterations == 0
 
     @pytest.mark.parametrize("kind", list(RiskKind))
     @pytest.mark.parametrize(
@@ -405,8 +426,8 @@ def degenerate_panel(rng, name: str) -> np.ndarray:
 )
 def test_degenerate_panels_certify_every_solve(monkeypatch, rng, kind, name):
     # Singular and tied risk models, through the cold start's pivot and the
-    # warm seeds: every solve of the three sweeps and of the tradeoff
-    # program at both ends meets its KKT conditions to 1e-8, scaled.
+    # critical line's seeds: every solve of the three sweeps and of the
+    # tradeoff program at both ends meets its KKT conditions to 1e-8, scaled.
     values = degenerate_panel(rng, name)
     assets = tuple(f"A{i:03d}" for i in range(values.shape[1]))
     model = build_risk_model(ReturnsMatrix(assets=assets, values=values), kind=kind)

@@ -515,7 +515,9 @@ def test_seeded_start_reaches_the_cold_optimum(monkeypatch):
     assert min(seen.values()) >= 30, seen
 
 
-def test_optimal_working_set_as_seed_takes_no_step():
+def test_optimal_working_set_as_seed_takes_no_step(monkeypatch):
+    # A seed that needs no drop and no step is the final working set: its
+    # one factorization is also the polish's, and the bits are the cold ones.
     model = build_risk_model(random_returns(np.random.default_rng(0), 30), RiskKind.SEMIVARIANCE)
     qp = QuadraticProgram(
         dmat=2.0 * regularize(model.sigma),
@@ -526,7 +528,16 @@ def test_optimal_working_set_as_seed_takes_no_step():
         b_ineq=np.zeros(30),
     )
     cold = solve_qp(qp)
+    factored = []
+
+    def spy(*args, factor=qp_module._factor):
+        factored.append(args[3])
+        return factor(*args)
+
+    monkeypatch.setattr(qp_module, "_factor", spy)
     warm = solve_qp(qp, start=cold.active_set)
+    assert len(factored) == 1
+    np.testing.assert_array_equal(factored[0], cold.active_set)
     assert warm.iterations == 0
     assert warm.active_set == cold.active_set
     np.testing.assert_array_equal(warm.x, cold.x)
