@@ -23,7 +23,9 @@ product with a price vector first casts the population; below 2**53 the
 values and every product's bits are those of int counts.  The initial
 draws bound each purchase by a running cash balance, and
 ``market.residual_cash`` alone decides which rows are over budget and
-go to ``repair_integer``.  ``market.evaluate`` returns int shares.
+go to ``repair_integer``.  ``market.evaluate`` returns int shares.  The
+integer result reports the population's score of its best row, the
+trace's last best, rather than scoring that row again.
 
 Reproducibility: one seeded generator drives each run and draws in a
 fixed order per generation: selection uniforms for the whole population;
@@ -308,7 +310,9 @@ def ga_lambda_n_portfolio(
         params,
         rng,
     )
-    return mkt.evaluate(counts, model, market, lam), trace
+    solution = mkt.evaluate(counts, model, market, lam)
+    best = float(trace.best_fitness_per_generation[-1])
+    return dataclasses.replace(solution, fitness=best), trace
 
 
 # --- frontier sweep ----------------------------------------------------------

@@ -28,12 +28,13 @@ direction J2 gains, and the row-deletion formula removes it from N*.  A
 step costs O(n^2) instead of re-solving G; Goldfarb and Idnani's J1 and
 triangle R are not needed.
 
-A constraint that depends on the working set has d2 = 0 (|d2|^2 <= 1e-10
-n+'D^-1 n+) and can only take the dual step, a drop.  With nothing to
-drop it proves the program infeasible, unless it has taken no dual step
-and misses its bound by float noise (1e-8 of |b| + |a||x|), as one of two
-opposed inequalities can when drift leaves its active twin ~1e-11 off:
-then it is set aside until the next drop.
+A constraint that depends on the working set has d2 = 0 (|d2|^2 at most
+1e-10 of both n+'D^-1 n+ and |J2|^2 |n+|^2) and can only take the dual
+step, a drop.  With nothing to drop it proves the program infeasible,
+unless it has taken no dual step and misses its bound by float noise
+(1e-8 of |b| + |a||x|), as one of two opposed inequalities can when
+drift leaves its active twin ~1e-11 off: then it is set aside until the
+next drop.
 
 One pass builds the factors of a whole working set at once: a seed of
 rows expected to be active (such as the bounds that a frontier point's
@@ -48,7 +49,7 @@ row that depends on the rows before it is left out.  From the factors,
 x = J2 J2'd + N*'b is the minimizer on the set and u = N*(Dx - d) its
 multipliers.  One Cholesky factorization of the whole of D per distinct
 D checks that D is positive definite and gives the dependence test's
-scale n+'D^-1 n+ of every row; a set without bounds, such as the
+first scale n+'D^-1 n+ of every row; a set without bounds, such as the
 equalities a cold start begins from, takes it as its own.  The factor of
 the last D solved is kept, so a sweep whose programs share their
 quadratic term factors it once.
@@ -214,7 +215,7 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     if start.size and (start[0] < 0 or start[-1] >= m):
         raise ValueError("start must index the program's constraints")
     # D's own Cholesky: the positive-definiteness check and a'D^-1 a =
-    # |L^-1 a|^2 of every row, the scale of the dependence test (column
+    # |L^-1 a|^2 of every row, the dependence test's first scale (column
     # norms of L^-1 for a bound, a product otherwise)
     whole, column_norms = _whole_factor(qp.dmat)
     nonzero = a_all != 0.0
@@ -271,7 +272,7 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
             z = d2 @ jt[q:]  # primal direction J2 d2
             r = nstar[:q] @ nplus  # dual direction N* n+
             ztn = float(d2 @ d2)
-            full_step_possible = ztn > 1e-10 * max(dnorm2[p], np.finfo(float).tiny)
+            full_step_possible = _independent(ztn, dnorm2[p], jt[q:], nplus)
 
             # Blocking constraint for the dual variables (equalities never
             # drop); argmin keeps the lowest position among ties.
@@ -376,8 +377,8 @@ def _factor(qp, a_all, b_all, rows, cap, dnorm2, whole):
     """The solver's state with working set ``rows``, factored in one pass
     as the module docstring describes; a row that depends on the rows
     factored before it is left out.  ``dnorm2`` is the dependence test's
-    scale per row, and ``whole`` is L^-1 of D's own Cholesky, which a set
-    without bounds takes as its free block's."""
+    first scale per row, and ``whole`` is L^-1 of D's own Cholesky, which
+    a set without bounds takes as its free block's."""
     n = qp.n
     nonzero = a_all[rows] != 0.0
     single = np.flatnonzero(nonzero.sum(axis=1) == 1)
@@ -406,7 +407,7 @@ def _factor(qp, a_all, b_all, rows, cap, dnorm2, whole):
     for p in np.setdiff1d(rows, bound_rows, assume_unique=True):
         d2 = jt[q:] @ a_all[p]
         ztn = float(d2 @ d2)
-        if not ztn > 1e-10 * max(dnorm2[p], np.finfo(float).tiny):
+        if not _independent(ztn, dnorm2[p], jt[q:], a_all[p]):
             continue
         _add(jt, nstar, q, d2, d2 @ jt[q:], nstar[:q] @ a_all[p], ztn)
         active[q] = p
@@ -454,6 +455,17 @@ def _guess(qp, a_all, b_all, meq, bound, cap, dnorm2, whole):
         state = _factor(qp, a_all, b_all, np.concatenate([eqs, rows[held]]), cap, dnorm2, whole)
 
 
+def _independent(ztn, dnorm2_p, jt_free, row) -> bool:
+    """Whether a row n+ with ztn = |J2'n+|^2 is off the working set's span:
+    ztn exceeds 1e-10 of n+'D^-1 n+ or of |J2|^2 |n+|^2.  The second bound,
+    computed only when the first fails, holds where a ridge-sized diagonal
+    entry of D (a constant asset's) inflates n+'D^-1 n+."""
+    tiny = np.finfo(float).tiny
+    if ztn > 1e-10 * max(dnorm2_p, tiny):
+        return True
+    return ztn > 1e-10 * max(float((jt_free * jt_free).sum() * (row @ row)), tiny)
+
+
 def _point(qp, b_all, q, active, jt, nstar):
     """x = J2 J2'd + N*'b, the minimizer on the working set, and its
     multipliers u = N*(Dx - d)."""
@@ -464,9 +476,9 @@ def _point(qp, b_all, q, active, jt, nstar):
 def _add(jt, nstar, q, d2, z, r, ztn):
     """Append n+ (d2 = J2'n+, z = J2 d2, r = N* n+) to the factors.
 
-    An add needs ztn = |d2|^2 > 1e-10 * max(n+'D^-1 n+, tiny), so |d2|
-    exceeds 1.5e-159 and is never zero or denormal; the reflector is scaled
-    by |d2| so that no product of two small numbers is inverted.
+    An add needs ztn = |d2|^2 > 1e-10 * tiny (see :func:`_independent`),
+    so |d2| exceeds 1.5e-159 and is never zero or denormal; the reflector
+    is scaled by |d2| so that no product of two small numbers is inverted.
     """
     norm = np.sqrt(ztn)
     side = 1.0 if d2[0] >= 0.0 else -1.0

@@ -33,17 +33,6 @@ from .market_data import ReturnsMatrix
 #: carry roundoff, so a strict eigenvalue >= 0 test would reject valid input.
 PSD_RTOL = 1e-10
 
-#: Column tile, row tile and inner block of :func:`quadratic_form`'s
-#: product.  With OpenBLAS 0.3.31's SkylakeX (AVX-512) kernels, an output
-#: column in a partial 16-column tile, and an inner dimension over 384
-#: (split only in large products), were summed in orders that depended on
-#: the row count; with its Haswell and Zen kernels, so was a row in a
-#: block of 2, 3 or 7 rows.
-_TILE = 16
-_ROWS = 4
-_DEPTH = 256
-
-
 def _whole(value, name: str) -> np.ndarray:
     """``value`` as integers; every entry must be a finite whole number,
     checked before the conversion so nothing is truncated or overflows."""
@@ -130,51 +119,10 @@ class RiskModel:
 
 
 def quadratic_form(weights: np.ndarray, sigma: np.ndarray) -> np.ndarray | float:
-    """``w'Sw`` for one weight vector, or for each row of a leading population axis.
-
-    The population is one C-contiguous block, multiplied by ``sigma`` with
-    matrix products over the whole block, then elementwise by the block
-    and summed along each row.  A block whose row count is not a multiple
-    of ``_ROWS`` is zero-padded to one, so a lone row is the first row of a
-    four-row block (numpy sends a one-row product to gemv, not gemm).
-
-    The products are cut so that BLAS sums each entry in an order that
-    does not depend on the row count: ``sigma``'s columns are taken in
-    whole tiles of ``_TILE`` (the last ``N mod _TILE`` zero-padded into a
-    tile of their own, multiplied in a second product), rows in whole
-    tiles of ``_ROWS``, and an inner dimension over ``_DEPTH`` is summed
-    block by block.  A row scored alone and the same row scored in a
-    population then agree bitwise.  That holds for one BLAS build, CPU
-    kernel and thread count: OpenBLAS 0.3.31's SkylakeX, Haswell and Zen
-    kernels keep it at one and two threads, its Prescott kernel at two
-    threads does not.
-    """
+    """``w'Sw`` for one weight vector, or for each row of a leading population
+    axis: one matrix product, multiplied elementwise by ``w`` and summed per row."""
     w = np.asarray(weights, dtype=float)
-    rows = w.reshape(-1, w.shape[-1])
-    count = rows.shape[0]
-    if count % _ROWS:
-        block = np.zeros((count + _ROWS - count % _ROWS, rows.shape[1]))
-        block[:count] = rows
-    else:
-        block = np.ascontiguousarray(rows)
-    sigma = np.ascontiguousarray(sigma, dtype=float)
-    n = block.shape[1]
-    whole = n - n % _TILE
-    tail = np.zeros((n, _TILE if whole < n else 0))
-    tail[:, : n - whole] = sigma[:, whole:]
-    products = np.empty((block.shape[0], whole + tail.shape[1]))
-    _product(block, sigma[:, :whole], products[:, :whole])
-    _product(block, tail, products[:, whole:])
-    products = products[:, :n]
-    products *= block
-    return products.sum(axis=-1)[:count].reshape(w.shape[:-1])[()]
-
-
-def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """``a @ b`` into ``out``, summed over inner blocks of at most ``_DEPTH``."""
-    np.matmul(a[:, :_DEPTH], b[:_DEPTH], out=out)
-    for k in range(_DEPTH, a.shape[1], _DEPTH):
-        out += a[:, k : k + _DEPTH] @ b[k : k + _DEPTH]
+    return ((w @ sigma) * w).sum(axis=-1)[()]
 
 
 def mean_returns(returns: ReturnsMatrix) -> np.ndarray:

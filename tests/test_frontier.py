@@ -419,11 +419,14 @@ def degenerate_panel(rng, name: str) -> np.ndarray:
     return np.column_stack([base, np.full(periods, 0.0005)])
 
 
+DEGENERATE_PANELS = [
+    "n_above_t", "duplicate", "collinear", "equal_means", "all_negative", "zero_downside",
+    "constant",
+]
+
+
 @pytest.mark.parametrize("kind", list(RiskKind))
-@pytest.mark.parametrize(
-    "name",
-    ["n_above_t", "duplicate", "collinear", "equal_means", "all_negative", "zero_downside", "constant"],
-)
+@pytest.mark.parametrize("name", DEGENERATE_PANELS)
 def test_degenerate_panels_certify_every_solve(monkeypatch, rng, kind, name):
     # Singular and tied risk models, through the cold start's pivot and the
     # critical line's seeds: every solve of the three sweeps and of the
@@ -446,5 +449,30 @@ def test_degenerate_panels_certify_every_solve(monkeypatch, rng, kind, name):
     for lam in (0.0, 1.0):
         lambda_portfolio(model, ObjectiveParams(lam=lam))
     assert len(solves) == 8 + 8 + 9 + 2
+    for qp, solution in solves:
+        assert scaled_kkt(qp, solution) <= 1e-8
+
+
+def test_constant_asset_does_not_hide_a_feasible_target(monkeypatch):
+    # The constant asset leaves D only the 1e-11 ridge on its diagonal, so
+    # n+'D^-1 n+ of the return row (~1e4) and of that asset's bound (~5e10)
+    # dwarfs their parts off the working set at target 0.00022, which lies
+    # between two other assets' means; neither row depends on the set.
+    rng = np.random.default_rng(1)
+    for name in DEGENERATE_PANELS:
+        values = degenerate_panel(rng, name)
+    assets = tuple(f"A{i:03d}" for i in range(values.shape[1]))
+    model = build_risk_model(ReturnsMatrix(assets=assets, values=values))
+    real = optimizers.solve_qp
+    solves = []
+
+    def spy(qp, start=()):
+        solves.append((qp, real(qp, start=start)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(optimizers, "solve_qp", spy)
+    points = efficient_frontier(model, 8)
+    assert 0.00022 in [point.parameter for point in points]
+    assert len(solves) == 8
     for qp, solution in solves:
         assert scaled_kkt(qp, solution) <= 1e-8

@@ -511,6 +511,30 @@ class TestIntegerGa:
             )
             assert solution.fitness == trace.best_fitness_per_generation[-1]
 
+    @pytest.mark.parametrize("n_assets", [1, 2, 3, 8, 30])
+    def test_solution_fitness_is_its_return_and_risk_tradeoff(self, n_assets):
+        # the population scored w'Sw in its own summation order, so the
+        # reported fitness agrees with the row's own terms to a few roundings
+        # of those terms; fitness itself may cancel to near 0
+        lam = 0.3
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            model = random_model(rng, n_assets)
+            market = MarketParams(
+                capital=10_000.0,
+                prices=rng.uniform(1.0, 100.0, n_assets),
+                buy_cost_rates=0.01,
+                sell_cost_rates=0.01,
+                risk_free_rate=1e-4,
+            )
+            solution, _ = ga_lambda_n_portfolio(
+                model, lam, GaParams(generations=20, seed=seed), market
+            )
+            earned = lam * solution.expected_return
+            risk_term = (1.0 - lam) * solution.risk**2
+            bound = 1e-15 * (abs(earned) + risk_term)
+            assert abs(solution.fitness - (earned - risk_term)) <= bound
+
     def test_market_required(self, model3):
         with pytest.raises(ValueError):
             ga_lambda_n_portfolio(model3, 0.5, GaParams())

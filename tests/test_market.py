@@ -23,7 +23,7 @@ from portopt.market import (
     sell_cost,
 )
 from portopt.optimizers import ObjectiveParams, lambda_portfolio
-from portopt.risk_models import RiskModel
+from portopt.risk_models import RiskModel, quadratic_form
 
 
 @pytest.fixture
@@ -301,14 +301,22 @@ def test_population_call_matches_rows_bitwise(function, n_assets):
         risk_free_rate=3e-4,
         lot_sizes=rng.choice([1, 10, 100], n_assets),
     )
+    lam = 0.3
     args = {
         residual_cash: (params,),
         repair_integer: (params,),
         net_portfolio_return: (model, params),
-    }.get(function, (model, params, 0.3))
+    }.get(function, (model, params, lam))
     population = rng.integers(0, 50, size=(30, n_assets))
     rows = [function(row, *args) for row in population]
-    np.testing.assert_array_equal(function(population, *args), rows)
+    if function is fitness:
+        # w'Sw is one matrix product, summed in an order that may follow the
+        # row count; fitness may cancel, so the bound scales with its terms
+        earned = lam * np.abs(net_portfolio_return(population, model, params))
+        risk = (1.0 - lam) * quadratic_form(implied_weights(population, params), model.sigma)
+        assert (np.abs(function(population, *args) - rows) <= 1e-15 * (earned + risk)).all()
+    else:
+        np.testing.assert_array_equal(function(population, *args), rows)
     if function is not repair_integer:
         assert all(isinstance(value, float) for value in rows)
 
@@ -355,6 +363,15 @@ def _net_return_cases(draw):
         np.array([[0, 2]]),
     )
 )
+# a subnormal risk-free rate: the library's per-lot quotient is off by up to
+# half a spacing and is then multiplied by the count, 5 spacings apart here
+@example(
+    case=(
+        RiskModel(assets=("A0",), mu=np.zeros(1), sigma=np.eye(1) * 1e-4),
+        MarketParams(capital=2e5, prices=[1.0], risk_free_rate=2.225073858507e-311),
+        np.array([[33]]),
+    )
+)
 @settings(max_examples=200, deadline=None)
 def test_net_return_is_the_three_term_formula(case):
     model, params, n = case
@@ -362,12 +379,16 @@ def test_net_return_is_the_three_term_formula(case):
     earned = n * model.mu * params.effective_prices
     selling = sell_cost(n, model.mu, params).sum(axis=-1) / (k * horizon)
     three_terms = earned.sum(axis=-1) / k - selling + residual_cash(n, params) * rf / k
-    # relative to the terms' magnitudes, since R_p itself may cancel to 0;
-    # the floor of a few subnormal spacings keeps a subnormal scale's bound
-    # from underflowing to 0
+    # relative to the terms' magnitudes, since R_p itself may cancel to 0
     outlay = (n * params.lot_cost).sum(axis=-1)
     scale = np.abs(earned).sum(axis=-1) / k + selling + rf * (k + outlay) / k
-    bound = 1e-14 * scale + 4 * np.finfo(float).smallest_subnormal
+    # plus what rounding in the subnormal range adds, at most half a
+    # spacing per rounded operation: the library rounds each per-lot
+    # quotient c_i, and n_i c_i carries that error n_i times; each asset's
+    # product and sum add two roundings, and the divisions, the risk-free
+    # terms and the final sums of both formulas six more
+    rounded = n.sum(axis=-1) + 2 * n.shape[-1] + 6
+    bound = 1e-14 * scale + rounded * np.finfo(float).smallest_subnormal / 2
     assert (np.abs(net_portfolio_return(n, model, params) - three_terms) <= bound).all()
 
 

