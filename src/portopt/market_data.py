@@ -237,5 +237,7 @@ def assets_return(prices: PriceTable) -> ReturnsMatrix:
     if prices.has_gaps:
         raise ValueError("price table has gaps; apply fill_missing first")
     values = prices.values
-    returns = values[1:] / values[:-1] - 1.0
+    # a quotient that overflows is inf, which ReturnsMatrix refuses
+    with np.errstate(over="ignore"):
+        returns = values[1:] / values[:-1] - 1.0
     return ReturnsMatrix(assets=prices.assets, values=returns)

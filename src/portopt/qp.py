@@ -39,13 +39,17 @@ next drop.
 One pass builds the factors of a whole working set at once: a seed of
 rows expected to be active (such as the bounds that a frontier point's
 segment of the critical line holds, see :mod:`portopt.critical_line`),
-each guess of a cold start, and the final working set.  Bounds (rows
-with one nonzero) need no reflection: with Z the bounded and F the free
-variables and D_FF = CC', J2 is C^-1 in the free columns, and N*'s bound
-rows are [-D_ZF D_FF^-1, I] over their bounds' coefficients, so a set
-with k bounds and f = n - k free variables costs O(f^3 + k f^2).  The
-other rows, the equalities among them, are appended by the add step; a
-row that depends on the rows before it is left out.  From the factors,
+each guess of a cold start, and the final working set.  A solve
+classifies each row once, as a bound (one nonzero) on its variable or a
+general row, and every pass reads that.  Bounds need no reflection: with
+Z the bounded and F the free variables and D_FF = CC', J2 is C^-1 in the
+free columns, and N*'s bound rows are [-D_ZF D_FF^-1, I] over their
+bounds' coefficients, so a set with k bounds and f = n - k free
+variables costs O(f^3 + k f^2).  The general rows, the equalities among
+them, and a second bound on a variable are appended by the add step on
+the free columns alone, O(n f) each: J2 and their rows of N* are zero on
+the bound columns, where the bound rows of N* do not change.  A row
+that depends on the rows before it is left out.  From the factors,
 x = J2 J2'd + N*'b is the minimizer on the set and u = N*(Dx - d) its
 multipliers.  One Cholesky factorization of the whole of D per distinct
 D checks that D is positive definite and gives the dependence test's
@@ -71,8 +75,9 @@ final working set factored afresh in sorted order, plus one refinement
 step on its rows (unless that point fails the polish's feasibility guard);
 it depends only on the program and that set, and a seeded solve that ends
 on the cold solve's working set returns the same bits.  A seed or guess
-that needs no drop and no step is already that factorization (the pass
-orders a set's rows by itself), so it is not factored twice.
+that needs no drop and no step is already that factorization (every set
+reaches the pass sorted, and the pass puts its bounds in variable order),
+so it is not factored twice.
 
 Everything is plain deterministic linear algebra: the same program solved
 twice, with the same BLAS build, CPU kernel and thread count, yields
@@ -147,8 +152,9 @@ class QuadraticProgram:
         for name in ("dmat", "dvec", "a_eq", "b_eq", "a_ineq", "b_ineq"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        # on finite data this is allclose(rtol=0, atol=1e-12)'s verdict
-        if not (np.abs(dmat - dmat.T) <= 1e-12).all():
+        # on finite data this is allclose(rtol=0, atol=1e-12)'s verdict,
+        # taken only when the cheaper exact test fails
+        if not ((dmat == dmat.T).all() or (np.abs(dmat - dmat.T) <= 1e-12).all()):
             raise ValueError("dmat is not symmetric within 1e-12")
 
     @property
@@ -218,18 +224,20 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     # |L^-1 a|^2 of every row, the dependence test's first scale (column
     # norms of L^-1 for a bound, a product otherwise)
     whole, column_norms = _whole_factor(qp.dmat)
+    # Each row classified once: a bound on one variable, var its index, or
+    # a general row, var -1
     nonzero = a_all != 0.0
     single = nonzero.sum(axis=1) == 1
-    var = nonzero[single].argmax(axis=1)
+    var = np.where(single, nonzero.argmax(axis=1), -1)
     dnorm2 = np.empty(m)
-    dnorm2[single] = a_all[single, var] ** 2 * column_norms[var]
+    dnorm2[single] = a_all[single, var[single]] ** 2 * column_norms[var[single]]
     dnorm2[~single] = ((whole @ a_all[~single].T) ** 2).sum(axis=0)
     seeded = start[start >= meq]
     if seeded.size:
         rows = np.concatenate([np.arange(meq), seeded])
-        state = _factor(qp, a_all, b_all, rows, cap, dnorm2, whole)
+        state = _factor(qp, a_all, b_all, rows, var, dnorm2, whole)
     else:
-        state = _guess(qp, a_all, b_all, meq, ~is_eq & single, cap, dnorm2, whole)
+        state = _guess(qp, a_all, b_all, meq, var, dnorm2, whole)
     q, active, u, jt, nstar, x = state
     signs = np.ones(cap)
     # seeded or guessed inequalities with u < 0 leave one at a time, most
@@ -313,7 +321,7 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     multipliers = np.zeros(m)
     multipliers[active[:q]] = signs[:q] * u[:q]
     # a start that neither dropped nor stepped is the final set's factors
-    final = state or _factor(qp, a_all, b_all, working, cap, dnorm2, whole)
+    final = state or _factor(qp, a_all, b_all, working, var, dnorm2, whole)
     x, multipliers = _polish(qp, a_all, b_all, is_eq, final, x, multipliers)
 
     objective = 0.5 * float(x @ qp.dmat @ x) - float(qp.dvec @ x)
@@ -373,54 +381,67 @@ def _whole_factor(dmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return last[1], last[2]
 
 
-def _factor(qp, a_all, b_all, rows, cap, dnorm2, whole):
+def _factor(qp, a_all, b_all, rows, var, dnorm2, whole):
     """The solver's state with working set ``rows``, factored in one pass
     as the module docstring describes; a row that depends on the rows
-    factored before it is left out.  ``dnorm2`` is the dependence test's
-    first scale per row, and ``whole`` is L^-1 of D's own Cholesky, which
-    a set without bounds takes as its free block's."""
+    factored before it is left out.  ``rows`` is sorted, and the general
+    rows are added in that order.  ``var`` is each row's variable when it
+    is a bound and -1 otherwise, ``dnorm2`` the dependence test's first
+    scale per row, and ``whole`` L^-1 of D's own Cholesky, which a set
+    without bounds takes as its free block's."""
     n = qp.n
-    nonzero = a_all[rows] != 0.0
-    single = np.flatnonzero(nonzero.sum(axis=1) == 1)
+    cap = min(n, var.size)
+    row_var = var[rows]
+    bound = np.flatnonzero(row_var >= 0)
     # one bound per variable, in variable order; a repeat is a general row
-    zvars, first = np.unique(nonzero[single].argmax(axis=1), return_index=True)
-    bound_rows = rows[single[first]]
+    zvars, first = np.unique(row_var[bound], return_index=True)
+    general = np.ones(rows.size, dtype=bool)
+    general[bound[first]] = False
+    bound_rows = rows[bound[first]]
     coef = a_all[bound_rows, zvars]
     k = zvars.size
     free = np.ones(n, dtype=bool)
     free[zvars] = False
     fvars = np.flatnonzero(free)
 
-    # J2' = C^-1 (D_FF = CC') in the free columns; jt[:k] is never read
-    inv = _inverse_cholesky(qp.dmat[fvars][:, fvars]) if k else whole
-    jt = np.zeros((n, n))
-    jt[k:, fvars] = inv
+    # The factors on the free columns alone: J2' = C^-1 (D_FF = CC') and
+    # N*'s rows there; J2 and the general rows' N* are zero on the bound
+    # columns, where each bound row of N* holds 1 over its coefficient.
+    dmat_free = qp.dmat[fvars]
+    jt_free = _inverse_cholesky(dmat_free[:, fvars]) if k else whole.copy()
+    nstar_free = np.zeros((cap, fvars.size))
+    # N*'s bound rows: [-D_ZF D_FF^-1, I] over the bounds' coefficients,
+    # D_ZF read as D_FZ', as the solver takes D to be symmetric
+    nstar_free[:k] = -((dmat_free[:, zvars].T @ jt_free.T) @ jt_free) / coef[:, None]
     active = np.zeros(cap, dtype=int)
-    nstar = np.zeros((cap, n))
     active[:k] = bound_rows
-    # N*'s bound rows: [-D_ZF D_FF^-1, I] over the bounds' coefficients
-    nstar[:k, fvars] = -((qp.dmat[zvars][:, fvars] @ inv.T) @ inv)
-    nstar[np.arange(k), zvars] = 1.0
-    nstar[:k] /= coef[:, None]
-
     q = k
-    for p in np.setdiff1d(rows, bound_rows, assume_unique=True):
-        d2 = jt[q:] @ a_all[p]
+    for p in rows[general]:
+        row = a_all[p]
+        d2 = jt_free[q - k :] @ row[fvars]
         ztn = float(d2 @ d2)
-        if not _independent(ztn, dnorm2[p], jt[q:], a_all[p]):
+        if not _independent(ztn, dnorm2[p], jt_free[q - k :], row):
             continue
-        _add(jt, nstar, q, d2, d2 @ jt[q:], nstar[:q] @ a_all[p], ztn)
+        r = nstar_free[:q] @ row[fvars]
+        r[:k] += row[zvars] / coef
+        _add(jt_free, nstar_free, q, d2, d2 @ jt_free[q - k :], r, ztn)
         active[q] = p
         q += 1
 
+    # jt[:k] is never read
+    jt = np.zeros((n, n))
+    jt[k:, fvars] = jt_free
+    nstar = np.zeros((cap, n))
+    nstar[:q, fvars] = nstar_free[:q]
+    nstar[np.arange(k), zvars] = 1.0 / coef
     u = np.zeros(cap)
     x, u[:q] = _point(qp, b_all, q, active, jt, nstar)
     return q, active, u, jt, nstar, x
 
 
-def _guess(qp, a_all, b_all, meq, bound, cap, dnorm2, whole):
+def _guess(qp, a_all, b_all, meq, var, dnorm2, whole):
     """The cold start's state: the equality set's factors, improved by
-    block pivoting on the inequality rows with one nonzero (``bound``).
+    block pivoting on the inequality rows with one nonzero (``var`` >= 0).
 
     A round adds every violated bound and removes every held bound whose
     multiplier is negative, all at once, and factors the new set.  Another
@@ -436,23 +457,23 @@ def _guess(qp, a_all, b_all, meq, bound, cap, dnorm2, whole):
     """
     n = qp.n
     eqs = np.arange(meq)
-    rows = np.flatnonzero(bound)
-    var = (a_all[rows] != 0.0).argmax(axis=1)
-    coef = a_all[rows, var]
-    state = _factor(qp, a_all, b_all, eqs, cap, dnorm2, whole)
+    rows = meq + np.flatnonzero(var[meq:] >= 0)
+    row_var = var[rows]
+    coef = a_all[rows, row_var]
+    state = _factor(qp, a_all, b_all, eqs, var, dnorm2, whole)
     last = rows.size + 1
     while True:
         q, active, u, *_, x = state
         held = np.isin(rows, active[:q])
         leave = np.isin(rows, active[:q][u[:q] < 0.0])
-        enter = ~held & (coef * x[var] - b_all[rows] < -_ADD_TOL)
+        enter = ~held & (coef * x[row_var] - b_all[rows] < -_ADD_TOL)
         changed = int(leave.sum() + enter.sum())
         held = held & ~leave | enter
-        f = n - np.unique(var[held]).size
+        f = n - np.unique(row_var[held]).size
         if changed >= last or 16 * n * (changed - 4) <= f * f:
             return state
         last = changed
-        state = _factor(qp, a_all, b_all, np.concatenate([eqs, rows[held]]), cap, dnorm2, whole)
+        state = _factor(qp, a_all, b_all, np.concatenate([eqs, rows[held]]), var, dnorm2, whole)
 
 
 def _independent(ztn, dnorm2_p, jt_free, row) -> bool:
@@ -474,20 +495,23 @@ def _point(qp, b_all, q, active, jt, nstar):
 
 
 def _add(jt, nstar, q, d2, z, r, ztn):
-    """Append n+ (d2 = J2'n+, z = J2 d2, r = N* n+) to the factors.
+    """Append n+ (d2 = J2'n+, z = J2 d2, r = N* n+) to the factors, J2'
+    being the last d2.size rows of ``jt``: the solver's full-width factors,
+    or :func:`_factor`'s on the free columns alone.
 
     An add needs ztn = |d2|^2 > 1e-10 * tiny (see :func:`_independent`),
     so |d2| exceeds 1.5e-159 and is never zero or denormal; the reflector
     is scaled by |d2| so that no product of two small numbers is inverted.
     """
+    j2t = jt[jt.shape[0] - d2.size :]
     norm = np.sqrt(ztn)
     side = 1.0 if d2[0] >= 0.0 else -1.0
     v = d2 / norm
     v[0] += side
-    jv = z / norm + side * jt[q]  # J2 v
-    jt[q:] -= np.outer(v / (1.0 + abs(d2[0]) / norm), jv)
-    nstar[:q] -= np.outer(r, z / ztn)
+    jv = z / norm + side * j2t[0]  # J2 v
+    j2t -= (v / (1.0 + abs(d2[0]) / norm))[:, None] * jv
     nstar[q] = z / ztn
+    nstar[:q] -= r[:, None] * nstar[q]
 
 
 def _drop(jt, nstar, q, k, dmat):
@@ -499,7 +523,7 @@ def _drop(jt, nstar, q, k, dmat):
     """
     g = nstar[:q] @ (dmat @ nstar[k])
     jt[q - 1] = nstar[k] / np.sqrt(g[k])
-    nstar[:q] -= np.outer(g / g[k], nstar[k])
+    nstar[:q] -= (g / g[k])[:, None] * nstar[k]
     nstar[k : q - 1] = nstar[k + 1 : q]
 
 
@@ -511,15 +535,15 @@ def _polish(qp, a_all, b_all, is_eq, state, x, multipliers):
     quadratic term) that drift can reach the 1e-6 scale.  One direct
     solve on the converged working set removes it: ``state`` is that set,
     sorted, factored afresh by :func:`_factor` (or the start's own factors
-    when the solve neither dropped nor stepped: :func:`_factor` orders a
-    set's rows by itself, so they are the same bits).  The polished point
+    when the solve neither dropped nor stepped: that set was sorted too,
+    so they are the same bits).  The polished point
     is kept only if it stays feasible for every row the factors left out
     and its inequality multipliers stay nonnegative.
     """
     q, active, u, _, nstar, x_new = state
     # One refinement step on the working-set rows: the factors alone leave
     # the budget and return rows off by up to ~1e-14.
-    x_new = x_new + nstar[:q].T @ (b_all[active[:q]] - a_all[active[:q]] @ x_new)
+    x_new = x_new + nstar[:q].T @ (b_all - a_all @ x_new)[active[:q]]
     u_new = np.zeros_like(multipliers)
     u_new[active[:q]] = u[:q]
     slack = a_all @ x_new - b_all

@@ -181,14 +181,17 @@ def build_risk_model(
     convention: AnnualizationConvention | None = None,
 ) -> RiskModel:
     """Assemble the statistical model consumed by the optimizers."""
-    if kind is RiskKind.VARIANCE:
-        sigma = covariance(returns)
-    else:
-        sigma = semicovariance_estrada(returns, threshold_b)
-    sigma = (sigma + sigma.T) / 2.0
+    # moments that overflow come out non-finite, which RiskModel refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind is RiskKind.VARIANCE:
+            sigma = covariance(returns)
+        else:
+            sigma = semicovariance_estrada(returns, threshold_b)
+        sigma = (sigma + sigma.T) / 2.0
+        mu = mean_returns(returns)
     return RiskModel(
         assets=returns.assets,
-        mu=mean_returns(returns),
+        mu=mu,
         sigma=sigma,
         kind=kind,
         threshold_b=threshold_b,

@@ -421,6 +421,19 @@ class TestConfigAndDeterminism:
         assert main(["stats", "--prices", str(prices), "--out", str(tmp_path / "o")]) == 2
         assert "utf-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("price", "message"),
+        [("1e308", "mu and sigma must be finite"), ("1e-320", "returns contain non-finite entries")],
+    )
+    @pytest.mark.parametrize("command", ["stats", "optimize", "frontier"])
+    def test_overflowing_returns_give_one_error_line(self, tmp_path, capsys, price, message, command):
+        # a return or a covariance that overflows is refused by the
+        # finiteness checks, and numpy's overflow warning does not reach stderr
+        prices = tmp_path / "prices.csv"
+        prices.write_text(f"date,A,B,C\nd1,1,2,3\nd2,1.1,{price},3.1\nd3,1.2,2.1,3.2\n", encoding="utf-8")
+        assert main([command, "--prices", str(prices), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_config_file_with_flag_override(self, price_files, tmp_path):
         prices, _ = price_files
         cfg = tmp_path / "cfg.json"

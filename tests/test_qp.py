@@ -378,8 +378,9 @@ def test_pinned_semivariance_working_set(n, seed, frac, iterations, drops, inact
     def checked(name, step, change):
         def wrapper(jt, nstar, q, *args):
             step(jt, nstar, q, *args)
-            steps[name] += 1
-            check(jt, nstar, q + change)
+            if jt.shape[1] == n:  # not _factor's adds on the free columns alone
+                steps[name] += 1
+                check(jt, nstar, q + change)
 
         monkeypatch.setattr(qp_module, name, wrapper)
 
@@ -439,6 +440,58 @@ def with_bounds(qp: QuadraticProgram, x0: np.ndarray, gen: np.random.Generator):
         np.vstack([qp.a_ineq, np.reshape(rows, (-1, n))]),
         np.concatenate([qp.b_ineq, rhs]),
     )
+
+
+def test_factor_of_any_row_subset(monkeypatch):
+    # _factor adds a set's general rows on its free columns alone; the
+    # full-width state it returns must still have J2'DJ2 = I, N*DJ2 = 0 and
+    # N'N*' = I, with one bound per variable first, in variable order.  A
+    # repeated or opposed bound enters as a general row or is left out,
+    # and every row left out depends on the factored ones.
+    args = []  # of this solve's _factor calls
+
+    def spy(*a, factor=qp_module._factor):
+        args.append(a)
+        return factor(*a)
+
+    monkeypatch.setattr(qp_module, "_factor", spy)
+    seen = {"general": 0, "left_out": 0, "repeats": 0}
+    for seed in range(200):
+        gen = np.random.default_rng(seed)
+        program, x0, _ = random_program(gen)
+        qp = with_bounds(program, x0, gen)
+        args.clear()
+        try:
+            solve_qp(qp)
+        except Infeasible:
+            pass
+        _, a_all, b_all, _, var, dnorm2, whole = args[0]
+        n, m = qp.n, b_all.shape[0]
+        for _ in range(3):
+            rows = np.flatnonzero(gen.random(m) < gen.uniform(0.2, 1.0))
+            q, active, _, jt, nstar, _ = qp_module._factor(qp, a_all, b_all, rows, var, dnorm2, whole)
+            j2 = jt[q:].T
+            close = dict(rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(j2.T @ qp.dmat @ j2, np.eye(n - q), **close)
+            np.testing.assert_allclose(nstar[:q] @ qp.dmat @ j2, 0.0, **close)
+            np.testing.assert_allclose(a_all[active[:q]] @ nstar[:q].T, np.eye(q), **close)
+            # one bound per variable first, in variable order, the first of its rows
+            row_var = var[rows]
+            bounded = np.unique(row_var[row_var >= 0])
+            k = bounded.size
+            np.testing.assert_array_equal(active[:k], [rows[row_var == v][0] for v in bounded])
+            assert set(active[:q]) <= set(rows)
+            seen["general"] += q - k
+            seen["repeats"] += int((row_var >= 0).sum()) - k
+            # a repeated bound is a general row: it entered after the bounds,
+            # or it was left out, as every row left out, as dependent
+            for p in np.setdiff1d(rows, active[:q]):
+                seen["left_out"] += 1
+                ztn = float(np.sum((jt[q:] @ a_all[p]) ** 2))
+                scale = max(dnorm2[p], float((jt[q:] ** 2).sum() * (a_all[p] @ a_all[p])))
+                assert ztn <= 1e-10 * max(scale, np.finfo(float).tiny)
+    # the subsets reach general rows, repeated bounds and dependent rows
+    assert min(seen.values()) >= 100, seen
 
 
 def test_seeded_start_reaches_the_cold_optimum(monkeypatch):
