@@ -21,15 +21,14 @@ covers every pinned target return; the efficient branch is t >= 0.  A
 pinned program's multiplier of its return row is t, and a tradeoff
 program min (1-l) w'Sw - l mu'w with D = 2S has t = l / (1 - l).
 
-Every computation here only proposes working sets: the frontier sweeps
-hand each point's solver the free set of its segment, and the solver
-certifies the point (or leaves the proposed set), so float drift along
-the pass can cost solver steps but never changes an answer.  A bordering
-pivot that is not positive refactors D_FF from scratch, and the pass
-ends at a D_FF that fails its Cholesky factorization or after
-``CORNERS_PER_ASSET`` corners per asset; points below the end get no
-proposal.  The pass of the last (D, mu) traced is kept, so the sweeps of
-one model trace it once.
+Every computation here only proposes working sets: :mod:`portopt.optimizers`
+keeps one model's line and starts each solve on that model from the free
+set of its program's segment, and the solver certifies the point (or
+leaves the proposed set), so float drift along the pass can cost solver
+steps but never changes an answer.  A bordering pivot that
+is not positive refactors D_FF from scratch, and the pass ends at a D_FF
+that fails its Cholesky factorization or after ``CORNERS_PER_ASSET``
+corners per asset; points below the end get no proposal.
 """
 
 from __future__ import annotations
@@ -41,9 +40,6 @@ import numpy as np
 #: Corners per asset after which a pass ends (a sample covariance at
 #: N = 150 to 500 has about two per asset).
 CORNERS_PER_ASSET = 10
-
-#: The last pass traced: read-only copies of D and mu, and its line.
-_last_line: tuple[np.ndarray, np.ndarray, CriticalLine] | None = None
 
 
 @dataclass(frozen=True)
@@ -66,31 +62,15 @@ class CriticalLine:
         return int(np.searchsorted(-self.t_low, -t))
 
     def segment_at_return(self, target: float) -> int:
-        """Index of the segment holding expected return ``target``."""
-        return int(np.searchsorted(-self.return_low, -target))
+        """Index of the segment holding expected return ``target``; at a
+        corner's exact return, the segment below it (a vertex's own
+        segment would pin a return row that depends on its bounds)."""
+        return int(np.searchsorted(-self.return_low, -target, side="right"))
 
 
 def critical_line(dmat: np.ndarray, mu: np.ndarray) -> CriticalLine:
-    """The pass for quadratic term ``dmat`` (positive definite) and means
-    ``mu``, reused from the last call while both have that call's bits."""
-    global _last_line
-    last = _last_line  # read once: another thread may replace it
-    if last is not None and _same_bits(last[0], dmat) and _same_bits(last[1], mu):
-        return last[2]
-    line = _trace(dmat, mu)
-    keys = (dmat.copy(), mu.copy())
-    for key in keys:
-        key.setflags(write=False)
-    _last_line = (*keys, line)
-    return line
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
-def _trace(dmat: np.ndarray, mu: np.ndarray) -> CriticalLine:
-    """One pass down the critical line; see the module docstring."""
+    """One pass down the critical line of quadratic term ``dmat`` (positive
+    definite) and means ``mu``; see the module docstring."""
     n = mu.shape[0]
     # the means are shifted so the highest is 0: w and the multipliers do
     # not change, and a segment inside a tie at the top gets beta = 0 exactly
@@ -129,8 +109,9 @@ def _trace(dmat: np.ndarray, mu: np.ndarray) -> CriticalLine:
         elif not free.enter(k):
             break
         t = t_next
-    # drift at a near-tie can put a corner at |t| ~ 1e13, where the return
-    # mu_F'alpha + t mu_F'beta is noise times t; it cannot rise as t falls
+    # drift at an almost exact tie can put a corner at |t| ~ 1e13, where
+    # the return mu_F'alpha + t mu_F'beta is noise times t; it cannot rise
+    # as t falls
     return CriticalLine(np.array(t_low), np.minimum.accumulate(return_low), tuple(frees))
 
 
@@ -141,7 +122,7 @@ def _start(dmat: np.ndarray, shifted: np.ndarray) -> np.ndarray | None:
     top = np.flatnonzero(shifted == 0.0)
     if top.size == 1:
         return top
-    tie = _trace(dmat[np.ix_(top, top)], np.arange(top.size, dtype=float))
+    tie = critical_line(dmat[np.ix_(top, top)], np.arange(top.size, dtype=float))
     k = tie.segment_at(0.0)
     return top[tie.free[k]] if k < len(tie.free) else None
 

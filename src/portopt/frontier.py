@@ -1,12 +1,9 @@
 """Frontier sweeps, opportunity-set geometry and out-of-sample fit.
 
-Every sweep point is one solve of its own program.  The sweeps of one
-model share one pass down its critical line (:mod:`portopt.critical_line`),
-traced on the quadratic term the solver gets, and each point's solve
-starts from the free set of the point's segment: the segment of its
-pinned or least return, or of its tradeoff t = l / (1 - l) (t = +inf at
-l = 1, t = 0 for the minimum-risk portfolio).  A point below the end of a
-pass that stopped early starts cold.
+Every sweep point is one solve of its own program.  Each sweep first has
+:mod:`portopt.optimizers` keep its model's critical line, so the sweeps
+of one model share one pass down it and every point's solve starts from
+its program's segment (see :mod:`portopt.critical_line`).
 
 Sweep ranges mirror the reference behavior: target returns run from
 ``min(mu) + |min(mu)| * 0.005`` to ``max(mu) - |max(mu)| * 0.005``, so both
@@ -22,17 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical_line import CriticalLine, critical_line
 from .errors import AssetAlignmentError, QpError
 from .market import IntegerSolution
 from .market_data import ReturnsMatrix
-from .optimizers import (
-    ObjectiveParams,
-    Portfolio,
-    _risk_term,
-    lambda_portfolio,
-    markowitz_portfolio,
-)
+from .optimizers import ObjectiveParams, Portfolio, _line, lambda_portfolio, markowitz_portfolio
 from .risk_models import RiskModel, mean_returns, quadratic_form
 
 RANGE_CLIP = 0.005
@@ -94,36 +84,17 @@ def _lambda_grid(n_points: int) -> np.ndarray:
     return np.round(np.linspace(0.0, 1.0, n_points), PARAMETER_DECIMALS)
 
 
-def _near(model: RiskModel, line: CriticalLine, segment: int) -> Portfolio | None:
-    """A seed for one point's solve: equal weights on the free set of the
-    line's ``segment``, so that its zero weights are the segment's bounds
-    (the solver reads nothing else, so its risk is left at 0); None past
-    the end of the line."""
-    if segment >= len(line.free):
-        return None
-    weights = np.zeros(model.n_assets)
-    weights[line.free[segment]] = 1.0 / line.free[segment].size
-    return Portfolio(model.assets, weights, float(weights @ model.mu), 0.0, {})
-
-
-def _line(model: RiskModel) -> CriticalLine:
-    return critical_line(_risk_term(model), model.mu)
-
-
 def efficient_frontier(model: RiskModel, n_points: int = 40) -> list[FrontierPoint]:
-    """Minimum-risk set traced over equally spaced pinned target returns;
-    each point's solve starts from its return's segment of the critical line."""
+    """Minimum-risk set traced over equally spaced pinned target returns."""
     if model.n_assets < 2:
         raise ValueError("frontier needs at least 2 assets")
     targets = _target_range(model.mu, n_points)
-    line = _line(model)
+    _line(model)
     points = []
     for target in targets:
         try:
             p = markowitz_portfolio(
-                model,
-                ObjectiveParams(target_return=float(target), pin_return_equality=True),
-                near=_near(model, line, line.segment_at_return(target)),
+                model, ObjectiveParams(target_return=float(target), pin_return_equality=True)
             )
         except QpError as exc:
             raise type(exc)(f"target {target}: {exc}") from exc
@@ -132,18 +103,14 @@ def efficient_frontier(model: RiskModel, n_points: int = 40) -> list[FrontierPoi
 
 
 def lambda_frontier(model: RiskModel, n_points: int = 40) -> list[FrontierPoint]:
-    """Efficient frontier from the tradeoff program, lam swept over [0, 1];
-    each point's solve starts from the segment of t = lam / (1 - lam) on
-    the critical line (t = +inf at lam = 1)."""
+    """Efficient frontier from the tradeoff program, lam swept over [0, 1]."""
     if model.n_assets < 2:
         raise ValueError("frontier needs at least 2 assets")
     lams = _lambda_grid(n_points)
-    line = _line(model)
+    _line(model)
     points = []
     for lam in lams:
-        t = lam / (1.0 - lam) if lam < 1.0 else np.inf
-        near = _near(model, line, line.segment_at(t))
-        p = lambda_portfolio(model, ObjectiveParams(lam=float(lam)), near=near)
+        p = lambda_portfolio(model, ObjectiveParams(lam=float(lam)))
         points.append(FrontierPoint(float(lam), p))
     return points
 
@@ -205,10 +172,7 @@ def frontier_fit(
 
     Targets run from the global minimum-risk portfolio's return up to the
     clipped maximum; each portfolio is solved with the return constraint
-    as an inequality, starting from its return's segment of the critical
-    line (no lower than t = 0, where the constraint is slack, the
-    minimum-risk portfolio's segment), and then realized on the
-    out-of-sample means.
+    as an inequality and then realized on the out-of-sample means.
     """
     if returns_out.assets != model.assets:
         extra = set(returns_out.assets) - set(model.assets)
@@ -218,15 +182,13 @@ def frontier_fit(
             f"(missing: {sorted(missing)}, unexpected: {sorted(extra)})"
         )
     mu_out = mean_returns(returns_out)
-    line = _line(model)
-    minimum_risk = line.segment_at(0.0)
-    base = markowitz_portfolio(model, near=_near(model, line, minimum_risk))
+    _line(model)
+    base = markowitz_portfolio(model)
     targets = _target_range(model.mu, n_points, low=base.expected_return)
 
     pairs = []
     for target in targets:
-        near = _near(model, line, min(line.segment_at_return(target), minimum_risk))
-        p = markowitz_portfolio(model, ObjectiveParams(target_return=float(target)), near=near)
+        p = markowitz_portfolio(model, ObjectiveParams(target_return=float(target)))
         pairs.append((p.expected_return, float(p.weights @ mu_out)))
 
     expected = np.array([e for e, _ in pairs])

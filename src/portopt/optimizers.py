@@ -15,6 +15,17 @@ so a sweep over one model factors it once: for l < 1 the tradeoff
 program is divided by 1-l, min w'Sw - (l/(1-l)) mu'w, which has the same
 optimum.  At l = 1 the quadratic term vanishes and the solver gets the
 regularization shift alone.
+
+One model's critical line (:mod:`portopt.critical_line`) is kept:
+:func:`_line` traces it, and each frontier sweep calls it once.  A solve
+on that model object starts from the bounds that its program's segment
+holds: the segment of a pinned return, of the tradeoff t = l / (1 - l)
+(t = +inf at l = 1), of t = 0 for the minimum-risk program, and for a
+``>=`` return the higher of its return's segment and t = 0's, where the
+constraint is slack.  The seed
+only speeds the solve up, since the solver certifies the optimum, so the
+model is matched by identity; a solve on any other model object starts
+cold.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .critical_line import CriticalLine, critical_line
 from .errors import TargetOutOfRange
 from .qp import QuadraticProgram, solve_qp
 from .risk_models import RiskModel, quadratic_form
@@ -38,6 +50,9 @@ PD_EIGENVALUE_MIN = 1e-12
 #: Reporting precision for weights; never applied to the vector used in
 #: return/risk computations (rounding alone is already a +/-1e-4 error).
 REPORT_DECIMALS = 4
+
+#: The model whose critical line is kept, and that line.
+_kept: tuple[RiskModel, CriticalLine] | None = None
 
 
 @dataclass(frozen=True)
@@ -103,6 +118,17 @@ def _risk_term(model: RiskModel) -> np.ndarray:
     return 2.0 * _shifted(model.sigma, model.min_eigenvalue)
 
 
+def _line(model: RiskModel) -> CriticalLine:
+    """``model``'s critical line, traced unless ``model`` is the kept model
+    object; it is kept, so later solves on ``model`` start from their
+    segments."""
+    global _kept
+    kept = _kept  # read once: another thread may replace it
+    if kept is None or kept[0] is not model:
+        kept = _kept = (model, critical_line(_risk_term(model), model.mu))
+    return kept[1]
+
+
 def _sparse_view(assets, weights: np.ndarray, report_threshold: float) -> dict[str, float]:
     """Asset names mapped to their rounded report weights above ``report_threshold``."""
     rounded = np.round(weights, REPORT_DECIMALS)
@@ -136,40 +162,43 @@ def _simplex_constraints(n: int):
     return a_eq, b_eq, a_ineq, b_ineq
 
 
-def _solve(model: RiskModel, qp: QuadraticProgram, near: Portfolio | None) -> Portfolio:
+def _solve(model: RiskModel, qp: QuadraticProgram, target: float, t: float) -> Portfolio:
     """Solve ``qp`` (budget equality first, the n bounds last) and report it.
 
-    With ``near``, the solver starts from the bounds of the assets ``near``
-    leaves out plus every inequality that is not a bound (the return
-    constraint); only the zero pattern of its weights is read.
+    The program's optimum is the lowest point of ``model``'s critical line
+    with an expected return of at least ``target`` and a tradeoff of at
+    least ``t``.  When that line is kept, the solver starts from the
+    bounds that the point's segment holds plus every inequality that is
+    not a bound (the return constraint).
     """
     start = ()
-    if near is not None:
-        if near.assets != model.assets:
-            raise ValueError("near must hold the model's assets")
-        first_bound = qp.b_eq.shape[0] + qp.b_ineq.shape[0] - model.n_assets
-        zero = first_bound + np.flatnonzero(near.weights == 0.0)
-        start = np.concatenate([np.arange(qp.b_eq.shape[0], first_bound), zero])
+    kept = _kept
+    if kept is not None and kept[0] is model:
+        line = kept[1]
+        k = min(line.segment_at_return(target), line.segment_at(t))
+        if k < len(line.free):
+            first_bound = qp.b_eq.shape[0] + qp.b_ineq.shape[0] - model.n_assets
+            held = np.ones(model.n_assets, dtype=bool)
+            held[line.free[k]] = False
+            start = np.concatenate(
+                [np.arange(qp.b_eq.shape[0], first_bound), first_bound + np.flatnonzero(held)]
+            )
     return portfolio_from_weights(model, solve_qp(qp, start=start).x)
 
 
-def markowitz_portfolio(
-    model: RiskModel, params: ObjectiveParams | None = None, *, near: Portfolio | None = None
-) -> Portfolio:
+def markowitz_portfolio(model: RiskModel, params: ObjectiveParams | None = None) -> Portfolio:
     """Minimum-risk portfolio, optionally at a required return level.
 
     Without a target this is the global minimum-risk portfolio.  With one,
     the return constraint is ``mu'w >= beta`` by default and an equality
-    when ``pin_return_equality`` is set.  ``near``, a portfolio of a
-    neighbouring program, or one whose zero weights are the bounds of a
-    sweep point's segment of the critical line, only speeds the solve up:
-    the solver starts from its zero weights, and the answer is the
-    program's unique optimum either way.
+    when ``pin_return_equality`` is set.
     """
     params = params or ObjectiveParams()
     n = model.n_assets
     a_eq, b_eq, a_ineq, b_ineq = _simplex_constraints(n)
 
+    # the least return and tradeoff of the optimum's point on the line
+    target, t = -np.inf, 0.0
     if params.target_return is not None:
         lo, hi = float(model.mu.min()), float(model.mu.max())
         # dot-product roundoff can push a frontier endpoint past [lo, hi]
@@ -180,6 +209,7 @@ def markowitz_portfolio(
         if params.pin_return_equality:
             a_eq = np.vstack([a_eq, model.mu])
             b_eq = np.append(b_eq, target)
+            t = -np.inf
         else:
             a_ineq = np.vstack([model.mu, a_ineq])
             b_ineq = np.concatenate([[target], b_ineq])
@@ -192,19 +222,16 @@ def markowitz_portfolio(
         a_ineq=a_ineq,
         b_ineq=b_ineq,
     )
-    return _solve(model, qp, near)
+    return _solve(model, qp, target, t)
 
 
-def lambda_portfolio(
-    model: RiskModel, params: ObjectiveParams, *, near: Portfolio | None = None
-) -> Portfolio:
+def lambda_portfolio(model: RiskModel, params: ObjectiveParams) -> Portfolio:
     """Tradeoff portfolio min (1-l) w'Sw - l mu'w over the simplex.
 
     For l < 1 the solver gets the program divided by 1-l, with
     :func:`markowitz_portfolio`'s quadratic term.  At l = 1 the quadratic
     term vanishes and the regularization shift takes over, so the program
     stays strictly convex and resolves to the highest-mean vertex.
-    ``near`` is as for :func:`markowitz_portfolio`.
     """
     n = model.n_assets
     a_eq, b_eq, a_ineq, b_ineq = _simplex_constraints(n)
@@ -221,4 +248,4 @@ def lambda_portfolio(
         a_ineq=a_ineq,
         b_ineq=b_ineq,
     )
-    return _solve(model, qp, near)
+    return _solve(model, qp, -np.inf, lam / (1.0 - lam) if lam < 1.0 else np.inf)

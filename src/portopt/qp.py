@@ -95,7 +95,7 @@ from .errors import Infeasible, MaxIterations, NumericalBreakdown
 
 #: Absolute slack below which a constraint counts as violated when
 #: selecting the next one to add.  Tighter than the 1e-8 feasibility
-#: contract so float noise near the boundary never loops.
+#: contract so float noise at the boundary never loops.
 _ADD_TOL = 1e-11
 
 #: Dual direction entries below this cannot block a step.

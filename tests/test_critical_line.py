@@ -1,4 +1,5 @@
-"""The critical-line pass that seeds the frontier sweeps."""
+"""The critical-line pass, and the line the optimizers keep to seed the
+solves on one model."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from portopt import critical_line as cl
 from portopt import frontier, optimizers
 from portopt.frontier import efficient_frontier, frontier_fit, lambda_frontier
 from portopt.market_data import ReturnsMatrix
-from portopt.optimizers import _risk_term, markowitz_portfolio
+from portopt.optimizers import ObjectiveParams, _risk_term, lambda_portfolio, markowitz_portfolio
 from portopt.risk_models import RiskKind, RiskModel, build_risk_model
 
 from conftest import random_returns, scaled_kkt
@@ -18,16 +19,16 @@ from test_frontier import degenerate_panel, keeps_its_seed, returns_with_means
 
 @pytest.fixture
 def traces(monkeypatch):
-    """The ``(dmat, mu)`` of every pass traced, from an empty kept pass."""
+    """The ``(dmat, mu)`` of every pass the optimizers trace, from no kept line."""
     log = []
-    real = cl._trace
+    real = cl.critical_line
 
     def spy(dmat, mu):
         log.append((dmat, mu))
         return real(dmat, mu)
 
-    monkeypatch.setattr(cl, "_last_line", None)
-    monkeypatch.setattr(cl, "_trace", spy)
+    monkeypatch.setattr(optimizers, "_kept", None)
+    monkeypatch.setattr(optimizers, "critical_line", spy)
     return log
 
 
@@ -57,7 +58,7 @@ def with_means(kind, means, seed=7):
 
 
 def line_of(model):
-    return cl._trace(_risk_term(model), model.mu)
+    return cl.critical_line(_risk_term(model), model.mu)
 
 
 def check_cold_bits(monkeypatch, model, returns):
@@ -79,19 +80,135 @@ def test_one_pass_per_model(traces, kind):
     lambda_frontier(model, 6)
     frontier_fit(model, returns, 6)
     assert len(traces) == 1
-    # one ulp off in a mean, then in a symmetric pair of risk entries
-    mu = model.mu.copy()
-    mu[3] = np.nextafter(mu[3], 1.0)
-    sigma = model.sigma.copy()
-    sigma[1, 2] = sigma[2, 1] = np.nextafter(sigma[1, 2], 1.0)
-    other_mu = RiskModel(model.assets, mu, model.sigma, kind=kind)
-    other_sigma = RiskModel(model.assets, model.mu, sigma, kind=kind)
-    for other in (other_mu, other_sigma):
-        efficient_frontier(other, 6)
-        lambda_frontier(other, 6)
+    np.testing.assert_array_equal(traces[0][0], _risk_term(model))
+    # the kept line is the model object's: an equal model traces its own,
+    # which then replaces it
+    twin = RiskModel(model.assets, model.mu, model.sigma, kind=kind)
+    efficient_frontier(twin, 6)
+    lambda_frontier(twin, 6)
+    assert len(traces) == 2 and optimizers._kept[0] is twin
+    efficient_frontier(model, 6)
     assert len(traces) == 3
-    np.testing.assert_array_equal(traces[1][1], mu)
-    np.testing.assert_array_equal(traces[2][0], _risk_term(other_sigma))
+
+
+def test_critical_line_is_pure():
+    # each call traces its own pass
+    model = build_risk_model(random_returns(np.random.default_rng(5), 30, 250))
+    dmat = _risk_term(model)
+    first, second = cl.critical_line(dmat, model.mu), cl.critical_line(dmat, model.mu)
+    assert first is not second
+    np.testing.assert_array_equal(first.t_low, second.t_low)
+    np.testing.assert_array_equal(first.return_low, second.return_low)
+    for a, b in zip(first.free, second.free, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+def lone_programs(model) -> list:
+    """``(solve, segment)`` for one lone solve of each program kind on
+    ``model``: a pinned and a ``>=`` return at 60% of the mean range, the
+    minimum-risk program, and the tradeoffs l = 0.4 and 1; ``segment``
+    maps a line to the segment the solve should start from."""
+    target = float(model.mu.min() + 0.6 * np.ptp(model.mu))
+    pinned = ObjectiveParams(target_return=target, pin_return_equality=True)
+    at_least = ObjectiveParams(target_return=target)
+    return [
+        (lambda: markowitz_portfolio(model, pinned), lambda line: line.segment_at_return(target)),
+        (
+            lambda: markowitz_portfolio(model, at_least),
+            lambda line: min(line.segment_at_return(target), line.segment_at(0.0)),
+        ),
+        (lambda: markowitz_portfolio(model), lambda line: line.segment_at(0.0)),
+        (
+            lambda: lambda_portfolio(model, ObjectiveParams(lam=0.4)),
+            lambda line: line.segment_at(0.4 / (1.0 - 0.4)),
+        ),
+        (
+            lambda: lambda_portfolio(model, ObjectiveParams(lam=1.0)),
+            lambda line: line.segment_at(np.inf),
+        ),
+    ]
+
+
+def logged_solve(monkeypatch, solve) -> tuple:
+    """``(portfolio, seed, qp, solution)`` of a call that solves one program."""
+    real = optimizers.solve_qp
+    log = []
+
+    def spy(qp, start=()):
+        log.append((np.asarray(start, dtype=int), qp, real(qp, start=start)))
+        return log[-1][2]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizers, "solve_qp", spy)
+        portfolio = solve()
+    [(start, qp, solution)] = log
+    return portfolio, start, qp, solution
+
+
+def segment_seed(qp, line, k) -> np.ndarray:
+    """The rows a solve seeded from segment ``k`` starts from: every
+    inequality that is not a bound, then the bounds of the assets that
+    the segment holds at zero."""
+    meq, n = qp.b_eq.shape[0], qp.n
+    first_bound = meq + qp.b_ineq.shape[0] - n
+    held = np.setdiff1d(np.arange(n), line.free[k])
+    return np.concatenate([np.arange(meq, first_bound), first_bound + held])
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+def test_kept_line_seeds_lone_solves_with_cold_bits(monkeypatch, kind):
+    # after the model's line is kept, a lone solve of each program kind
+    # starts from its segment, takes no step, and has the bits of the same
+    # solve once the line is no longer kept
+    model = build_risk_model(random_returns(np.random.default_rng(12), 150, 500), kind=kind)
+    monkeypatch.setattr(optimizers, "_kept", None)
+    line = optimizers._line(model)
+    seeded = []
+    for solve, segment in lone_programs(model):
+        portfolio, start, qp, solution = logged_solve(monkeypatch, solve)
+        np.testing.assert_array_equal(start, segment_seed(qp, line, segment(line)))
+        assert solution.iterations == 0
+        seeded.append(portfolio)
+    optimizers._kept = None
+    for (solve, _), warm in zip(lone_programs(model), seeded, strict=True):
+        cold, start, _, _ = logged_solve(monkeypatch, solve)
+        assert start.size == 0
+        np.testing.assert_array_equal(warm.weights, cold.weights)
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+def test_an_equal_model_object_starts_cold(monkeypatch, kind):
+    model = build_risk_model(random_returns(np.random.default_rng(12), 30, 250), kind=kind)
+    twin = RiskModel(model.assets, model.mu, model.sigma, kind=kind)
+    monkeypatch.setattr(optimizers, "_kept", None)
+    optimizers._line(model)
+    for (solve, _), (on_model, _) in zip(lone_programs(twin), lone_programs(model), strict=True):
+        cold, start, _, _ = logged_solve(monkeypatch, solve)
+        assert start.size == 0
+        np.testing.assert_array_equal(cold.weights, on_model().weights)
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+def test_pinned_return_at_the_highest_mean(monkeypatch, kind):
+    # mu.max() is the first corner's return, the top vertex's own: the
+    # solve starts from the segment below it, where the return row does not
+    # depend on the seeded bounds, takes no step and has the cold bits
+    model = build_risk_model(random_returns(np.random.default_rng(13), 150, 500), kind=kind)
+    top = float(model.mu.max())
+    params = ObjectiveParams(target_return=top, pin_return_equality=True)
+    monkeypatch.setattr(optimizers, "_kept", None)
+    line = optimizers._line(model)
+    assert line.return_low[0] == top and line.free[0].size == 1
+    assert line.segment_at_return(top) == 1
+    warm, start, qp, solution = logged_solve(
+        monkeypatch, lambda: markowitz_portfolio(model, params)
+    )
+    np.testing.assert_array_equal(start, segment_seed(qp, line, 1))
+    assert solution.iterations == 0
+    optimizers._kept = None
+    cold = markowitz_portfolio(model, params)
+    np.testing.assert_array_equal(warm.weights, cold.weights)
+    np.testing.assert_array_equal(np.flatnonzero(warm.weights), [np.argmax(model.mu)])
 
 
 @pytest.mark.parametrize("kind", list(RiskKind))
@@ -219,7 +336,7 @@ def check_early_end(monkeypatch, model, returns, segments):
     points below its end get no seed, and every answer keeps its bits."""
     line = line_of(model)
     assert len(line.free) == segments and np.isfinite(line.t_low[-1])
-    monkeypatch.setattr(cl, "_last_line", None)
+    monkeypatch.setattr(optimizers, "_kept", None)
     solves = sweep_solves(monkeypatch, model, returns)
     seedless = [start.size == 0 for start, *_ in solves]
     assert 0 < sum(seedless) < len(solves)

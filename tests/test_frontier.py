@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from portopt import optimizers
+from portopt import frontier, optimizers
 from portopt import qp as qp_module
 from portopt.errors import AssetAlignmentError
 from portopt.frontier import (
@@ -267,8 +267,8 @@ class TestSweepRangeInsideMeans:
 def keeps_its_seed(seed, solution, qp) -> bool:
     """Every seeded row is active at the solution, except a return
     inequality that the solution holds slack: a fit target that rounds
-    below the minimum-risk return lies on the t = 0 segment, but ``near=``
-    seeds every row that is not a bound."""
+    below the minimum-risk return lies on the t = 0 segment, but a seed
+    holds every row that is not a bound."""
     left = np.setdiff1d(seed, solution.active_set)
     if not left.size:
         return True
@@ -286,18 +286,22 @@ class TestWarmSweeps:
     @staticmethod
     def solves(monkeypatch, sweep, cold: bool) -> list:
         """``(seed, solution, program)`` of every ``solve_qp`` the sweep
-        makes; with ``cold`` every seed is dropped."""
+        makes; with ``cold`` no critical line is kept, so every solve
+        starts cold."""
         real = optimizers.solve_qp
         log = []
 
         def spy(qp, start=()):
-            start = () if cold else start
             log.append((np.asarray(start, dtype=int), real(qp, start=start), qp))
             return log[-1][1]
 
         with monkeypatch.context() as patch:
             patch.setattr(optimizers, "solve_qp", spy)
+            if cold:
+                patch.setattr(optimizers, "_kept", None)
+                patch.setattr(frontier, "_line", lambda model: None)
             sweep()
+        assert not cold or all(start.size == 0 for start, *_ in log)
         return log
 
     def check(self, monkeypatch, sweep) -> list:

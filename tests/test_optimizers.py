@@ -167,27 +167,6 @@ class TestMarkowitz:
             risks.append(p.risk)
         assert all(b >= a - 1e-10 for a, b in zip(risks, risks[1:]))
 
-    def test_near_from_any_portfolio_gives_the_same_optimum(self, rng):
-        # near only picks the start: a vertex, a far target's optimum or
-        # the uniform portfolio all lead to the cold answer
-        model = random_model(rng, 8)
-        params = ObjectiveParams(target_return=float(np.quantile(model.mu, 0.6)))
-        cold = markowitz_portfolio(model, params)
-        far = markowitz_portfolio(model, ObjectiveParams(target_return=float(model.mu.max())))
-        vertex = portfolio_from_weights(model, np.eye(8)[int(model.mu.argmin())])
-        uniform = portfolio_from_weights(model, np.full(8, 1 / 8))
-        for near in (far, vertex, uniform, cold):
-            warm = markowitz_portfolio(model, params, near=near)
-            np.testing.assert_allclose(warm.weights, cold.weights, rtol=0.0, atol=1e-12)
-            lam = lambda_portfolio(model, ObjectiveParams(lam=0.4), near=near)
-            lam_cold = lambda_portfolio(model, ObjectiveParams(lam=0.4))
-            np.testing.assert_allclose(lam.weights, lam_cold.weights, rtol=0.0, atol=1e-12)
-
-    def test_near_over_other_assets_rejected(self, rng, toy_model):
-        other = markowitz_portfolio(random_model(rng, 3))
-        with pytest.raises(ValueError, match="near"):
-            markowitz_portfolio(toy_model, near=other)
-
 
 class TestLambdaPortfolio:
     def test_zero_lambda_is_min_risk(self, toy_model):
