@@ -71,7 +71,9 @@ class MaxIterations(QpError):
 
 
 class NumericalBreakdown(QpError):
-    """The quadratic term is not positive definite (its Cholesky factorization fails)."""
+    """The quadratic term is not positive definite (its Cholesky
+    factorization fails), or the arithmetic on a program's data overflows
+    (a sweep target, the critical line or the solver's answer is not finite)."""
 
 
 class TargetOutOfRange(PortfolioError):

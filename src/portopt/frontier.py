@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssetAlignmentError, QpError
+from .errors import AssetAlignmentError, NumericalBreakdown, QpError
 from .market import IntegerSolution
 from .market_data import ReturnsMatrix
 from .optimizers import ObjectiveParams, Portfolio, _line, lambda_portfolio, markowitz_portfolio
@@ -75,7 +75,11 @@ def _target_range(mu: np.ndarray, n_points: int, low: float | None = None) -> np
     mu_min, mu_max = float(mu.min()), float(mu.max())
     lo = low if low is not None else mu_min + abs(mu_min) * RANGE_CLIP
     hi = mu_max - abs(mu_max) * RANGE_CLIP
-    return np.clip(np.round(np.linspace(lo, hi, n_points), PARAMETER_DECIMALS), mu_min, mu_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        targets = np.round(np.linspace(lo, hi, n_points), PARAMETER_DECIMALS)
+    if not np.isfinite(targets).all():
+        raise NumericalBreakdown(f"sweep targets overflow at {PARAMETER_DECIMALS} decimals")
+    return np.clip(targets, mu_min, mu_max)
 
 
 def _lambda_grid(n_points: int) -> np.ndarray:

@@ -25,7 +25,8 @@ holds: the segment of a pinned return, of the tradeoff t = l / (1 - l)
 constraint is slack.  The seed
 only speeds the solve up, since the solver certifies the optimum, so the
 model is matched by identity; a solve on any other model object starts
-cold.
+cold.  A line whose corners are not finite (means so large that the pass
+overflows) raises :class:`~portopt.errors.NumericalBreakdown`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical_line import CriticalLine, critical_line
-from .errors import TargetOutOfRange
+from .errors import NumericalBreakdown, TargetOutOfRange
 from .qp import QuadraticProgram, solve_qp
 from .risk_models import RiskModel, quadratic_form
 
@@ -125,14 +126,22 @@ def _line(model: RiskModel) -> CriticalLine:
     global _kept
     kept = _kept  # read once: another thread may replace it
     if kept is None or kept[0] is not model:
-        kept = _kept = (model, critical_line(_risk_term(model), model.mu))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            line = critical_line(_risk_term(model), model.mu)
+        # every corner finite; a pass that reached the end closes on -inf
+        for ends in (line.t_low, line.return_low):
+            if not (np.isfinite(ends[:-1]).all() and (ends[-1:] < np.inf).all()):
+                raise NumericalBreakdown("the critical line overflows")
+        kept = _kept = (model, line)
     return kept[1]
 
 
 def _sparse_view(assets, weights: np.ndarray, report_threshold: float) -> dict[str, float]:
-    """Asset names mapped to their rounded report weights above ``report_threshold``."""
+    """Asset names mapped to their rounded report weights above
+    ``report_threshold``, in asset order; only those weights are visited."""
     rounded = np.round(weights, REPORT_DECIMALS)
-    return {name: float(rw) for name, rw in zip(assets, rounded) if rw > report_threshold}
+    above = np.flatnonzero(rounded > report_threshold)
+    return dict(zip([assets[i] for i in above.tolist()], rounded[above].tolist()))
 
 
 def portfolio_from_weights(

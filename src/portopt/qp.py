@@ -36,48 +36,61 @@ unless it has taken no dual step and misses its bound by float noise
 drift leaves its active twin ~1e-11 off: then it is set aside until the
 next drop.
 
-One pass builds the factors of a whole working set at once: a seed of
-rows expected to be active (such as the bounds that a frontier point's
-segment of the critical line holds, see :mod:`portopt.critical_line`),
-each guess of a cold start, and the final working set.  A solve
-classifies each row once, as a bound (one nonzero) on its variable or a
-general row, and every pass reads that.  Bounds need no reflection: with
-Z the bounded and F the free variables and D_FF = CC', J2 is C^-1 in the
-free columns, and N*'s bound rows are [-D_ZF D_FF^-1, I] over their
-bounds' coefficients, so a set with k bounds and f = n - k free
-variables costs O(f^3 + k f^2).  The general rows, the equalities among
-them, and a second bound on a variable are appended by the add step on
-the free columns alone, O(n f) each: J2 and their rows of N* are zero on
-the bound columns, where the bound rows of N* do not change.  A row
-that depends on the rows before it is left out.  From the factors,
-x = J2 J2'd + N*'b is the minimizer on the set and u = N*(Dx - d) its
-multipliers.  One Cholesky factorization of the whole of D per distinct
-D checks that D is positive definite and gives the dependence test's
-first scale n+'D^-1 n+ of every row; a set without bounds, such as the
-equalities a cold start begins from, takes it as its own.  The factor of
-the last D solved is kept, so a sweep whose programs share their
-quadratic term factors it once.
+Every answer is settled from the free block alone.  With Z the bounded
+and F the free variables of a sorted working set, the bounds (one per
+variable) fix x_Z; one solve of D_FF against [d_F - D_FZ x_Z, A_gF'] gives
+x_F as a function of the general rows' multipliers y, and their g x g
+Schur complement A_gF D_FF^-1 A_gF' is factored row by row.  Each pivot
+is that row's d2'd2 on the rows before it, judged by the dependence
+test's first bound; a row that fails it hands the set back unsettled.
+One refinement step on the general rows follows, and the bounds'
+multipliers are ((Dx - d)_Z - A_gZ'y) over their coefficients, O(n f).
+With as many general rows as free variables (a vertex) the rows are
+solved directly, so the vertex keeps its exact zeros.  The settled point
+depends only on the program and the set, so any two solves that end on
+one set return the same bits.
 
-A seed's inequalities are factored with the equalities.  With none
-seeded, the cold start guesses its working set by block pivoting on the
-bounds (Judice and Pires 1994, Computers & OR 21): from the minimizer on
-the equalities, a round adds every violated bound, removes every held
-bound whose multiplier is negative, and factors the new set.  Another
-round is taken only while it changes fewer rows than the last one and
-more than the add/drop steps it costs, counted from the rows changed,
-the free variables and n.  Then seeded or guessed inequalities with
+A solve classifies each row once, as a bound (one nonzero) on its
+variable or a general row, and every pass reads that.  A seed of rows
+expected to be active (such as the bounds that a frontier point's segment
+of the critical line holds, see :mod:`portopt.critical_line`) is
+settled with the equalities first.  With none seeded, the cold start
+guesses its working set by block pivoting on the bounds (Judice and
+Pires 1994, Computers & OR 21): from the minimizer on the equalities, a
+round adds every violated bound, removes every held bound whose
+multiplier is negative, and settles the new set.  Another round is taken
+only while it changes fewer rows than the last one and more than the
+add/drop steps it costs, counted from the rows changed, the free
+variables and n.  A seed or guess whose inequalities all have
+multipliers >= 0 and that leaves no other inequality below -1e-11 is the
+optimum (no drop and no add would change it): it is returned at once,
+with no factorization and no step.
+
+Otherwise one pass builds the factors of the seed or guess.  Bounds need
+no reflection: with D_FF = CC', J2 is C^-1 in the free columns, and N*'s
+bound rows are [-D_ZF D_FF^-1, I] over their bounds' coefficients, so a
+set with k bounds and f = n - k free variables costs O(f^3 + k f^2).  The
+general rows, the equalities among them, and a second bound on a
+variable are appended by the add step on the free columns alone,
+O(n f) each: J2 and their rows of N* are zero on the bound columns, where
+the bound rows of N* do not change.  A row that depends on the rows
+before it is left out.  From the factors, x = J2 J2'd + N*'b is the
+minimizer on the set and u = N*(Dx - d) its multipliers.  One Cholesky
+factorization of the whole of D per distinct D checks that D is positive
+definite and gives the dependence test's first scale n+'D^-1 n+ of every
+row; a set without bounds, such as the equalities a cold start begins
+from, takes it as its own, when factored and when settled.  The factor of
+the last D solved is kept, so a sweep whose programs share their
+quadratic term factors it once.  Seeded or guessed inequalities with
 u < 0 leave one at a time, most negative first, by the drop step, x and
 u read from the factors after each, until the set is dual feasible; the
 add/drop loop above then runs unchanged and certifies the optimum.  The
-start changes the path, not the optimum, which is unique.
-The loop's x drifts over many small steps, so the answer is taken from the
-final working set factored afresh in sorted order, plus one refinement
-step on its rows (unless that point fails the polish's feasibility guard);
-it depends only on the program and that set, and a seeded solve that ends
-on the cold solve's working set returns the same bits.  A seed or guess
-that needs no drop and no step is already that factorization (every set
-reaches the pass sorted, and the pass puts its bounds in variable order),
-so it is not factored twice.
+start changes the path, not the optimum, which is unique.  The loop's x
+drifts over many small steps, so the answer is the final working set's
+settled point, unless that point misses a row outside the set by 1e-8,
+has an inequality multiplier below -1e-8 or is not settled; then it is
+the loop's own point.  A point that is not finite, or that misses a row
+by more than 1e-8 of |b| + |a||x| (at least 1e-8), is never returned.
 
 Everything is plain deterministic linear algebra: the same program solved
 twice, with the same BLAS build, CPU kernel and thread count, yields
@@ -86,6 +99,7 @@ bit-identical results.  Tie-breaks pick the lowest constraint index.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -177,6 +191,7 @@ class QpSolution:
     multipliers: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     """Solve the program; see the module docstring for the method.
 
@@ -186,12 +201,13 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     the first step (a neighbouring program's ``active_set`` will do).  It
     changes the path to the optimum, not the optimum; an empty seed is the
     cold start, which guesses its working set by block pivoting on the
-    bounds.  One factorization serves the seeded, guessed and final
-    working sets, and x and the multipliers are those of the final working
-    set alone: any two solves that end on the same set return the same bits.
-    The Cholesky factor of the whole of D is computed once per distinct D:
-    the last one is kept and reused while the next solve's D has the same
-    bits, so a reused factor has the bits of a fresh one.
+    bounds.  A seed or guess that is already optimal is returned at once,
+    with ``iterations`` 0 and the sorted seed (with the equalities) as
+    ``active_set``.  x and the multipliers are settled on the final working
+    set alone, so any two solves that end on the same set return the same
+    bits.  The Cholesky factor of the whole of D is computed once per
+    distinct D: the last one is kept and reused while the next solve's D
+    has the same bits, so a reused factor has the bits of a fresh one.
     ``iterations`` counts the add/drop loop's steps; the pivot rounds and
     the drops that make a seed or guess dual feasible are not among them.
 
@@ -199,9 +215,13 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     violated row depends on the working set, no working-set inequality can
     drop, and the row either has taken a dual step or misses its bound by
     more than 1e-8 of |b| + |a||x|.  Raises :class:`MaxIterations` past
-    100*N working-set steps.  The only :class:`NumericalBreakdown` is a
-    quadratic term that fails its Cholesky factorization (not positive
-    definite), whatever block of it the working sets factor.
+    100*N working-set steps.  Raises :class:`NumericalBreakdown` when the
+    quadratic term fails its Cholesky factorization (not positive
+    definite), whatever block of it the working sets factor, and when the
+    arithmetic overflows: no finite step exists, or neither the settled
+    point nor the loop's is a finite point meeting every row within 1e-8
+    of |b| + |a||x| (at least 1e-8).  Numpy's floating-point warnings are
+    silenced inside the solve; these checks stand in for them.
     """
     n = qp.n
     meq = qp.b_eq.shape[0]
@@ -235,15 +255,17 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     seeded = start[start >= meq]
     if seeded.size:
         rows = np.concatenate([np.arange(meq), seeded])
-        state = _factor(qp, a_all, b_all, rows, var, dnorm2, whole)
+        settled = _settle(qp, a_all, b_all, rows, var, dnorm2, whole)
     else:
-        state = _guess(qp, a_all, b_all, meq, var, dnorm2, whole)
-    q, active, u, jt, nstar, x = state
+        rows, settled = _guess(qp, a_all, b_all, meq, var, dnorm2, whole)
+    # a start whose settled point no drop and no add would change is the optimum
+    if settled is not None and _holds(a_all, b_all, is_eq, rows, *settled, _ADD_TOL, 0.0):
+        return _solution(qp, *settled, rows, 0)
+    q, active, u, jt, nstar, x = _factor(qp, a_all, b_all, rows, var, dnorm2, whole)
     signs = np.ones(cap)
     # seeded or guessed inequalities with u < 0 leave one at a time, most
     # negative first
     while (dual := np.where(is_eq[active[:q]], 0.0, u[:q])).min(initial=0.0) < 0.0:
-        state = None
         k = int(np.argmin(dual))
         _drop(jt, nstar, q, k, qp.dmat)
         active[k : q - 1] = active[k + 1 : q]
@@ -270,7 +292,6 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
         s_p = sign * slack[p]  # negative while violated
         u_plus = 0.0
 
-        state = None
         while True:
             iterations += 1
             if iterations > max_iter:
@@ -298,6 +319,8 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
                 raise Infeasible("constraints admit no feasible point")
 
             step = min(t1, t2)
+            if not step < np.inf:  # overflow: no finite step exists
+                raise NumericalBreakdown("the working-set step is not finite")
             if full_step_possible:
                 x = x + step * z
                 s_p = float(nplus @ x) - sign * b_all[p]
@@ -318,12 +341,24 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
             aside[:] = False
 
     working = np.sort(active[:q])
+    settled = _settle(qp, a_all, b_all, working, var, dnorm2, whole)
+    if settled is not None and _holds(a_all, b_all, is_eq, working, *settled, 1e-8, 1e-8):
+        return _solution(qp, *settled, working, iterations)
+    # the loop's own point, unless it is no answer either: it must be finite
+    # and meet every row within 1e-8 of |b| + |a||x| (at least 1e-8), as a
+    # row set aside as drift does
     multipliers = np.zeros(m)
     multipliers[active[:q]] = signs[:q] * u[:q]
-    # a start that neither dropped nor stepped is the final set's factors
-    final = state or _factor(qp, a_all, b_all, working, var, dnorm2, whole)
-    x, multipliers = _polish(qp, a_all, b_all, is_eq, final, x, multipliers)
+    slack = a_all @ x - b_all
+    miss = np.where(is_eq, np.abs(slack), -slack)
+    scale = np.abs(b_all) + np.linalg.norm(a_all, axis=1) * np.linalg.norm(x)
+    tol = _DRIFT_TOL * np.maximum(scale, 1.0)
+    if not (np.isfinite(tol).all() and np.isfinite(multipliers).all() and (miss <= tol).all()):
+        raise NumericalBreakdown("the working set's minimizer is not a finite feasible point")
+    return _solution(qp, x, multipliers, working, iterations)
 
+
+def _solution(qp, x, multipliers, working, iterations) -> QpSolution:
     objective = 0.5 * float(x @ qp.dmat @ x) - float(qp.dvec @ x)
     return QpSolution(
         x=x,
@@ -440,40 +475,142 @@ def _factor(qp, a_all, b_all, rows, var, dnorm2, whole):
 
 
 def _guess(qp, a_all, b_all, meq, var, dnorm2, whole):
-    """The cold start's state: the equality set's factors, improved by
-    block pivoting on the inequality rows with one nonzero (``var`` >= 0).
+    """The cold start's working set and its settled point (None when a
+    general row fails :func:`_settle`'s dependence test): the equalities,
+    improved by block pivoting on the inequality rows with one nonzero
+    (``var`` >= 0).
 
     A round adds every violated bound and removes every held bound whose
-    multiplier is negative, all at once, and factors the new set.  Another
+    multiplier is negative, all at once, and settles the new set.  Another
     round is taken only while it changes fewer rows than the one before
     (block pivoting can cycle) and more rows than the round costs in
     add/drop steps, each changed row saving at least one.  A step costs
     O(n^2).  A round costs about four steps of numpy calls and array
-    passes, plus the free block's factor and its product with the bounds,
-    f^2 n multiply-adds that run about 16 times faster per element than a
-    step's rank-1 updates (one BLAS thread, n = 30 to 500: a round cost 3
-    to 7 steps).  The guess need not be optimal, nor even consistent: the
-    seed drops and the add/drop loop certify it.
+    passes, plus work on the free block of f^2 n multiply-adds at most,
+    which run about 16 times faster per element than a step's rank-1
+    updates (one BLAS thread, n = 30 to 500).  The guess need not be
+    optimal, nor even consistent: the seed drops and the add/drop loop
+    certify it.
     """
     n = qp.n
     eqs = np.arange(meq)
     rows = meq + np.flatnonzero(var[meq:] >= 0)
     row_var = var[rows]
     coef = a_all[rows, row_var]
-    state = _factor(qp, a_all, b_all, eqs, var, dnorm2, whole)
+    held = np.zeros(rows.size, dtype=bool)
     last = rows.size + 1
     while True:
-        q, active, u, *_, x = state
-        held = np.isin(rows, active[:q])
-        leave = np.isin(rows, active[:q][u[:q] < 0.0])
+        working = np.concatenate([eqs, rows[held]])
+        settled = _settle(qp, a_all, b_all, working, var, dnorm2, whole)
+        if settled is None:
+            return working, None
+        x, multipliers = settled
+        leave = held & (multipliers[rows] < 0.0)
         enter = ~held & (coef * x[row_var] - b_all[rows] < -_ADD_TOL)
         changed = int(leave.sum() + enter.sum())
-        held = held & ~leave | enter
-        f = n - np.unique(row_var[held]).size
+        f = n - np.unique(row_var[held & ~leave | enter]).size
         if changed >= last or 16 * n * (changed - 4) <= f * f:
-            return state
+            return working, settled
         last = changed
-        state = _factor(qp, a_all, b_all, np.concatenate([eqs, rows[held]]), var, dnorm2, whole)
+        held = held & ~leave | enter
+
+
+def _settle(qp, a_all, b_all, rows, var, dnorm2, whole):
+    """x and the multipliers (one per global row) on the sorted working set
+    ``rows``, settled from the free block as the module docstring
+    describes, or None when a general row fails the dependence test.  The
+    bounds are one per variable as in :func:`_factor`, and Schur pivot i
+    is :func:`_factor`'s ztn for general row i, judged by
+    :func:`_independent`'s first bound.
+    """
+    n = qp.n
+    row_var = var[rows]
+    general = row_var < 0
+    bound = np.flatnonzero(~general)
+    zvars = row_var[bound]
+    if (zvars[1:] <= zvars[:-1]).any():  # a repeated bound, or bounds out of variable order
+        zvars, first = np.unique(zvars, return_index=True)
+        general[bound] = True
+        bound = bound[first]
+        general[bound] = False
+    bound_rows, grows = rows[bound], rows[general]
+    coef = a_all[bound_rows, zvars]
+    free = np.ones(n, dtype=bool)
+    free[zvars] = False
+    fvars = np.flatnonzero(free)
+    f, g = fvars.size, grows.size
+    if g > f:
+        return None
+    x = np.zeros(n)
+    x[zvars] = b_all[bound_rows] / coef
+    off = zvars[x[zvars] != 0.0]  # bounded variables held away from zero
+    a_g = a_all[grows]
+    a_gf = a_g[:, fvars]
+    dmat_f = qp.dmat[fvars]
+    dmat_ff = dmat_f[:, fvars]
+    rhs = np.empty((f, g + 1))
+    rhs[:, 0] = d_f = qp.dvec[fvars] - dmat_f[:, off] @ x[off]
+    rhs[:, 1:] = a_gf.T
+    # a set without bounds takes D's own factor, as in _factor
+    solved = np.linalg.solve(dmat_ff, rhs) if zvars.size else whole.T @ (whole @ rhs)
+    x0, w = solved[:, 0], solved[:, 1:]
+    # S = LL' row by row, in Python floats: g is the budget and return rows
+    schur = (a_gf @ w).tolist()
+    low = [[0.0] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i + 1):
+            entry = schur[i][j] - sum(low[i][k] * low[j][k] for k in range(j))
+            if j < i:
+                low[i][j] = entry / low[j][j]
+            elif entry > 1e-10 * max(dnorm2[grows[i]], np.finfo(float).tiny):
+                low[i][i] = math.sqrt(entry)
+            else:
+                return None
+    b_g = b_all[grows] - a_g[:, off] @ x[off]
+    if f == g:
+        x_f = np.linalg.solve(a_gf, b_g)
+        y = np.linalg.solve(a_gf.T, dmat_ff @ x_f - d_f)
+    else:
+        y = _cholesky_solve(low, b_g - a_gf @ x0)
+        x_f = x0 + w @ y
+        step = _cholesky_solve(low, b_g - a_gf @ x_f)
+        x_f += w @ step
+        y += step
+    x[fvars] = x_f
+    multipliers = np.zeros(b_all.shape[0])
+    multipliers[grows] = y
+    # Dx - d with D_ZF read as D_FZ', as the solver takes D to be symmetric
+    gradient = x_f @ dmat_f + x[off] @ qp.dmat[off] - qp.dvec
+    multipliers[bound_rows] = (gradient[zvars] - y @ a_g[:, zvars]) / coef
+    return x, multipliers
+
+
+def _cholesky_solve(low, v):
+    """y with LL'y = v, L a small lower triangle as lists, by substitution."""
+    y = v.tolist()
+    g = len(y)
+    for i in range(g):
+        y[i] = (y[i] - sum(low[i][k] * y[k] for k in range(i))) / low[i][i]
+    for i in reversed(range(g)):
+        y[i] = (y[i] - sum(low[k][i] * y[k] for k in range(i + 1, g))) / low[i][i]
+    return np.array(y)
+
+
+def _holds(a_all, b_all, is_eq, rows, x, multipliers, slack_tol, dual_tol) -> bool:
+    """Whether x is finite and meets the working set ``rows`` within 1e-8,
+    no other equality misses by 1e-8, no other inequality is below
+    -``slack_tol`` and no inequality multiplier is below -``dual_tol``."""
+    if not np.isfinite(x).all():
+        return False
+    slack = a_all @ x - b_all
+    out = np.ones(b_all.shape[0], dtype=bool)
+    out[rows] = False
+    return bool(
+        (np.abs(slack[rows]) <= 1e-8).all()
+        and (np.abs(slack[out & is_eq]) <= 1e-8).all()
+        and (slack[out & ~is_eq] >= -slack_tol).all()
+        and (multipliers[~is_eq] >= -dual_tol).all()
+    )
 
 
 def _independent(ztn, dnorm2_p, jt_free, row) -> bool:
@@ -525,33 +662,3 @@ def _drop(jt, nstar, q, k, dmat):
     jt[q - 1] = nstar[k] / np.sqrt(g[k])
     nstar[:q] -= (g / g[k])[:, None] * nstar[k]
     nstar[k : q - 1] = nstar[k + 1 : q]
-
-
-def _polish(qp, a_all, b_all, is_eq, state, x, multipliers):
-    """Re-solve the working-set KKT system from the original data.
-
-    The iteration accumulates x through many small steps; on badly scaled
-    programs (for example a 1e-11 ridge standing in for a vanished
-    quadratic term) that drift can reach the 1e-6 scale.  One direct
-    solve on the converged working set removes it: ``state`` is that set,
-    sorted, factored afresh by :func:`_factor` (or the start's own factors
-    when the solve neither dropped nor stepped: that set was sorted too,
-    so they are the same bits).  The polished point
-    is kept only if it stays feasible for every row the factors left out
-    and its inequality multipliers stay nonnegative.
-    """
-    q, active, u, _, nstar, x_new = state
-    # One refinement step on the working-set rows: the factors alone leave
-    # the budget and return rows off by up to ~1e-14.
-    x_new = x_new + nstar[:q].T @ (b_all - a_all @ x_new)[active[:q]]
-    u_new = np.zeros_like(multipliers)
-    u_new[active[:q]] = u[:q]
-    slack = a_all @ x_new - b_all
-    inactive = np.ones(b_all.shape[0], dtype=bool)
-    inactive[active[:q]] = False
-    ok = (
-        (np.abs(slack[inactive & is_eq]) < 1e-8).all()
-        and (slack[inactive & ~is_eq] > -1e-8).all()
-        and (u_new[~is_eq] >= -1e-8).all()
-    )
-    return (x_new, u_new) if ok else (x, multipliers)

@@ -434,6 +434,36 @@ class TestConfigAndDeterminism:
         assert main([command, "--prices", str(prices), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("command", "message"),
+        [
+            (["frontier"], "sweep targets overflow at 6 decimals"),
+            (["optimize", "--lambda", "0.5"], "the working set's minimizer is not a finite feasible point"),
+        ],
+    )
+    def test_overflowing_semivariance_means_exit_3(self, tmp_path, capsys, command, message):
+        # with --risk svar the 1e308 file's semicovariance and means (one is
+        # 2.5e307) are finite, so the model is accepted; the sweep's rounded
+        # targets and the tradeoff program overflow and are refused, with no
+        # numpy warning
+        prices = tmp_path / "prices.csv"
+        prices.write_text("date,A,B,C\nd1,1,2,3\nd2,1.1,1e308,3.1\nd3,1.2,2.1,3.2\n", encoding="utf-8")
+        args = [*command, "--risk", "svar", "--prices", str(prices), "--out", str(tmp_path / "o")]
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_semivariance_means_leave_minimum_risk_finite(self, tmp_path):
+        # the minimum-risk program does not read the means, so it has a
+        # finite answer on the same file
+        prices = tmp_path / "prices.csv"
+        prices.write_text("date,A,B,C\nd1,1,2,3\nd2,1.1,1e308,3.1\nd3,1.2,2.1,3.2\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["optimize", "--risk", "svar", "--prices", str(prices), "--out", str(out)]) == 0
+        weights = np.array(json.loads((out / "portfolio.json").read_text(encoding="utf-8"))["weights"])
+        assert np.isfinite(weights).all() and abs(weights.sum() - 1.0) < 1e-9
+
     def test_config_file_with_flag_override(self, price_files, tmp_path):
         prices, _ = price_files
         cfg = tmp_path / "cfg.json"

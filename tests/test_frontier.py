@@ -9,7 +9,7 @@ import pytest
 
 from portopt import frontier, optimizers
 from portopt import qp as qp_module
-from portopt.errors import AssetAlignmentError
+from portopt.errors import AssetAlignmentError, NumericalBreakdown
 from portopt.frontier import (
     efficient_frontier,
     frontier_fit,
@@ -480,3 +480,21 @@ def test_constant_asset_does_not_hide_a_feasible_target(monkeypatch):
     assert len(solves) == 8
     for qp, solution in solves:
         assert scaled_kkt(qp, solution) <= 1e-8
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_means_raise_numerical_breakdown(monkeypatch):
+    # a semivariance model with a finite mean of 2.5e307: the sweep's rounded
+    # targets, the critical line and the tradeoff solve overflow, and each
+    # refuses its non-finite result instead of returning it
+    values = np.array([[0.1, 5e307, 1.0 / 30.0], [1.0 / 11.0, 2.1e-308 - 1.0, 3.2 / 3.1 - 1.0]])
+    model = build_risk_model(ReturnsMatrix(("A", "B", "C"), values), kind=RiskKind.SEMIVARIANCE)
+    assert model.mu.max() == 2.5e307
+    monkeypatch.setattr(optimizers, "_kept", None)
+    with pytest.raises(NumericalBreakdown, match="sweep targets overflow"):
+        efficient_frontier(model, 8)
+    with pytest.raises(NumericalBreakdown, match="critical line overflows"):
+        optimizers._line(model)
+    assert optimizers._kept is None
+    with pytest.raises(NumericalBreakdown):
+        lambda_portfolio(model, ObjectiveParams(lam=0.5))

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from portopt import optimizers
 from portopt.errors import TargetOutOfRange
@@ -230,6 +233,30 @@ class TestSparseView:
     def test_negative_roundoff_clipped(self, toy_model):
         p = portfolio_from_weights(toy_model, np.array([1.0, -1e-12, 1e-12]))
         assert (p.weights >= 0).all()
+
+    @given(
+        weights=hnp.arrays(
+            float,
+            st.integers(0, 12),
+            elements=st.one_of(
+                st.sampled_from([0.0, -0.0, 0.005, 0.00499, 0.00505, 0.00015, 1.0]),
+                st.floats(-1.0, 2.0),
+            ),
+        ),
+        threshold=st.sampled_from([0.0, -0.0, 0.005, 0.0001, -1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_visits_only_the_weights_above_the_threshold(self, weights, threshold):
+        # the same dict as a comprehension over every weight, keys in asset
+        # order, ties at the threshold (after rounding) and -0.0 included
+        assets = tuple(f"A{i:02d}" for i in range(weights.size))
+        rounded = np.round(weights, optimizers.REPORT_DECIMALS)
+        every = {name: float(rw) for name, rw in zip(assets, rounded) if rw > threshold}
+        view = optimizers._sparse_view(assets, weights, threshold)
+        assert view == every
+        assert list(view) == list(every)
+        assert all(type(value) is float for value in view.values())
+        assert np.array_equal(np.signbit(list(view.values())), np.signbit(list(every.values())))
 
 
 def test_efficiency_dominance(rng):

@@ -13,11 +13,12 @@ import pytest
 from portopt import qp as qp_module
 from portopt.errors import Infeasible, NumericalBreakdown
 from portopt.frontier import efficient_frontier
+from portopt.market_data import ReturnsMatrix
 from portopt.optimizers import regularize
 from portopt.qp import QuadraticProgram, solve_qp
 from portopt.risk_models import RiskKind, RiskModel, build_risk_model
 
-from conftest import random_model, random_returns, simplex_grid
+from conftest import random_model, random_returns, scaled_kkt, simplex_grid
 
 FEAS_TOL = 1e-8
 KKT_TOL = 1e-8
@@ -498,7 +499,7 @@ def test_seeded_start_reaches_the_cold_optimum(monkeypatch):
     # Whatever the seed, Infeasible is raised exactly when the cold solve
     # raises it; otherwise KKT holds and x is the cold x, the same bits
     # when both end on the same working set.
-    seen = {"skipped": 0, "rows_dropped": 0, "bounds": 0, "infeasible": 0}
+    seen = {"settled": 0, "skipped": 0, "rows_dropped": 0, "bounds": 0, "infeasible": 0}
     log = []  # (name, args, result) of this solve's _factor and _point calls
 
     def spy(name):
@@ -517,15 +518,23 @@ def test_seeded_start_reaches_the_cold_optimum(monkeypatch):
     def seeded_solve(qp, start):
         log.clear()
         try:
-            return solve_qp(qp, start=start)
+            sol = solve_qp(qp, start=start)
         finally:
-            # the first _factor is the seed's (the equalities' when the seed
-            # is empty); every other _point follows a seed drop
+            # a start that settled at once is factored nowhere; otherwise the
+            # first _factor is the seed's (the guess's when the seed is
+            # empty), and every other _point follows a seed drop
             factors = [(args, result) for name, args, result in log if name == "_factor"]
-            (_, a_all, _, rows, *_), (q, active, *_) = factors[0]
-            seen["skipped"] += q < rows.size
-            seen["rows_dropped"] += len(log) > 2 * len(factors)
-            seen["bounds"] += bool(((a_all[active[:q]] != 0.0).sum(axis=1) == 1).any())
+            if factors:
+                (_, a_all, _, rows, *_), (q, active, *_) = factors[0]
+                seen["skipped"] += q < rows.size
+                seen["rows_dropped"] += len(log) > 2 * len(factors)
+                seen["bounds"] += bool(((a_all[active[:q]] != 0.0).sum(axis=1) == 1).any())
+        if not factors:
+            seen["settled"] += 1
+            assert sol.iterations == 0
+            if start.size:  # the sorted seed, with the equalities
+                assert sol.active_set == tuple(np.union1d(range(qp.b_eq.shape[0]), start).tolist())
+        return sol
 
     for seed in range(300):
         gen = np.random.default_rng(seed)
@@ -563,24 +572,26 @@ def test_seeded_start_reaches_the_cold_optimum(monkeypatch):
                 if sol.active_set == cold.active_set:
                     np.testing.assert_array_equal(sol.x, cold.x)
                     np.testing.assert_array_equal(sol.multipliers, cold.multipliers)
-    # the seeds reach every path: a dependent row left out, dual-infeasible
-    # rows dropped, bounds factored, Infeasible from a seed
+    # the seeds reach every path: the settled exit, a dependent row left
+    # out, dual-infeasible rows dropped, bounds factored, Infeasible from a seed
     assert min(seen.values()) >= 30, seen
 
 
-def test_optimal_working_set_as_seed_takes_no_step(monkeypatch):
-    # A seed that needs no drop and no step is the final working set: its
-    # one factorization is also the polish's, and the bits are the cold ones.
-    model = build_risk_model(random_returns(np.random.default_rng(0), 30), RiskKind.SEMIVARIANCE)
-    qp = QuadraticProgram(
+def pinned_semivariance_program(n: int = 30, frac: float = 0.45) -> QuadraticProgram:
+    """A return pinned at ``frac`` of the mean range of a semivariance model."""
+    model = build_risk_model(random_returns(np.random.default_rng(0), n), RiskKind.SEMIVARIANCE)
+    return QuadraticProgram(
         dmat=2.0 * regularize(model.sigma),
-        dvec=np.zeros(30),
-        a_eq=np.vstack([np.ones(30), model.mu]),
-        b_eq=np.array([1.0, model.mu.min() + 0.45 * (model.mu.max() - model.mu.min())]),
-        a_ineq=np.eye(30),
-        b_ineq=np.zeros(30),
+        dvec=np.zeros(n),
+        a_eq=np.vstack([np.ones(n), model.mu]),
+        b_eq=np.array([1.0, model.mu.min() + frac * (model.mu.max() - model.mu.min())]),
+        a_ineq=np.eye(n),
+        b_ineq=np.zeros(n),
     )
-    cold = solve_qp(qp)
+
+
+def factor_calls(monkeypatch) -> list:
+    """The working sets of every later _factor call."""
     factored = []
 
     def spy(*args, factor=qp_module._factor):
@@ -588,13 +599,115 @@ def test_optimal_working_set_as_seed_takes_no_step(monkeypatch):
         return factor(*args)
 
     monkeypatch.setattr(qp_module, "_factor", spy)
+    return factored
+
+
+def test_optimal_working_set_as_seed_takes_no_step(monkeypatch):
+    # A seed that no drop and no add would change is the final working set:
+    # it is settled and returned at once, with no factorization, and the
+    # bits are the cold ones, which the cold solve settles on the same set.
+    for frac in (0.05, 0.45, 0.95):
+        qp = pinned_semivariance_program(frac=frac)
+        cold = solve_qp(qp)
+        factored = factor_calls(monkeypatch)
+        warm = solve_qp(qp, start=cold.active_set)
+        assert factored == []
+        assert warm.iterations == 0
+        assert warm.active_set == cold.active_set
+        np.testing.assert_array_equal(warm.x, cold.x)
+        np.testing.assert_array_equal(warm.multipliers, cold.multipliers)
+        assert warm.objective == cold.objective
+        monkeypatch.undo()
+
+
+def test_seed_that_a_drop_or_an_add_changes_takes_the_full_path(monkeypatch):
+    # A seed with a negative multiplier (a bound on a held asset) or with a
+    # violated row (a binding bound released) is factored, dropped or added
+    # to, and ends on the cold working set with the cold bits.
+    qp = pinned_semivariance_program()
+    cold = solve_qp(qp)
+    held = np.flatnonzero(cold.x > 1e-3)
+    binding = max(cold.active_set[2:], key=lambda row: cold.multipliers[row])
+    seeds = {
+        "negative multiplier": np.union1d(cold.active_set, 2 + held[:1]),
+        "violated row": np.setdiff1d(cold.active_set, [binding]),
+    }
+    for name, start in seeds.items():
+        factored = factor_calls(monkeypatch)
+        warm = solve_qp(qp, start=start)
+        assert len(factored) == 1 and np.array_equal(factored[0], start), name
+        assert warm.active_set == cold.active_set, name
+        np.testing.assert_array_equal(warm.x, cold.x)
+        np.testing.assert_array_equal(warm.multipliers, cold.multipliers)
+        assert_kkt(qp, warm)
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+def test_dependent_general_rows_take_the_full_path(monkeypatch, kind):
+    # Means equal up to rounding make the return row parallel to the budget
+    # on every free set, and a duplicated return row depends on its twin:
+    # _settle refuses the set, the factorization leaves the row out, and
+    # the answer meets KKT.
+    settles = []
+
+    def spy(*args, settle=qp_module._settle):
+        settles.append(settle(*args))
+        return settles[-1]
+
+    monkeypatch.setattr(qp_module, "_settle", spy)
+    for seed in range(5):
+        base = random_returns(np.random.default_rng(seed), 8, 250).values
+        equal = build_risk_model(
+            ReturnsMatrix(tuple("ABCDEFGH"), base - base.mean(axis=0) + 0.0011), kind=kind
+        )
+        model = build_risk_model(random_returns(np.random.default_rng(seed), 8, 250), kind=kind)
+        target = float(model.mu.min() + 0.3 * (model.mu.max() - model.mu.min()))
+        programs = [
+            (equal, [equal.mu], [float(equal.mu.mean())]),
+            (model, [model.mu, model.mu], [target, target]),
+        ]
+        for risk, rows, rhs in programs:
+            qp = QuadraticProgram(
+                dmat=2.0 * regularize(risk.sigma),
+                dvec=np.zeros(8),
+                a_eq=np.vstack([np.ones(8), *rows]),
+                b_eq=np.array([1.0, *rhs]),
+                a_ineq=np.eye(8),
+                b_ineq=np.zeros(8),
+            )
+            for start in ((), np.arange(qp.b_eq.shape[0], qp.b_eq.shape[0] + 6)):
+                settles.clear()
+                factored = factor_calls(monkeypatch)
+                sol = solve_qp(qp, start=start)
+                assert settles[0] is None and len(factored) >= 1
+                assert scaled_kkt(qp, sol) <= 1e-8
+
+
+def test_more_than_two_general_rows_settle(monkeypatch):
+    # Three equalities and a return floor, with bounds: the optimal set as
+    # the seed settles at once with the cold bits.
+    gen = np.random.default_rng(5)
+    n = 12
+    a = gen.normal(size=(40, n))
+    mu = gen.normal(size=n)
+    halves = np.r_[np.ones(n // 2), np.zeros(n - n // 2)]
+    qp = QuadraticProgram(
+        dmat=a.T @ a / 40.0,
+        dvec=np.zeros(n),
+        a_eq=np.vstack([np.ones(n), halves, gen.normal(size=n)]),
+        b_eq=np.array([1.0, 0.6, 0.1]),
+        a_ineq=np.vstack([mu, np.eye(n)]),
+        b_ineq=np.r_[np.quantile(mu, 0.7), np.zeros(n)],
+    )
+    cold = solve_qp(qp)
+    general = [row for row in cold.active_set if row < 4]
+    assert general == [0, 1, 2, 3]
+    factored = factor_calls(monkeypatch)
     warm = solve_qp(qp, start=cold.active_set)
-    assert len(factored) == 1
-    np.testing.assert_array_equal(factored[0], cold.active_set)
-    assert warm.iterations == 0
-    assert warm.active_set == cold.active_set
+    assert factored == [] and warm.iterations == 0
     np.testing.assert_array_equal(warm.x, cold.x)
     np.testing.assert_array_equal(warm.multipliers, cold.multipliers)
+    assert_kkt(qp, warm)
 
 
 @pytest.mark.parametrize("start", [(-1,), (3,)])
@@ -651,6 +764,25 @@ def test_non_finite_program_data_rejected(field, entry, value):
     data[field][entry] = value
     with pytest.raises(ValueError, match=f"^{field} must be finite$"):
         QuadraticProgram(**data)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("dmat", "dvec", "a_eq"),
+    [
+        # x = [1e308, -1e308] meets no budget row: a'x overflows
+        (np.eye(2), [1e308, -1e308], [[1.0, 1e308]]),
+        # a minimum at +-1e600 on a 1e-300 diagonal: no finite step exists
+        (1e-300 * np.eye(2), [1e300, -1e300], [[1.0, 1.0]]),
+    ],
+)
+def test_non_finite_answer_raises(dmat, dvec, a_eq):
+    # neither the settled point nor the loop's point is a finite point
+    # meeting every row, so the solver raises instead of returning one
+    n = len(dvec)
+    qp = QuadraticProgram(dmat, np.array(dvec), np.array(a_eq), np.ones(1), np.eye(n), np.zeros(n))
+    with pytest.raises(NumericalBreakdown):
+        solve_qp(qp)
 
 
 class TestKeptFactor:
