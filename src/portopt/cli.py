@@ -22,8 +22,10 @@ byte-reproducible.
 Exit codes: 0 success, 2 ingestion failure, malformed config file (a value
 its flag would not take among them), a cost ladder that repeats a rate, a
 flag the subcommand does not take or ``--target-return`` with another
-objective, 3 infeasible program or target out of range, 4 asset
-misalignment, 1 anything else; :func:`main` returns them, ``--help``'s 0
+objective, 3 infeasible program, target out of range or numerical
+breakdown (a result or fit summary holding a number that is not finite
+among them, refused before it is written), 4 asset misalignment, 1
+anything else; :func:`main` returns them, ``--help``'s 0
 and a usage error's 2 included.
 """
 
@@ -45,6 +47,7 @@ from . import ga as ga_mod
 from .errors import (
     AssetAlignmentError,
     IngestionError,
+    NumericalBreakdown,
     PortfolioError,
     QpError,
     TargetOutOfRange,
@@ -281,9 +284,25 @@ def _result_doc(result: Portfolio | IntegerSolution, convention: AnnualizationCo
     }
 
 
+def _check_finite(value, name: str = "") -> None:
+    """Raise :class:`NumericalBreakdown` naming the first number in the
+    document ``value`` (dicts, lists, numbers and text) that is not finite."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{name}.{key}" if name else key)
+    elif isinstance(value, list):
+        for item in value:
+            _check_finite(item, name)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise NumericalBreakdown(f"result value {name} = {value} is not finite")
+
+
 def _write_doc(out: Path, fmt: str, stem: str, doc: dict, tables: dict) -> list[Path]:
     """``<stem>.json`` holding ``doc``, or in the ``csv`` format one
-    ``<name>.csv`` per entry ``name: (header, rows)`` of ``tables``."""
+    ``<name>.csv`` per entry ``name: (header, rows)`` of ``tables``, which
+    hold ``doc``'s numbers.  A document with a number that is not finite
+    is refused before anything is written, in either format."""
+    _check_finite(doc)
     if fmt == "json":
         return [_write_json(out / f"{stem}.json", doc)]
     return [_write_csv(out / f"{name}.csv", *table) for name, table in tables.items()]
@@ -418,7 +437,6 @@ def cmd_fit(cfg: argparse.Namespace) -> list[Path]:
     returns_out = assets_return(_load_table(cfg.prices_eval, "--prices-eval"))
     report = frontier_mod.frontier_fit(model, returns_out, cfg.points)
     out = _out_dir(cfg)
-    pairs = _write_csv(out / "fit_pairs.csv", ["expected", "realized"], report.pairs)
     summary = {
         "mean_error_daily": report.mean_error,
         "mean_underestimation_error_daily": report.mean_underestimation_error,
@@ -426,7 +444,10 @@ def cmd_fit(cfg: argparse.Namespace) -> list[Path]:
         "mean_underestimation_error_annual": report.annual_mean_underestimation_error,
     }
     tables = {"fit_summary": (list(summary), [list(summary.values())])}
-    return [pairs, *_write_doc(out, cfg.format, "fit_summary", summary, tables)]
+    # the summary is checked for finite numbers before any file is written
+    written = _write_doc(out, cfg.format, "fit_summary", summary, tables)
+    pairs = _write_csv(out / "fit_pairs.csv", ["expected", "realized"], report.pairs)
+    return [pairs, *written]
 
 
 # --- argument parsing --------------------------------------------------------

@@ -40,15 +40,17 @@ Every answer is settled from the free block alone.  With Z the bounded
 and F the free variables of a sorted working set, the bounds (one per
 variable) fix x_Z; one solve of D_FF against [d_F - D_FZ x_Z, A_gF'] gives
 x_F as a function of the general rows' multipliers y, and their g x g
-Schur complement A_gF D_FF^-1 A_gF' is factored row by row.  Each pivot
-is that row's d2'd2 on the rows before it, judged by the dependence
-test's first bound; a row that fails it hands the set back unsettled.
-One refinement step on the general rows follows, and the bounds'
-multipliers are ((Dx - d)_Z - A_gZ'y) over their coefficients, O(n f).
-With as many general rows as free variables (a vertex) the rows are
-solved directly, so the vertex keeps its exact zeros.  The settled point
-depends only on the program and the set, so any two solves that end on
-one set return the same bits.
+Schur complement A_gF D_FF^-1 A_gF' is factored row by row, each row over
+the power of two that puts its largest |entry| in [0.5, 1) (exact, and
+no overflow).  A pivot at most 1e-10 of its row's own diagonal entry
+a_F D_FF^-1 a_F' (never above n+'D^-1 n+, and not inflated by a
+ridge-sized entry of D on a bounded variable) hands the set back
+unsettled.  One refinement step on the general rows follows, and the
+bounds' multipliers are ((Dx - d)_Z - A_gZ'y) over their coefficients,
+O(n f).  With as many general rows as free variables (a vertex) the rows
+are solved directly, so the vertex keeps its exact zeros.  The settled
+point depends only on the program and the set, so any two solves that
+end on one set return the same bits.
 
 A solve classifies each row once, as a bound (one nonzero) on its
 variable or a general row, and every pass reads that.  A seed of rows
@@ -77,20 +79,20 @@ the bound rows of N* do not change.  A row that depends on the rows
 before it is left out.  From the factors, x = J2 J2'd + N*'b is the
 minimizer on the set and u = N*(Dx - d) its multipliers.  One Cholesky
 factorization of the whole of D per distinct D checks that D is positive
-definite and gives the dependence test's first scale n+'D^-1 n+ of every
-row; a set without bounds, such as the equalities a cold start begins
-from, takes it as its own, when factored and when settled.  The factor of
-the last D solved is kept, so a sweep whose programs share their
-quadratic term factors it once.  Seeded or guessed inequalities with
+definite; a set without bounds, such as the equalities a cold start
+begins from, takes it as its own, and the factors and the loop read the
+dependence test's first scale n+'D^-1 n+ from it.  The factor of the
+last D solved is kept, so a sweep whose programs share their quadratic
+term factors it once.  Seeded or guessed inequalities with
 u < 0 leave one at a time, most negative first, by the drop step, x and
 u read from the factors after each, until the set is dual feasible; the
 add/drop loop above then runs unchanged and certifies the optimum.  The
 start changes the path, not the optimum, which is unique.  The loop's x
-drifts over many small steps, so the answer is the final working set's
-settled point, unless that point misses a row outside the set by 1e-8,
-has an inequality multiplier below -1e-8 or is not settled; then it is
-the loop's own point.  A point that is not finite, or that misses a row
-by more than 1e-8 of |b| + |a||x| (at least 1e-8), is never returned.
+drifts over many small steps, so the answer is always the final working
+set's settled point, never the loop's own.  A final set that does not
+settle, or whose settled point or multipliers are not finite, miss a
+row by 1e-8 or hold an inequality multiplier below -1e-8, is refused
+with :class:`NumericalBreakdown`.
 
 Everything is plain deterministic linear algebra: the same program solved
 twice, with the same BLAS build, CPU kernel and thread count, yields
@@ -218,10 +220,11 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     100*N working-set steps.  Raises :class:`NumericalBreakdown` when the
     quadratic term fails its Cholesky factorization (not positive
     definite), whatever block of it the working sets factor, and when the
-    arithmetic overflows: no finite step exists, or neither the settled
-    point nor the loop's is a finite point meeting every row within 1e-8
-    of |b| + |a||x| (at least 1e-8).  Numpy's floating-point warnings are
-    silenced inside the solve; these checks stand in for them.
+    arithmetic overflows: no finite step exists, or the final working set
+    does not settle, or its settled point or multipliers are not finite,
+    miss a row by 1e-8 or hold an inequality multiplier below -1e-8.
+    Numpy's floating-point warnings are silenced inside the solve; these
+    checks stand in for them.
     """
     n = qp.n
     meq = qp.b_eq.shape[0]
@@ -231,38 +234,37 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     is_eq = np.arange(m) < meq
 
     # The working set, one position per active constraint in insertion
-    # order: its global index, its sign (-1 for an equality added flipped),
-    # its multiplier and its row of N*; jt[q:] holds J2' (jt[:q] goes stale
-    # after a drop and is never read).  At most min(n, m) positions are ever
-    # used: an add needs d2 != 0, so q < n, and a seed holds at most n
-    # independent rows.
-    cap = min(n, m)
+    # order: its global index, its multiplier (of the row as added: an
+    # equality may enter flipped) and its row of N*; jt[q:] holds J2' (jt[:q]
+    # goes stale after a drop and is never read).  At most min(n, m)
+    # positions are ever used: an add needs d2 != 0, so q < n, and a seed
+    # holds at most n independent rows.
     start = np.unique(np.asarray(start, dtype=int))
     if start.size and (start[0] < 0 or start[-1] >= m):
         raise ValueError("start must index the program's constraints")
-    # D's own Cholesky: the positive-definiteness check and a'D^-1 a =
-    # |L^-1 a|^2 of every row, the dependence test's first scale (column
-    # norms of L^-1 for a bound, a product otherwise)
+    # D's own Cholesky: the positive-definiteness check, and the factor of
+    # a set without bounds
     whole, column_norms = _whole_factor(qp.dmat)
     # Each row classified once: a bound on one variable, var its index, or
     # a general row, var -1
     nonzero = a_all != 0.0
     single = nonzero.sum(axis=1) == 1
     var = np.where(single, nonzero.argmax(axis=1), -1)
-    dnorm2 = np.empty(m)
-    dnorm2[single] = a_all[single, var[single]] ** 2 * column_norms[var[single]]
-    dnorm2[~single] = ((whole @ a_all[~single].T) ** 2).sum(axis=0)
     seeded = start[start >= meq]
     if seeded.size:
         rows = np.concatenate([np.arange(meq), seeded])
-        settled = _settle(qp, a_all, b_all, rows, var, dnorm2, whole)
+        settled = _settle(qp, a_all, b_all, rows, var, whole)
     else:
-        rows, settled = _guess(qp, a_all, b_all, meq, var, dnorm2, whole)
+        rows, settled = _guess(qp, a_all, b_all, meq, var, whole)
     # a start whose settled point no drop and no add would change is the optimum
     if settled is not None and _holds(a_all, b_all, is_eq, rows, *settled, _ADD_TOL, 0.0):
         return _solution(qp, *settled, rows, 0)
+    # a'D^-1 a = |L^-1 a|^2 of every row, the dependence test's first scale
+    # (column norms of L^-1 for a bound, a product otherwise)
+    dnorm2 = np.empty(m)
+    dnorm2[single] = a_all[single, var[single]] ** 2 * column_norms[var[single]]
+    dnorm2[~single] = ((whole @ a_all[~single].T) ** 2).sum(axis=0)
     q, active, u, jt, nstar, x = _factor(qp, a_all, b_all, rows, var, dnorm2, whole)
-    signs = np.ones(cap)
     # seeded or guessed inequalities with u < 0 leave one at a time, most
     # negative first
     while (dual := np.where(is_eq[active[:q]], 0.0, u[:q])).min(initial=0.0) < 0.0:
@@ -329,33 +331,22 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
 
             if full_step_possible and step == t2:
                 _add(jt, nstar, q, d2, z, r, ztn)
-                active[q], signs[q], u[q] = p, sign, u_plus
+                active[q], u[q] = p, u_plus
                 q += 1
                 break
             # Partial or pure dual step: drop the blocking constraint.
             k = int(droppable[np.argmin(ratios)])
             _drop(jt, nstar, q, k, qp.dmat)
-            for v in (active, signs, u):
+            for v in (active, u):
                 v[k : q - 1] = v[k + 1 : q]
             q -= 1
             aside[:] = False
 
     working = np.sort(active[:q])
-    settled = _settle(qp, a_all, b_all, working, var, dnorm2, whole)
-    if settled is not None and _holds(a_all, b_all, is_eq, working, *settled, 1e-8, 1e-8):
-        return _solution(qp, *settled, working, iterations)
-    # the loop's own point, unless it is no answer either: it must be finite
-    # and meet every row within 1e-8 of |b| + |a||x| (at least 1e-8), as a
-    # row set aside as drift does
-    multipliers = np.zeros(m)
-    multipliers[active[:q]] = signs[:q] * u[:q]
-    slack = a_all @ x - b_all
-    miss = np.where(is_eq, np.abs(slack), -slack)
-    scale = np.abs(b_all) + np.linalg.norm(a_all, axis=1) * np.linalg.norm(x)
-    tol = _DRIFT_TOL * np.maximum(scale, 1.0)
-    if not (np.isfinite(tol).all() and np.isfinite(multipliers).all() and (miss <= tol).all()):
+    settled = _settle(qp, a_all, b_all, working, var, whole)
+    if settled is None or not _holds(a_all, b_all, is_eq, working, *settled, 1e-8, 1e-8):
         raise NumericalBreakdown("the working set's minimizer is not a finite feasible point")
-    return _solution(qp, x, multipliers, working, iterations)
+    return _solution(qp, *settled, working, iterations)
 
 
 def _solution(qp, x, multipliers, working, iterations) -> QpSolution:
@@ -419,25 +410,16 @@ def _whole_factor(dmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _factor(qp, a_all, b_all, rows, var, dnorm2, whole):
     """The solver's state with working set ``rows``, factored in one pass
     as the module docstring describes; a row that depends on the rows
-    factored before it is left out.  ``rows`` is sorted, and the general
-    rows are added in that order.  ``var`` is each row's variable when it
-    is a bound and -1 otherwise, ``dnorm2`` the dependence test's first
-    scale per row, and ``whole`` L^-1 of D's own Cholesky, which a set
-    without bounds takes as its free block's."""
+    factored before it is left out.  ``rows`` is sorted and split by
+    :func:`_split`, and the general rows are added in that order.  ``var``
+    is each row's variable when it is a bound and -1 otherwise, ``dnorm2``
+    the dependence test's first scale per row, and ``whole`` L^-1 of D's
+    own Cholesky, which a set without bounds takes as its free block's."""
     n = qp.n
     cap = min(n, var.size)
-    row_var = var[rows]
-    bound = np.flatnonzero(row_var >= 0)
-    # one bound per variable, in variable order; a repeat is a general row
-    zvars, first = np.unique(row_var[bound], return_index=True)
-    general = np.ones(rows.size, dtype=bool)
-    general[bound[first]] = False
-    bound_rows = rows[bound[first]]
+    bound_rows, zvars, grows, fvars = _split(rows, var, n)
     coef = a_all[bound_rows, zvars]
     k = zvars.size
-    free = np.ones(n, dtype=bool)
-    free[zvars] = False
-    fvars = np.flatnonzero(free)
 
     # The factors on the free columns alone: J2' = C^-1 (D_FF = CC') and
     # N*'s rows there; J2 and the general rows' N* are zero on the bound
@@ -451,7 +433,7 @@ def _factor(qp, a_all, b_all, rows, var, dnorm2, whole):
     active = np.zeros(cap, dtype=int)
     active[:k] = bound_rows
     q = k
-    for p in rows[general]:
+    for p in grows:
         row = a_all[p]
         d2 = jt_free[q - k :] @ row[fvars]
         ztn = float(d2 @ d2)
@@ -474,7 +456,7 @@ def _factor(qp, a_all, b_all, rows, var, dnorm2, whole):
     return q, active, u, jt, nstar, x
 
 
-def _guess(qp, a_all, b_all, meq, var, dnorm2, whole):
+def _guess(qp, a_all, b_all, meq, var, whole):
     """The cold start's working set and its settled point (None when a
     general row fails :func:`_settle`'s dependence test): the equalities,
     improved by block pivoting on the inequality rows with one nonzero
@@ -501,7 +483,7 @@ def _guess(qp, a_all, b_all, meq, var, dnorm2, whole):
     last = rows.size + 1
     while True:
         working = np.concatenate([eqs, rows[held]])
-        settled = _settle(qp, a_all, b_all, working, var, dnorm2, whole)
+        settled = _settle(qp, a_all, b_all, working, var, whole)
         if settled is None:
             return working, None
         x, multipliers = settled
@@ -515,15 +497,10 @@ def _guess(qp, a_all, b_all, meq, var, dnorm2, whole):
         held = held & ~leave | enter
 
 
-def _settle(qp, a_all, b_all, rows, var, dnorm2, whole):
-    """x and the multipliers (one per global row) on the sorted working set
-    ``rows``, settled from the free block as the module docstring
-    describes, or None when a general row fails the dependence test.  The
-    bounds are one per variable as in :func:`_factor`, and Schur pivot i
-    is :func:`_factor`'s ztn for general row i, judged by
-    :func:`_independent`'s first bound.
-    """
-    n = qp.n
+def _split(rows, var, n):
+    """The sorted working set ``rows`` as its bounds, one per variable in
+    variable order (the first row of each), their variables, its general
+    rows (a repeated bound among them) and the free variables."""
     row_var = var[rows]
     general = row_var < 0
     bound = np.flatnonzero(~general)
@@ -533,11 +510,21 @@ def _settle(qp, a_all, b_all, rows, var, dnorm2, whole):
         general[bound] = True
         bound = bound[first]
         general[bound] = False
-    bound_rows, grows = rows[bound], rows[general]
-    coef = a_all[bound_rows, zvars]
     free = np.ones(n, dtype=bool)
     free[zvars] = False
-    fvars = np.flatnonzero(free)
+    return rows[bound], zvars, rows[general], np.flatnonzero(free)
+
+
+def _settle(qp, a_all, b_all, rows, var, whole):
+    """x and the multipliers (one per global row) on the sorted working set
+    ``rows``, settled from the free block as the module docstring
+    describes, or None when a general row depends on the rows before it:
+    Schur pivot i is at most 1e-10 of that row's Schur diagonal entry
+    before elimination.  The set is split by :func:`_split`.
+    """
+    n = qp.n
+    bound_rows, zvars, grows, fvars = _split(rows, var, n)
+    coef = a_all[bound_rows, zvars]
     f, g = fvars.size, grows.size
     if g > f:
         return None
@@ -546,23 +533,27 @@ def _settle(qp, a_all, b_all, rows, var, dnorm2, whole):
     off = zvars[x[zvars] != 0.0]  # bounded variables held away from zero
     a_g = a_all[grows]
     a_gf = a_g[:, fvars]
+    # each general row over a power of two, its largest |entry| in [0.5, 1):
+    # exact, and the Schur complement cannot overflow
+    power = np.frexp(np.abs(a_g).max(axis=1, initial=0.0))[1]
+    scaled = np.ldexp(a_gf, -power[:, None])
     dmat_f = qp.dmat[fvars]
     dmat_ff = dmat_f[:, fvars]
     rhs = np.empty((f, g + 1))
     rhs[:, 0] = d_f = qp.dvec[fvars] - dmat_f[:, off] @ x[off]
-    rhs[:, 1:] = a_gf.T
+    rhs[:, 1:] = scaled.T
     # a set without bounds takes D's own factor, as in _factor
     solved = np.linalg.solve(dmat_ff, rhs) if zvars.size else whole.T @ (whole @ rhs)
     x0, w = solved[:, 0], solved[:, 1:]
     # S = LL' row by row, in Python floats: g is the budget and return rows
-    schur = (a_gf @ w).tolist()
+    schur = (scaled @ w).tolist()
     low = [[0.0] * g for _ in range(g)]
     for i in range(g):
         for j in range(i + 1):
             entry = schur[i][j] - sum(low[i][k] * low[j][k] for k in range(j))
             if j < i:
                 low[i][j] = entry / low[j][j]
-            elif entry > 1e-10 * max(dnorm2[grows[i]], np.finfo(float).tiny):
+            elif entry > 1e-10 * max(schur[i][i], np.finfo(float).tiny):
                 low[i][i] = math.sqrt(entry)
             else:
                 return None
@@ -571,11 +562,12 @@ def _settle(qp, a_all, b_all, rows, var, dnorm2, whole):
         x_f = np.linalg.solve(a_gf, b_g)
         y = np.linalg.solve(a_gf.T, dmat_ff @ x_f - d_f)
     else:
-        y = _cholesky_solve(low, b_g - a_gf @ x0)
+        b_g = np.ldexp(b_g, -power)
+        y = _cholesky_solve(low, b_g - scaled @ x0)
         x_f = x0 + w @ y
-        step = _cholesky_solve(low, b_g - a_gf @ x_f)
+        step = _cholesky_solve(low, b_g - scaled @ x_f)
         x_f += w @ step
-        y += step
+        y = np.ldexp(y + step, -power)
     x[fvars] = x_f
     multipliers = np.zeros(b_all.shape[0])
     multipliers[grows] = y
@@ -597,10 +589,11 @@ def _cholesky_solve(low, v):
 
 
 def _holds(a_all, b_all, is_eq, rows, x, multipliers, slack_tol, dual_tol) -> bool:
-    """Whether x is finite and meets the working set ``rows`` within 1e-8,
-    no other equality misses by 1e-8, no other inequality is below
-    -``slack_tol`` and no inequality multiplier is below -``dual_tol``."""
-    if not np.isfinite(x).all():
+    """Whether x and the multipliers are finite, x meets the working set
+    ``rows`` within 1e-8, no other equality misses by 1e-8, no other
+    inequality is below -``slack_tol`` and no inequality multiplier is
+    below -``dual_tol``."""
+    if not (np.isfinite(x).all() and np.isfinite(multipliers).all()):
         return False
     slack = a_all @ x - b_all
     out = np.ones(b_all.shape[0], dtype=bool)

@@ -439,7 +439,11 @@ class TestConfigAndDeterminism:
         ("command", "message"),
         [
             (["frontier"], "sweep targets overflow at 6 decimals"),
-            (["optimize", "--lambda", "0.5"], "the working set's minimizer is not a finite feasible point"),
+            (["optimize", "--lambda", "0.5"], "result value expected_return.annual = inf is not finite"),
+            (
+                ["optimize", "--lambda", "0.5", "--format", "csv"],
+                "result value expected_return.annual = inf is not finite",
+            ),
         ],
     )
     def test_overflowing_semivariance_means_exit_3(self, tmp_path, capsys, command, message):
@@ -452,6 +456,18 @@ class TestConfigAndDeterminism:
         args = [*command, "--risk", "svar", "--prices", str(prices), "--out", str(tmp_path / "o")]
         assert main(args) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result_writes_no_file(self, tmp_path, fmt):
+        # the tradeoff program answers [0, 1, 0] on the 1e308 file, but its
+        # annualized return (2.5e307 x 251) is not finite: no result file is
+        # written in either format
+        prices = tmp_path / "prices.csv"
+        prices.write_text("date,A,B,C\nd1,1,2,3\nd2,1.1,1e308,3.1\nd3,1.2,2.1,3.2\n", encoding="utf-8")
+        out = tmp_path / "o"
+        args = ["optimize", "--lambda", "0.5", "--risk", "svar", "--format", fmt]
+        assert main([*args, "--prices", str(prices), "--out", str(out)]) == 3
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_semivariance_means_leave_minimum_risk_finite(self, tmp_path):

@@ -429,6 +429,45 @@ DEGENERATE_PANELS = [
 ]
 
 
+def test_degenerate_programs_keep_their_bits_with_a_kept_line(monkeypatch):
+    # 6 draws of the panels above, each as var and svar, 18 programs each:
+    # minimum risk, the tradeoff at 0.5 and the sweep's 8 targets, pinned
+    # and >=.  Each of the 1,512 programs returns the same bits solved cold
+    # and seeded from the model's kept critical line: every answer is its
+    # final working set's settled point, whatever path reached that set.
+    rng = np.random.default_rng(1)
+    monkeypatch.setattr(optimizers, "_kept", None)
+    programs, differ = 0, []
+    for _ in range(6):
+        for name in DEGENERATE_PANELS:
+            values = degenerate_panel(rng, name)
+            assets = tuple(f"A{i:03d}" for i in range(values.shape[1]))
+            for kind in RiskKind:
+                model = build_risk_model(ReturnsMatrix(assets=assets, values=values), kind=kind)
+                params = [ObjectiveParams()] + [
+                    ObjectiveParams(target_return=float(target), pin_return_equality=pin)
+                    for target in frontier._target_range(model.mu, 8)
+                    for pin in (True, False)
+                ]
+
+                def weights():
+                    found = [markowitz_portfolio(model, p).weights for p in params]
+                    return [*found, lambda_portfolio(model, ObjectiveParams(lam=0.5)).weights]
+
+                optimizers._kept = None
+                cold = weights()
+                optimizers._line(model)
+                seeded = weights()
+                programs += len(cold)
+                differ += [
+                    (name, kind.value, i)
+                    for i, (c, s) in enumerate(zip(cold, seeded))
+                    if c.tobytes() != s.tobytes()
+                ]
+    assert programs == 1512
+    assert differ == []
+
+
 @pytest.mark.parametrize("kind", list(RiskKind))
 @pytest.mark.parametrize("name", DEGENERATE_PANELS)
 def test_degenerate_panels_certify_every_solve(monkeypatch, rng, kind, name):
@@ -482,11 +521,25 @@ def test_constant_asset_does_not_hide_a_feasible_target(monkeypatch):
         assert scaled_kkt(qp, solution) <= 1e-8
 
 
+def recorded_solves(monkeypatch) -> list:
+    """The list that every later ``solve_qp`` of the optimizers appends
+    its ``(program, solution)`` to."""
+    real = optimizers.solve_qp
+    solves = []
+
+    def spy(qp, start=()):
+        solves.append((qp, real(qp, start=start)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(optimizers, "solve_qp", spy)
+    return solves
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_means_raise_numerical_breakdown(monkeypatch):
     # a semivariance model with a finite mean of 2.5e307: the sweep's rounded
-    # targets, the critical line and the tradeoff solve overflow, and each
-    # refuses its non-finite result instead of returning it
+    # targets and the critical line overflow, and each refuses its
+    # non-finite result instead of returning it
     values = np.array([[0.1, 5e307, 1.0 / 30.0], [1.0 / 11.0, 2.1e-308 - 1.0, 3.2 / 3.1 - 1.0]])
     model = build_risk_model(ReturnsMatrix(("A", "B", "C"), values), kind=RiskKind.SEMIVARIANCE)
     assert model.mu.max() == 2.5e307
@@ -496,5 +549,30 @@ def test_overflowing_means_raise_numerical_breakdown(monkeypatch):
     with pytest.raises(NumericalBreakdown, match="critical line overflows"):
         optimizers._line(model)
     assert optimizers._kept is None
-    with pytest.raises(NumericalBreakdown):
-        lambda_portfolio(model, ObjectiveParams(lam=0.5))
+    # the tradeoff program's answer is the top-mean vertex, settled on its
+    # free block without overflow
+    solves = recorded_solves(monkeypatch)
+    weights = lambda_portfolio(model, ObjectiveParams(lam=0.5)).weights
+    np.testing.assert_array_equal(weights, [0.0, 1.0, 0.0])
+    [(qp, solution)] = solves
+    assert scaled_kkt(qp, solution) <= 1e-8
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_mean_leaves_a_pinned_return_solvable(monkeypatch):
+    # the 5-row --risk svar file with one price 1e308: the return row's
+    # entry of 1.25e307 would overflow the free block's Schur complement
+    # unscaled, and the program pinned at half the top mean has a finite
+    # answer with half the budget on that asset
+    prices = np.array(
+        [[1, 2, 3], [1.1, 1e308, 3.1], [1.2, 2.1, 3.2], [1.3, 2.2, 3.0], [1.25, 2.3, 3.3]]
+    )
+    values = prices[1:] / prices[:-1] - 1.0
+    model = build_risk_model(ReturnsMatrix(("A", "B", "C"), values), kind=RiskKind.SEMIVARIANCE)
+    assert model.mu.max() == 1.25e307
+    solves = recorded_solves(monkeypatch)
+    params = ObjectiveParams(target_return=model.mu.max() / 2, pin_return_equality=True)
+    weights = markowitz_portfolio(model, params).weights
+    np.testing.assert_allclose(weights, [0.3627, 0.5, 0.1373], atol=1e-4)
+    [(qp, solution)] = solves
+    assert scaled_kkt(qp, solution) <= 1e-8

@@ -777,8 +777,9 @@ def test_non_finite_program_data_rejected(field, entry, value):
     ],
 )
 def test_non_finite_answer_raises(dmat, dvec, a_eq):
-    # neither the settled point nor the loop's point is a finite point
-    # meeting every row, so the solver raises instead of returning one
+    # the final working set's settled point, the only answer the solver
+    # returns, is not a finite point meeting every row (or no finite step
+    # reaches a final set), so the solver raises instead of returning one
     n = len(dvec)
     qp = QuadraticProgram(dmat, np.array(dvec), np.array(a_eq), np.ones(1), np.eye(n), np.zeros(n))
     with pytest.raises(NumericalBreakdown):
