@@ -40,33 +40,35 @@ Every answer is settled from the free block alone.  With Z the bounded
 and F the free variables of a sorted working set, the bounds (one per
 variable) fix x_Z; one solve of D_FF against [d_F - D_FZ x_Z, A_gF'] gives
 x_F as a function of the general rows' multipliers y, and their g x g
-Schur complement A_gF D_FF^-1 A_gF' is factored row by row, each row over
-the power of two that puts its largest |entry| in [0.5, 1) (exact, and
-no overflow).  A pivot at most 1e-10 of its row's own diagonal entry
-a_F D_FF^-1 a_F' (never above n+'D^-1 n+, and not inflated by a
-ridge-sized entry of D on a bounded variable) hands the set back
-unsettled.  One refinement step on the general rows follows, and the
-bounds' multipliers are ((Dx - d)_Z - A_gZ'y) over their coefficients,
-O(n f).  With as many general rows as free variables (a vertex) the rows
-are solved directly, so the vertex keeps its exact zeros.  The settled
-point depends only on the program and the set, so any two solves that
-end on one set return the same bits.
+Schur complement A_gF D_FF^-1 A_gF' is factored row by row.  A pivot at
+most 1e-10 of its row's own diagonal entry a_F D_FF^-1 a_F' (never above
+n+'D^-1 n+, and not inflated by a ridge-sized entry of D on a bounded
+variable) hands the set back unsettled.  One refinement step on the
+general rows follows, and the bounds' multipliers are ((Dx - d)_Z -
+A_gZ'y) over their coefficients, O(n f).  A vertex (as many general rows
+as free variables) solves its rows as given, so the LU pivots as on them
+and keeps the vertex's exact zeros.  The settled point depends only on
+the program and the set, so solves that end on one set share its bits.
 
 A solve classifies each row once, as a bound (one nonzero) on its
-variable or a general row, and every pass reads that.  A seed of rows
-expected to be active (such as the bounds that a frontier point's segment
-of the critical line holds, see :mod:`portopt.critical_line`) is
-settled with the equalities first.  With none seeded, the cold start
-guesses its working set by block pivoting on the bounds (Judice and
-Pires 1994, Computers & OR 21): from the minimizer on the equalities, a
-round adds every violated bound, removes every held bound whose
-multiplier is negative, and settles the new set.  Another round is taken
-only while it changes fewer rows than the last one and more than the
-add/drop steps it costs, counted from the rows changed, the free
-variables and n.  A seed or guess whose inequalities all have
-multipliers >= 0 and that leaves no other inequality below -1e-11 is the
-optimum (no drop and no add would change it): it is returned at once,
-with no factorization and no step.
+variable or a general row, and divides each general row and its
+right-hand side by the power of two that puts the row's largest |entry|
+in [0.5, 1): exact, so no bit changes on finite data, and no product of
+a row overflows.  Every pass reads the scaled rows; the choice of the
+row to add and the final check read the rows as given, and the
+multipliers returned are theirs.  A seed of rows expected to be active
+(such as the bounds that a frontier point's segment of the critical line
+holds, see :mod:`portopt.critical_line`) is settled with the equalities
+first.  With none seeded, the cold start guesses its working set by
+block pivoting on the inequalities (Judice and Pires 1994,
+Computers & OR 21): from the minimizer on the equalities, a round adds
+every violated inequality, removes every held one whose multiplier is
+negative, and settles the new set, up to the fixed point, which is the
+optimum.  Block pivoting can cycle, so the first round that changes no
+fewer rows than the one before is the last.  A seed or guess whose
+inequalities all have multipliers >= 0 and that leaves no other
+inequality below -1e-11 is the optimum (no drop and no add would change
+it): it is returned at once, with no factorization and no step.
 
 Otherwise one pass builds the factors of the seed or guess.  Bounds need
 no reflection: with D_FF = CC', J2 is C^-1 in the free columns, and N*'s
@@ -198,18 +200,18 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     """Solve the program; see the module docstring for the method.
 
     ``start`` names constraints, in the global numbering of
-    :attr:`QpSolution.active_set`, expected to be active at the optimum:
-    its inequality rows enter the working set with the equalities before
-    the first step (a neighbouring program's ``active_set`` will do).  It
+    :attr:`QpSolution.active_set`, expected to be active at the optimum: its
+    inequality rows enter the working set with the equalities before the
+    first step (a neighbouring program's ``active_set`` will do).  It
     changes the path to the optimum, not the optimum; an empty seed is the
     cold start, which guesses its working set by block pivoting on the
-    bounds.  A seed or guess that is already optimal is returned at once,
-    with ``iterations`` 0 and the sorted seed (with the equalities) as
+    inequalities.  A seed or guess that is already optimal is returned at
+    once, with ``iterations`` 0 and the sorted seed (with the equalities) as
     ``active_set``.  x and the multipliers are settled on the final working
     set alone, so any two solves that end on the same set return the same
     bits.  The Cholesky factor of the whole of D is computed once per
-    distinct D: the last one is kept and reused while the next solve's D
-    has the same bits, so a reused factor has the bits of a fresh one.
+    distinct D: the last one is kept and reused while the next solve's D has
+    the same bits, so a reused factor has the bits of a fresh one.
     ``iterations`` counts the add/drop loop's steps; the pivot rounds and
     the drops that make a seed or guess dual feasible are not among them.
 
@@ -245,25 +247,30 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     # D's own Cholesky: the positive-definiteness check, and the factor of
     # a set without bounds
     whole, column_norms = _whole_factor(qp.dmat)
-    # Each row classified once: a bound on one variable, var its index, or
-    # a general row, var -1
+    # Each row classified once: a bound on one variable, var its index, or a
+    # general row, var -1, divided with its right-hand side by 2^power
     nonzero = a_all != 0.0
     single = nonzero.sum(axis=1) == 1
     var = np.where(single, nonzero.argmax(axis=1), -1)
+    general = np.flatnonzero(~single)
+    power = np.zeros(m, dtype=int)
+    power[general] = np.frexp(np.abs(a_all[general]).max(axis=1, initial=0.0))[1]
+    a_all[general] = np.ldexp(a_all[general], -power[general, None])
+    b_all = np.ldexp(b_all, -power)
     seeded = start[start >= meq]
     if seeded.size:
         rows = np.concatenate([np.arange(meq), seeded])
-        settled = _settle(qp, a_all, b_all, rows, var, whole)
+        settled = _settle(qp, a_all, b_all, rows, var, whole, power)
     else:
-        rows, settled = _guess(qp, a_all, b_all, meq, var, whole)
+        rows, settled = _guess(qp, a_all, b_all, meq, var, whole, power)
     # a start whose settled point no drop and no add would change is the optimum
-    if settled is not None and _holds(a_all, b_all, is_eq, rows, *settled, _ADD_TOL, 0.0):
+    if settled is not None and _holds(a_all, b_all, power, is_eq, rows, *settled, _ADD_TOL, 0.0):
         return _solution(qp, *settled, rows, 0)
     # a'D^-1 a = |L^-1 a|^2 of every row, the dependence test's first scale
     # (column norms of L^-1 for a bound, a product otherwise)
     dnorm2 = np.empty(m)
     dnorm2[single] = a_all[single, var[single]] ** 2 * column_norms[var[single]]
-    dnorm2[~single] = ((whole @ a_all[~single].T) ** 2).sum(axis=0)
+    dnorm2[general] = ((whole @ a_all[general].T) ** 2).sum(axis=0)
     q, active, u, jt, nstar, x = _factor(qp, a_all, b_all, rows, var, dnorm2, whole)
     # seeded or guessed inequalities with u < 0 leave one at a time, most
     # negative first
@@ -280,8 +287,9 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     iterations = 0
 
     while True:
-        # Most violated constraint outside the working set, lowest index first.
-        slack = a_all @ x - b_all
+        # Most violated row as given outside the working set, lowest index first
+        scaled = a_all @ x - b_all
+        slack = np.ldexp(scaled, power)
         metric = np.where(is_eq, -np.abs(slack), slack)
         metric[active[:q]] = np.inf
         metric[aside] = np.inf
@@ -291,7 +299,7 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
 
         sign = -1.0 if (p < meq and slack[p] > 0.0) else 1.0
         nplus = sign * a_all[p]
-        s_p = sign * slack[p]  # negative while violated
+        s_p = sign * scaled[p]  # negative while violated
         u_plus = 0.0
 
         while True:
@@ -343,8 +351,8 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
             aside[:] = False
 
     working = np.sort(active[:q])
-    settled = _settle(qp, a_all, b_all, working, var, whole)
-    if settled is None or not _holds(a_all, b_all, is_eq, working, *settled, 1e-8, 1e-8):
+    settled = _settle(qp, a_all, b_all, working, var, whole, power)
+    if settled is None or not _holds(a_all, b_all, power, is_eq, working, *settled, 1e-8, 1e-8):
         raise NumericalBreakdown("the working set's minimizer is not a finite feasible point")
     return _solution(qp, *settled, working, iterations)
 
@@ -456,44 +464,36 @@ def _factor(qp, a_all, b_all, rows, var, dnorm2, whole):
     return q, active, u, jt, nstar, x
 
 
-def _guess(qp, a_all, b_all, meq, var, whole):
+def _guess(qp, a_all, b_all, meq, var, whole, power):
     """The cold start's working set and its settled point (None when a
     general row fails :func:`_settle`'s dependence test): the equalities,
-    improved by block pivoting on the inequality rows with one nonzero
-    (``var`` >= 0).
+    improved by block pivoting on the inequality rows, which are over
+    2^``power`` as in :func:`_settle`.
 
-    A round adds every violated bound and removes every held bound whose
-    multiplier is negative, all at once, and settles the new set.  Another
-    round is taken only while it changes fewer rows than the one before
-    (block pivoting can cycle) and more rows than the round costs in
-    add/drop steps, each changed row saving at least one.  A step costs
-    O(n^2).  A round costs about four steps of numpy calls and array
-    passes, plus work on the free block of f^2 n multiply-adds at most,
-    which run about 16 times faster per element than a step's rank-1
-    updates (one BLAS thread, n = 30 to 500).  The guess need not be
-    optimal, nor even consistent: the seed drops and the add/drop loop
-    certify it.
+    A round adds every violated inequality and removes every held one
+    whose multiplier is negative, all at once, and settles the new set,
+    up to the fixed point, where no round would change a row: the optimum.
+    Block pivoting can cycle, so the first round that changes no fewer
+    rows than the one before is the last.  The guess need not be optimal,
+    nor even consistent: the seed drops and the add/drop loop certify it.
     """
-    n = qp.n
     eqs = np.arange(meq)
-    rows = meq + np.flatnonzero(var[meq:] >= 0)
-    row_var = var[rows]
-    coef = a_all[rows, row_var]
+    rows = np.arange(meq, b_all.shape[0])
     held = np.zeros(rows.size, dtype=bool)
-    last = rows.size + 1
+    # rows changed by the round before the last and by the last
+    before, last = rows.size + 2, rows.size + 1
     while True:
         working = np.concatenate([eqs, rows[held]])
-        settled = _settle(qp, a_all, b_all, working, var, whole)
+        settled = _settle(qp, a_all, b_all, working, var, whole, power)
         if settled is None:
             return working, None
         x, multipliers = settled
         leave = held & (multipliers[rows] < 0.0)
-        enter = ~held & (coef * x[row_var] - b_all[rows] < -_ADD_TOL)
+        enter = ~held & (a_all[meq:] @ x - b_all[meq:] < -_ADD_TOL)
         changed = int(leave.sum() + enter.sum())
-        f = n - np.unique(row_var[held & ~leave | enter]).size
-        if changed >= last or 16 * n * (changed - 4) <= f * f:
+        if changed == 0 or last >= before:
             return working, settled
-        last = changed
+        before, last = last, changed
         held = held & ~leave | enter
 
 
@@ -515,12 +515,13 @@ def _split(rows, var, n):
     return rows[bound], zvars, rows[general], np.flatnonzero(free)
 
 
-def _settle(qp, a_all, b_all, rows, var, whole):
-    """x and the multipliers (one per global row) on the sorted working set
-    ``rows``, settled from the free block as the module docstring
-    describes, or None when a general row depends on the rows before it:
-    Schur pivot i is at most 1e-10 of that row's Schur diagonal entry
-    before elimination.  The set is split by :func:`_split`.
+def _settle(qp, a_all, b_all, rows, var, whole, power):
+    """x and the multipliers (one per global row, of the rows as given) on
+    the sorted working set ``rows``, settled from the free block as the
+    module docstring describes, or None when a general row depends on the
+    rows before it: Schur pivot i is at most 1e-10 of that row's Schur
+    diagonal entry before elimination.  ``a_all`` and ``b_all`` hold each
+    row over 2^``power``.  The set is split by :func:`_split`.
     """
     n = qp.n
     bound_rows, zvars, grows, fvars = _split(rows, var, n)
@@ -533,20 +534,16 @@ def _settle(qp, a_all, b_all, rows, var, whole):
     off = zvars[x[zvars] != 0.0]  # bounded variables held away from zero
     a_g = a_all[grows]
     a_gf = a_g[:, fvars]
-    # each general row over a power of two, its largest |entry| in [0.5, 1):
-    # exact, and the Schur complement cannot overflow
-    power = np.frexp(np.abs(a_g).max(axis=1, initial=0.0))[1]
-    scaled = np.ldexp(a_gf, -power[:, None])
     dmat_f = qp.dmat[fvars]
     dmat_ff = dmat_f[:, fvars]
     rhs = np.empty((f, g + 1))
     rhs[:, 0] = d_f = qp.dvec[fvars] - dmat_f[:, off] @ x[off]
-    rhs[:, 1:] = scaled.T
+    rhs[:, 1:] = a_gf.T
     # a set without bounds takes D's own factor, as in _factor
     solved = np.linalg.solve(dmat_ff, rhs) if zvars.size else whole.T @ (whole @ rhs)
     x0, w = solved[:, 0], solved[:, 1:]
     # S = LL' row by row, in Python floats: g is the budget and return rows
-    schur = (scaled @ w).tolist()
+    schur = (a_gf @ w).tolist()
     low = [[0.0] * g for _ in range(g)]
     for i in range(g):
         for j in range(i + 1):
@@ -559,21 +556,21 @@ def _settle(qp, a_all, b_all, rows, var, whole):
                 return None
     b_g = b_all[grows] - a_g[:, off] @ x[off]
     if f == g:
-        x_f = np.linalg.solve(a_gf, b_g)
+        # the rows as given, so the LU pivots as on them (a vertex keeps its zeros)
+        x_f = np.linalg.solve(np.ldexp(a_gf, power[grows, None]), np.ldexp(b_g, power[grows]))
         y = np.linalg.solve(a_gf.T, dmat_ff @ x_f - d_f)
     else:
-        b_g = np.ldexp(b_g, -power)
-        y = _cholesky_solve(low, b_g - scaled @ x0)
+        y = _cholesky_solve(low, b_g - a_gf @ x0)
         x_f = x0 + w @ y
-        step = _cholesky_solve(low, b_g - scaled @ x_f)
+        step = _cholesky_solve(low, b_g - a_gf @ x_f)
         x_f += w @ step
-        y = np.ldexp(y + step, -power)
+        y += step
     x[fvars] = x_f
     multipliers = np.zeros(b_all.shape[0])
-    multipliers[grows] = y
     # Dx - d with D_ZF read as D_FZ', as the solver takes D to be symmetric
     gradient = x_f @ dmat_f + x[off] @ qp.dmat[off] - qp.dvec
     multipliers[bound_rows] = (gradient[zvars] - y @ a_g[:, zvars]) / coef
+    multipliers[grows] = np.ldexp(y, -power[grows])  # of the rows as given
     return x, multipliers
 
 
@@ -588,14 +585,15 @@ def _cholesky_solve(low, v):
     return np.array(y)
 
 
-def _holds(a_all, b_all, is_eq, rows, x, multipliers, slack_tol, dual_tol) -> bool:
+def _holds(a_all, b_all, power, is_eq, rows, x, multipliers, slack_tol, dual_tol) -> bool:
     """Whether x and the multipliers are finite, x meets the working set
     ``rows`` within 1e-8, no other equality misses by 1e-8, no other
     inequality is below -``slack_tol`` and no inequality multiplier is
-    below -``dual_tol``."""
+    below -``dual_tol``, on the rows as given: ``a_all`` and ``b_all`` hold
+    them over 2^``power``."""
     if not (np.isfinite(x).all() and np.isfinite(multipliers).all()):
         return False
-    slack = a_all @ x - b_all
+    slack = np.ldexp(a_all @ x - b_all, power)
     out = np.ones(b_all.shape[0], dtype=bool)
     out[rows] = False
     return bool(

@@ -535,6 +535,25 @@ def recorded_solves(monkeypatch) -> list:
     return solves
 
 
+@pytest.mark.parametrize("kind", list(RiskKind))
+def test_cold_solves_end_in_the_guess(monkeypatch, kind):
+    # Block pivoting reaches the optimal working set of a cold minimum-risk,
+    # pinned or tradeoff program, which is returned with no loop step
+    monkeypatch.setattr(optimizers, "_kept", None)
+    solves = recorded_solves(monkeypatch)
+    for seed in range(6):
+        model = build_risk_model(random_returns(np.random.default_rng(seed), 150), kind=kind)
+        target = model.mu.min() + 0.6 * (model.mu.max() - model.mu.min())
+        markowitz_portfolio(model)
+        markowitz_portfolio(model, ObjectiveParams(target_return=target, pin_return_equality=True))
+        lambda_portfolio(model, ObjectiveParams(lam=0.5))
+    # but seed 4's variance tradeoff, whose guess stops a bound short after
+    # two rounds in a row changed five rows
+    late = 1 if kind is RiskKind.VARIANCE else 0
+    assert [solution.iterations for _, solution in solves] == [0] * 14 + [late] + [0] * 3
+    assert max(scaled_kkt(qp, solution) for qp, solution in solves) <= 1e-8
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_means_raise_numerical_breakdown(monkeypatch):
     # a semivariance model with a finite mean of 2.5e307: the sweep's rounded
@@ -559,10 +578,12 @@ def test_overflowing_means_raise_numerical_breakdown(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
-def test_overflowing_mean_leaves_a_pinned_return_solvable(monkeypatch):
+@pytest.mark.parametrize("pin", [True, False])
+def test_overflowing_mean_leaves_a_return_target_solvable(monkeypatch, pin):
     # the 5-row --risk svar file with one price 1e308: the return row's
-    # entry of 1.25e307 would overflow the free block's Schur complement
-    # unscaled, and the program pinned at half the top mean has a finite
+    # entry of 1.25e307 would overflow the free block's Schur complement,
+    # its dependence scale and the drift test's scale unscaled, and the
+    # programs pinned at and floored by half the top mean have one finite
     # answer with half the budget on that asset
     prices = np.array(
         [[1, 2, 3], [1.1, 1e308, 3.1], [1.2, 2.1, 3.2], [1.3, 2.2, 3.0], [1.25, 2.3, 3.3]]
@@ -571,7 +592,7 @@ def test_overflowing_mean_leaves_a_pinned_return_solvable(monkeypatch):
     model = build_risk_model(ReturnsMatrix(("A", "B", "C"), values), kind=RiskKind.SEMIVARIANCE)
     assert model.mu.max() == 1.25e307
     solves = recorded_solves(monkeypatch)
-    params = ObjectiveParams(target_return=model.mu.max() / 2, pin_return_equality=True)
+    params = ObjectiveParams(target_return=model.mu.max() / 2, pin_return_equality=pin)
     weights = markowitz_portfolio(model, params).weights
     np.testing.assert_allclose(weights, [0.3627, 0.5, 0.1373], atol=1e-4)
     [(qp, solution)] = solves
