@@ -6,29 +6,39 @@ For t from +inf down to -inf, the minimizer w(t) of
 
 is piecewise linear in t (Markowitz 1956; Niedermayer and Niedermayer
 2010).  On a segment whose free set is F (every other weight is held at
-its bound 0), with a = D_FF^-1 1 and b = D_FF^-1 mu_F,
+its bound 0), w_F and each held asset's bound multiplier v_j = (Dw -
+t mu)_j - (budget multiplier) are linear in t.  The pass reads them from
+one tableau with the budget in row b = n and the means in row m = n + 1,
 
-    w_F = alpha + t beta,   alpha = a / 1'a,   beta = b - (1'b / 1'a) a,
+    M = [[D, 1, mu], [1', 0, 0], [mu', 0, 0]],
 
-the budget multiplier is (1 - t 1'b) / 1'a and each bound's multiplier
-is v_j = D_jF w_F - t mu_j - (budget multiplier), also linear in t.  The
-segment ends at the largest t below its top where a free weight or a
-bound multiplier reaches 0: that asset leaves or enters F, and D_FF^-1 is
-bordered or downdated instead of refactored.  The expected return
-mu_F'alpha + t mu_F'beta never rises as t falls, so one pass from the
-highest-mean vertex (t = +inf) down to the lowest-mean one (t = -inf)
-covers every pinned target return; the efficient branch is t >= 0.  A
-pinned program's multiplier of its return row is t, and a tradeoff
-program min (1-l) w'Sw - l mu'w with D = 2S has t = l / (1 - l).
+swept (Goodnight 1979, The American Statistician 33) on F and then on b:
+a free asset's weight is -T[b, j] + t T[m, j], a held asset's multiplier
+T[b, j] - t T[m, j], and the expected return max mu + T[b, m] - t T[m, m].
+The means are shifted so the highest is 0: w and the multipliers do not
+change, and a segment inside a tie at the top gets T[m, F] = 0 exactly.
+The segment ends at the largest t below its top where one of these lines
+reaches 0: that asset enters F (its row is swept in) or leaves it (swept
+out).  With one free asset left, that asset cannot leave: its weight is
+1 on the whole segment.  A sweep sets its own row and column of T in
+full and leaves a rank-1 term on the rest; the rank-1 terms wait and are
+added by one matrix product every ``_FLUSH`` sweeps, and a row is read as
+its stored value plus the waiting terms.  The expected return never
+rises as t falls, so one pass from the highest-mean vertex (t = +inf)
+down to the lowest-mean one (t = -inf) covers every pinned target
+return; the efficient branch is t >= 0.  A pinned program's multiplier
+of its return row is t, and a tradeoff program min (1-l) w'Sw - l mu'w
+with D = 2S has t = l / (1 - l).
 
 Every computation here only proposes working sets: :mod:`portopt.optimizers`
 keeps one model's line and starts each solve on that model from the free
 set of its program's segment, and the solver certifies the point (or
 leaves the proposed set), so float drift along the pass can cost solver
-steps but never changes an answer.  A bordering pivot that
-is not positive refactors D_FF from scratch, and the pass ends at a D_FF
-that fails its Cholesky factorization or after ``CORNERS_PER_ASSET``
-corners per asset; points below the end get no proposal.
+steps but never changes an answer.  An entering pivot that is not
+positive rebuilds the tableau from M for the new free set, and the pass
+ends where that rebuild finds D_FF not positive definite or after
+``CORNERS_PER_ASSET`` corners per asset; points below the end get no
+proposal.
 """
 
 from __future__ import annotations
@@ -40,6 +50,11 @@ import numpy as np
 #: Corners per asset after which a pass ends (a sample covariance at
 #: N = 150 to 500 has about two per asset).
 CORNERS_PER_ASSET = 10
+
+#: Sweeps whose rank-1 terms wait before one product adds them (8 and 16
+#: slowed passes at N = 500, where each flush also costs an n x n add;
+#: 32 to 128 timed alike).
+_FLUSH = 32
 
 
 @dataclass(frozen=True)
@@ -71,47 +86,37 @@ class CriticalLine:
 def critical_line(dmat: np.ndarray, mu: np.ndarray) -> CriticalLine:
     """One pass down the critical line of quadratic term ``dmat`` (positive
     definite) and means ``mu``; see the module docstring."""
-    n = mu.shape[0]
-    # the means are shifted so the highest is 0: w and the multipliers do
-    # not change, and a segment inside a tie at the top gets beta = 0 exactly
-    shifted = mu - mu.max()
+    n, top = mu.shape[0], mu.max()
+    shifted = mu - top
     start = _start(dmat, shifted)
-    free = None if start is None else _FreeSet.of(dmat, shifted, start)
+    tableau = _Tableau(dmat, shifted)
+    traced = start is not None and tableau.rebuild(start)
     t_low, return_low, frees = [], [], []
     t = np.inf
-    for _ in range(CORNERS_PER_ASSET * n if free is not None else 0):
-        f = free.size
-        ab = free.inv[:f, :f] @ free.ones_mu[:f]  # a and b
-        a_sum, b_sum = ab.sum(axis=0)
-        ab[:, 1] -= (b_sum / a_sum) * ab[:, 0]  # beta
-        ab[:, 0] /= a_sum  # alpha
-        # every asset's bound multiplier c + t d, then each free asset's
-        # weight alpha + t beta in place of its (zero) multiplier: an
-        # asset moves where that line reaches 0 from above as t falls
-        lines = ab.T @ free.rows[:f]
-        lines[0] -= 1.0 / a_sum
-        lines[1] -= shifted - b_sum / a_sum
-        lines[:, free.assets[:f]] = ab.T
-        level = np.divide(lines[0], -lines[1], out=np.full(n, -np.inf), where=lines[1] > 0.0)
+    for _ in range(CORNERS_PER_ASSET * n if traced else 0):
+        ends, sign = tableau.rows(n, 2), tableau.sign[:n]
+        free = np.flatnonzero(sign > 0.0)
+        # an asset moves where its line c + t d reaches 0 from above as t
+        # falls (d > 0), at t = -c / d = T[b, j] / T[m, j]
+        moves = sign * ends[1, :n] > 0.0
+        if free.size == 1:
+            moves[free] = False
+        level = np.divide(ends[0, :n], ends[1, :n], out=np.full(n, -np.inf), where=moves)
         k = int(np.argmax(level))
         # a level above t is a status that drift or a tie already violates,
         # such as an exact duplicate of an asset that just entered: fix it now
         t_next = min(float(level[k]), t)
         t_low.append(t_next)
-        frees.append(free.assets[:f].copy())
+        frees.append(free)
         if t_next == -np.inf:
             return_low.append(-np.inf)
             break
-        mu_alpha, mu_beta = mu[free.assets[:f]] @ ab
-        return_low.append(float(mu_alpha + t_next * mu_beta))
-        if free.slot[k] >= 0:
-            free.leave(k)
-        elif not free.enter(k):
+        return_low.append(float(top + ends[0, n + 1] - t_next * ends[1, n + 1]))
+        if not tableau.sweep(k) and not tableau.rebuild(np.setxor1d(free, k)):
             break
         t = t_next
     # drift at an almost exact tie can put a corner at |t| ~ 1e13, where
-    # the return mu_F'alpha + t mu_F'beta is noise times t; it cannot rise
-    # as t falls
+    # the return is noise times t; it cannot rise as t falls
     return CriticalLine(np.array(t_low), np.minimum.accumulate(return_low), tuple(frees))
 
 
@@ -127,80 +132,60 @@ def _start(dmat: np.ndarray, shifted: np.ndarray) -> np.ndarray | None:
     return top[tie.free[k]] if k < len(tie.free) else None
 
 
-class _FreeSet:
-    """The free set F, one slot per asset in F: slot i holds asset
-    ``assets[i]``, its row of D in ``rows[i]`` and (1, its shifted mean) in
-    ``ones_mu[i]``, and ``inv[:f, :f]`` is D_FF^-1 in slot order.  An
-    entering asset takes slot f; a leaving one's slot goes to the asset in
-    the last slot.  ``slot[j]`` is asset j's slot, or -1 off F."""
+class _Tableau:
+    """M swept on the free set F and the budget, as ``tab`` plus the rank-1
+    terms ``u[i]' v[i]`` of the last ``r`` sweeps; ``sign[k]`` is +1 for a
+    swept row and -1 for the others."""
 
     def __init__(self, dmat: np.ndarray, shifted: np.ndarray):
-        n = shifted.shape[0]
-        self.dmat, self.shifted, self.size = dmat, shifted, 0
-        self.assets = np.empty(n, dtype=int)
-        self.slot = np.full(n, -1)
-        self.rows = np.empty((n, n))
-        self.ones_mu = np.ones((n, 2))
-        self.inv = np.empty((n, n))
+        n = self.n = shifted.shape[0]
+        self.m = np.zeros((n + 2, n + 2))
+        self.m[:n, :n] = dmat
+        self.m[:n, n] = self.m[n, :n] = 1.0
+        self.m[:n, n + 1] = self.m[n + 1, :n] = shifted
+        self.u, self.v = np.empty((2, _FLUSH, n + 2))
+        self.sign = np.empty(n + 2)
 
-    @classmethod
-    def of(cls, dmat, shifted, assets: np.ndarray) -> _FreeSet | None:
-        """F = ``assets``, or None if their D_FF is not positive definite."""
-        free = cls(dmat, shifted)
+    def rows(self, k: int, count: int = 1) -> np.ndarray:
+        """Rows ``k`` to ``k + count - 1`` of the swept tableau (its columns
+        too: it is symmetric)."""
+        ks = slice(k, k + count)
+        return self.tab[ks] + self.u[: self.r, ks].T @ self.v[: self.r]
+
+    def rebuild(self, assets: np.ndarray) -> bool:
+        """Sweep M on ``assets`` and then the budget; False if an asset's pivot
+        is not positive (D_FF is not positive definite)."""
+        self.tab, self.r, self.sign[:] = self.m.copy(), 0, -1.0
         for k in assets:
-            free._append(int(k))
-        return free if free.refactor() else None
-
-    def _append(self, k: int) -> None:
-        f = self.size
-        self.assets[f], self.slot[k] = k, f
-        self.rows[f] = self.dmat[k]
-        self.ones_mu[f, 1] = self.shifted[k]
-        self.size = f + 1
-
-    def refactor(self) -> bool:
-        """D_FF^-1 from D_FF's Cholesky factor; False if it has none."""
-        f = self.size
-        try:
-            low = np.linalg.cholesky(self.rows[:f, self.assets[:f]])
-        except np.linalg.LinAlgError:
-            return False
-        low_inv = np.linalg.inv(low)
-        self.inv[:f, :f] = low_inv.T @ low_inv
+            row = self.rows(k)[0]
+            if not row[k] > 0.0:
+                return False
+            self._pivot(k, row)
+        self._pivot(self.n, self.rows(self.n)[0])
         return True
 
-    def enter(self, k: int) -> bool:
-        """Add asset ``k``: border D_FF^-1, or refactor it when bordering
-        fails; False if that fails too."""
-        self._append(k)
-        return self._border() or self.refactor()
-
-    def _border(self) -> bool:
-        """Border D_FF^-1 with the asset in the last slot; False if the pivot
-        (the Schur complement of the rest of D_FF) is not positive."""
-        f = self.size - 1
-        k = self.assets[f]
-        column = self.rows[:f, k]
-        u = self.inv[:f, :f] @ column
-        pivot = self.rows[f, k] - column @ u
-        if not pivot > 0.0:
+    def sweep(self, k: int) -> bool:
+        """Sweep asset ``k`` in or out of F; False, with nothing changed, for
+        an entering pivot that is not positive."""
+        row = self.rows(k)[0]
+        if self.sign[k] < 0.0 and not row[k] > 0.0:
             return False
-        self.inv[:f, :f] += np.outer(u / pivot, u)
-        self.inv[:f, f] = self.inv[f, :f] = -u / pivot
-        self.inv[f, f] = 1.0 / pivot
+        self._pivot(k, row)
         return True
 
-    def leave(self, k: int) -> None:
-        """Downdate D_FF^-1 by asset ``k``; the last slot's asset takes its slot."""
-        f, i = self.size - 1, self.slot[k]
-        inv = self.inv
-        column = inv[: f + 1, i].copy()
-        inv[: f + 1, : f + 1] -= np.outer(column / column[i], column)  # row and column i ~0
-        j = self.assets[f]
-        self.assets[i], self.slot[j], self.slot[k] = j, i, -1
-        self.rows[i] = self.rows[f]
-        self.ones_mu[i] = self.ones_mu[f]
-        inv[i, :f] = inv[f, :f]
-        inv[:f, i] = inv[:f, f]
-        inv[i, i] = inv[f, f]
-        self.size = f
+    def _pivot(self, k: int, row: np.ndarray) -> None:
+        # with p = T[k, k] and s = +1 in, -1 out: T'[k, k] = -1/p, T'[k, j]
+        # = s T[k, j]/p, set in full (an add would lose T'[k, j] to
+        # cancellation when |p| is large), and T'[i, j] = T[i, j] - T[i, k]
+        # T[k, j]/p, a rank-1 term that is 0 in row and column k and waits;
+        # the waiting terms lose their row and column k, which T' holds
+        s, p = -self.sign[k], row[k]
+        if self.r == _FLUSH:
+            self.tab += self.u.T @ self.v
+            self.r = 0
+        self.u[: self.r, k] = self.v[: self.r, k] = 0.0
+        swept = row / (s * p)
+        swept[k], row[k] = -1.0 / p, 0.0
+        self.u[self.r], self.v[self.r] = row, row / -p
+        self.tab[k] = self.tab[:, k] = swept
+        self.sign[k], self.r = s, self.r + 1

@@ -64,8 +64,9 @@ block pivoting on the inequalities (Judice and Pires 1994,
 Computers & OR 21): from the minimizer on the equalities, a round adds
 every violated inequality, removes every held one whose multiplier is
 negative, and settles the new set, up to the fixed point, which is the
-optimum.  Block pivoting can cycle, so the first round that changes no
-fewer rows than the one before is the last.  A seed or guess whose
+optimum.  Block pivoting can cycle, and only through rounds that remove
+rows, so a removing round that changes no fewer rows than the removing
+round before it is the last taken.  A seed or guess whose
 inequalities all have multipliers >= 0 and that leaves no other
 inequality below -1e-11 is the optimum (no drop and no add would change
 it): it is returned at once, with no factorization and no step.
@@ -473,15 +474,19 @@ def _guess(qp, a_all, b_all, meq, var, whole, power):
     A round adds every violated inequality and removes every held one
     whose multiplier is negative, all at once, and settles the new set,
     up to the fixed point, where no round would change a row: the optimum.
-    Block pivoting can cycle, so the first round that changes no fewer
-    rows than the one before is the last.  The guess need not be optimal,
-    nor even consistent: the seed drops and the add/drop loop certify it.
+    Block pivoting can cycle, and only through rounds that remove rows: a
+    round that only adds rows grows the set.  So a removing round that
+    changes no fewer rows than the removing round before it is the last
+    taken, and the removing rounds' counts fall until then.  The guess need
+    not be optimal, nor even consistent: the seed drops and the add/drop
+    loop certify it.
     """
     eqs = np.arange(meq)
     rows = np.arange(meq, b_all.shape[0])
     held = np.zeros(rows.size, dtype=bool)
-    # rows changed by the round before the last and by the last
-    before, last = rows.size + 2, rows.size + 1
+    # rows changed by the last round taken that removed rows, and whether
+    # that round was the last to take
+    removed, last = rows.size + 1, False
     while True:
         working = np.concatenate([eqs, rows[held]])
         settled = _settle(qp, a_all, b_all, working, var, whole, power)
@@ -491,9 +496,10 @@ def _guess(qp, a_all, b_all, meq, var, whole, power):
         leave = held & (multipliers[rows] < 0.0)
         enter = ~held & (a_all[meq:] @ x - b_all[meq:] < -_ADD_TOL)
         changed = int(leave.sum() + enter.sum())
-        if changed == 0 or last >= before:
+        if changed == 0 or last:
             return working, settled
-        before, last = last, changed
+        if leave.any():
+            removed, last = changed, changed >= removed
         held = held & ~leave | enter
 
 

@@ -301,17 +301,51 @@ def test_lam_one_is_the_highest_mean_vertex(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("kind", list(RiskKind))
-def test_non_positive_pivot_refactors(monkeypatch, kind):
-    # with every bordering refused, each entry refactors D_FF from scratch
-    # and the pass finds the same corners
+def test_rebuilt_tableaus_find_the_same_corners(monkeypatch, kind):
+    # with every sweep refused, each corner rebuilds the tableau from M for
+    # its new free set, and the pass finds the same corners
     model = build_risk_model(random_returns(np.random.default_rng(9), 40, 250), kind=kind)
-    bordered = line_of(model)
-    monkeypatch.setattr(cl._FreeSet, "_border", lambda self: False)
-    refactored = line_of(model)
-    assert len(refactored.free) == len(bordered.free) > 40
-    for a, b in zip(refactored.free, bordered.free):
+    swept = line_of(model)
+    real, rebuilds = cl._Tableau.rebuild, []
+
+    def rebuild(self, assets):
+        rebuilds.append(assets)
+        return real(self, assets)
+
+    monkeypatch.setattr(cl._Tableau, "sweep", lambda self, k: False)
+    monkeypatch.setattr(cl._Tableau, "rebuild", rebuild)
+    rebuilt = line_of(model)
+    assert len(rebuilt.free) == len(swept.free) == len(rebuilds) > 40
+    for a, b, assets in zip(rebuilt.free, swept.free, rebuilds):
         np.testing.assert_array_equal(a, b)
-    np.testing.assert_allclose(refactored.t_low, bordered.t_low, rtol=1e-9)
+        np.testing.assert_array_equal(a, assets)
+    np.testing.assert_allclose(rebuilt.t_low, swept.t_low, rtol=1e-9)
+
+
+def test_singular_block_ends_the_pass():
+    # the second asset's column repeats the first's: its entering pivot is
+    # 0, and the rebuild finds D_FF singular, so the pass ends at t = 0
+    line = cl.critical_line(np.ones((2, 2)), np.array([1.0, 0.0]))
+    np.testing.assert_array_equal(line.t_low, [0.0])
+    np.testing.assert_array_equal(line.return_low, [1.0])
+    np.testing.assert_array_equal(line.free[0], [0])
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+def test_long_pass_segments_are_the_optimal_free_sets(kind):
+    # at N = 150 the pass runs through several flushes of its waiting
+    # sweeps; every 10th segment is still the support of the cold optimum
+    # pinned at its middle return, and the last free asset never leaves
+    model = build_risk_model(random_returns(np.random.default_rng(14), 150, 500), kind=kind)
+    line = line_of(model)
+    assert len(line.free) > 3 * cl._FLUSH
+    assert min(free.size for free in line.free) >= 1
+    assert line.free[-1].size == 1 and line.t_low[-1] == -np.inf
+    for k in range(10, len(line.free) - 1, 10):
+        middle = (line.return_low[k - 1] + line.return_low[k]) / 2.0
+        params = optimizers.ObjectiveParams(target_return=middle, pin_return_equality=True)
+        weights = markowitz_portfolio(model, params).weights
+        np.testing.assert_array_equal(np.flatnonzero(weights), np.sort(line.free[k]))
 
 
 @pytest.mark.parametrize("kind", list(RiskKind))
@@ -354,11 +388,13 @@ def test_corner_cap_ends_the_pass(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("kind", list(RiskKind))
-def test_failed_refactor_ends_the_pass(monkeypatch, kind):
-    # the first entry's bordering is refused and its refactor fails
+def test_failed_rebuild_ends_the_pass(monkeypatch, kind):
+    # the first corner's sweep is refused and its rebuild fails
     returns = random_returns(np.random.default_rng(10), 30, 250)
     model = build_risk_model(returns, kind=kind)
-    real = cl._FreeSet.refactor
-    monkeypatch.setattr(cl._FreeSet, "_border", lambda self: False)
-    monkeypatch.setattr(cl._FreeSet, "refactor", lambda self: self.size == 1 and real(self))
+    real = cl._Tableau.rebuild
+    monkeypatch.setattr(cl._Tableau, "sweep", lambda self, k: False)
+    monkeypatch.setattr(
+        cl._Tableau, "rebuild", lambda self, assets: len(assets) == 1 and real(self, assets)
+    )
     check_early_end(monkeypatch, model, returns, 1)

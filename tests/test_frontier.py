@@ -547,10 +547,7 @@ def test_cold_solves_end_in_the_guess(monkeypatch, kind):
         markowitz_portfolio(model)
         markowitz_portfolio(model, ObjectiveParams(target_return=target, pin_return_equality=True))
         lambda_portfolio(model, ObjectiveParams(lam=0.5))
-    # but seed 4's variance tradeoff, whose guess stops a bound short after
-    # two rounds in a row changed five rows
-    late = 1 if kind is RiskKind.VARIANCE else 0
-    assert [solution.iterations for _, solution in solves] == [0] * 14 + [late] + [0] * 3
+    assert [solution.iterations for _, solution in solves] == [0] * 18
     assert max(scaled_kkt(qp, solution) for qp, solution in solves) <= 1e-8
 
 
