@@ -18,15 +18,15 @@ regularization shift alone.
 
 One model's critical line (:mod:`portopt.critical_line`) is kept:
 :func:`_line` traces it, and each frontier sweep calls it once.  A solve
-on that model object starts from the bounds that its program's segment
-holds: the segment of a pinned return, of the tradeoff t = l / (1 - l)
-(t = +inf at l = 1), of t = 0 for the minimum-risk program, and for a
-``>=`` return the higher of its return's segment and t = 0's, where the
-constraint is slack.  The seed
-only speeds the solve up, since the solver certifies the optimum, so the
-model is matched by identity; a solve on any other model object starts
-cold.  A line whose corners are not finite (means so large that the pass
-overflows) raises :class:`~portopt.errors.NumericalBreakdown`.
+on that model object is seeded with the bounds that its program's
+segment holds: the segment of a pinned return, of the tradeoff t = l /
+(1 - l) (t = +inf at l = 1), of t = 0 for the minimum-risk program, and
+for a ``>=`` return the higher of its return's segment and t = 0's,
+where the constraint is slack.  The solver pivots from the seed to the
+optimum and certifies it, so the model is matched by identity; a solve
+on any other model object starts cold.  A line whose corners are not
+finite (means so large that the pass overflows) raises
+:class:`~portopt.errors.NumericalBreakdown`.
 """
 
 from __future__ import annotations
@@ -163,35 +163,38 @@ def portfolio_from_weights(
     )
 
 
-def _simplex_constraints(n: int):
-    a_eq = np.ones((1, n))
-    b_eq = np.ones(1)
-    a_ineq = np.eye(n)
-    b_ineq = np.zeros(n)
-    return a_eq, b_eq, a_ineq, b_ineq
-
-
-def _solve(model: RiskModel, qp: QuadraticProgram, target: float, t: float) -> Portfolio:
-    """Solve ``qp`` (budget equality first, the n bounds last) and report it.
-
-    The program's optimum is the lowest point of ``model``'s critical line
-    with an expected return of at least ``target`` and a tradeoff of at
-    least ``t``.  When that line is kept, the solver starts from the
-    bounds that the point's segment holds plus every inequality that is
-    not a bound (the return constraint).
+def _solve(
+    model: RiskModel, dmat: np.ndarray, dvec: np.ndarray, target: float, t: float
+) -> Portfolio:
+    """Build, solve and report every portfolio program: min 0.5 w'(dmat)w -
+    dvec'w subject to the budget, a return row when ``target`` is finite
+    (pinned when ``t`` is -inf, ``mu'w >= target`` otherwise) and the n
+    bounds, in that order.  Its optimum is the lowest point of ``model``'s
+    critical line with a return of at least ``target`` and a tradeoff of at
+    least ``t``; when that line is kept, the solve is seeded with the bounds
+    that the point's segment holds and the return inequality, if any.
     """
+    n = model.n_assets
+    g = 1 if target == -np.inf else 2  # the general rows: budget, then return
+    general, rhs = np.vstack([np.ones(n), model.mu])[:g], np.array([1.0, target])[:g]
+    meq = g if t == -np.inf else 1
+    a_ineq = np.eye(g - meq + n, n, meq - g)  # bounds under the return row: no n x n copy
+    a_ineq[: g - meq] = general[meq:]
+    qp = QuadraticProgram(
+        dmat=dmat,
+        dvec=dvec,
+        a_eq=general[:meq],
+        b_eq=rhs[:meq],
+        a_ineq=a_ineq,
+        b_ineq=np.concatenate([rhs[meq:], np.zeros(n)]),
+    )
     start = ()
     kept = _kept
     if kept is not None and kept[0] is model:
         line = kept[1]
         k = min(line.segment_at_return(target), line.segment_at(t))
-        if k < len(line.free):
-            first_bound = qp.b_eq.shape[0] + qp.b_ineq.shape[0] - model.n_assets
-            held = np.ones(model.n_assets, dtype=bool)
-            held[line.free[k]] = False
-            start = np.concatenate(
-                [np.arange(qp.b_eq.shape[0], first_bound), first_bound + np.flatnonzero(held)]
-            )
+        if k < len(line.free):  # the return inequality, if any, and the held bounds
+            start = np.concatenate([np.arange(meq, g), g + np.delete(np.arange(n), line.free[k])])
     return portfolio_from_weights(model, solve_qp(qp, start=start).x)
 
 
@@ -203,9 +206,6 @@ def markowitz_portfolio(model: RiskModel, params: ObjectiveParams | None = None)
     when ``pin_return_equality`` is set.
     """
     params = params or ObjectiveParams()
-    n = model.n_assets
-    a_eq, b_eq, a_ineq, b_ineq = _simplex_constraints(n)
-
     # the least return and tradeoff of the optimum's point on the line
     target, t = -np.inf, 0.0
     if params.target_return is not None:
@@ -216,22 +216,8 @@ def markowitz_portfolio(model: RiskModel, params: ObjectiveParams | None = None)
             raise TargetOutOfRange(params.target_return, lo, hi)
         target = min(max(params.target_return, lo), hi)
         if params.pin_return_equality:
-            a_eq = np.vstack([a_eq, model.mu])
-            b_eq = np.append(b_eq, target)
             t = -np.inf
-        else:
-            a_ineq = np.vstack([model.mu, a_ineq])
-            b_ineq = np.concatenate([[target], b_ineq])
-
-    qp = QuadraticProgram(
-        dmat=_risk_term(model),
-        dvec=np.zeros(n),
-        a_eq=a_eq,
-        b_eq=b_eq,
-        a_ineq=a_ineq,
-        b_ineq=b_ineq,
-    )
-    return _solve(model, qp, target, t)
+    return _solve(model, _risk_term(model), np.zeros(model.n_assets), target, t)
 
 
 def lambda_portfolio(model: RiskModel, params: ObjectiveParams) -> Portfolio:
@@ -242,19 +228,8 @@ def lambda_portfolio(model: RiskModel, params: ObjectiveParams) -> Portfolio:
     term vanishes and the regularization shift takes over, so the program
     stays strictly convex and resolves to the highest-mean vertex.
     """
-    n = model.n_assets
-    a_eq, b_eq, a_ineq, b_ineq = _simplex_constraints(n)
     lam = params.lam
-    if lam < 1.0:
-        dmat, dvec = _risk_term(model), lam / (1.0 - lam) * model.mu
-    else:
-        dmat, dvec = REGULARIZATION * np.eye(n), model.mu
-    qp = QuadraticProgram(
-        dmat=dmat,
-        dvec=dvec,
-        a_eq=a_eq,
-        b_eq=b_eq,
-        a_ineq=a_ineq,
-        b_ineq=b_ineq,
-    )
-    return _solve(model, qp, -np.inf, lam / (1.0 - lam) if lam < 1.0 else np.inf)
+    if lam == 1.0:
+        return _solve(model, REGULARIZATION * np.eye(model.n_assets), model.mu, -np.inf, np.inf)
+    t = lam / (1.0 - lam)
+    return _solve(model, _risk_term(model), t * model.mu, -np.inf, t)

@@ -9,8 +9,8 @@ Solves
 with D symmetric positive definite (callers regularize borderline PSD
 matrices first; see :mod:`portopt.optimizers`).  The method is the dual
 active-set iteration of Goldfarb and Idnani (1983, Math. Programming
-27): start from the unconstrained minimum (here, the minimum on a seeded
-or guessed working set), repeatedly add the most violated constraint,
+27): start from the unconstrained minimum (here, the minimum on a
+guessed working set), repeatedly add the most violated constraint,
 and take primal/dual steps until primal feasibility.  No feasible
 starting point is needed and infeasibility is detected as an unbounded
 dual step.
@@ -56,46 +56,45 @@ right-hand side by the power of two that puts the row's largest |entry|
 in [0.5, 1): exact, so no bit changes on finite data, and no product of
 a row overflows.  Every pass reads the scaled rows; the choice of the
 row to add and the final check read the rows as given, and the
-multipliers returned are theirs.  A seed of rows expected to be active
-(such as the bounds that a frontier point's segment of the critical line
-holds, see :mod:`portopt.critical_line`) is settled with the equalities
-first.  With none seeded, the cold start guesses its working set by
-block pivoting on the inequalities (Judice and Pires 1994,
-Computers & OR 21): from the minimizer on the equalities, a round adds
-every violated inequality, removes every held one whose multiplier is
-negative, and settles the new set, up to the fixed point, which is the
-optimum.  Block pivoting can cycle, and only through rounds that remove
-rows, so a removing round that changes no fewer rows than the removing
-round before it is the last taken.  A seed or guess whose
-inequalities all have multipliers >= 0 and that leaves no other
-inequality below -1e-11 is the optimum (no drop and no add would change
-it): it is returned at once, with no factorization and no step.
+multipliers returned are theirs.  Every solve guesses its working set by
+block pivoting on the inequalities (Judice and Pires 1994, Computers &
+OR 21), first holding the equalities and its seed's inequalities: rows
+expected to be active, such as the bounds that a frontier point's
+segment of the critical line holds (see :mod:`portopt.critical_line`),
+or none for a cold start.  A round adds every violated inequality,
+removes every held one whose multiplier is negative, and settles the new
+set, up to the fixed point, which is the optimum.  Block pivoting can
+cycle, and only through rounds that remove rows, so a removing round
+that changes no fewer rows than the removing round before it is the
+last taken.  A guess whose inequalities all have multipliers >= 0 and
+that leaves no other inequality below -1e-11 is the optimum (no drop and
+no add would change it): it is returned at once, with no factorization
+and no step.
 
-Otherwise one pass builds the factors of the seed or guess.  Bounds need
-no reflection: with D_FF = CC', J2 is C^-1 in the free columns, and N*'s
+Otherwise one pass builds the factors of the guess.  Bounds need no
+reflection: with D_FF = CC', J2 is C^-1 in the free columns, and N*'s
 bound rows are [-D_ZF D_FF^-1, I] over their bounds' coefficients, so a
-set with k bounds and f = n - k free variables costs O(f^3 + k f^2).  The
-general rows, the equalities among them, and a second bound on a
-variable are appended by the add step on the free columns alone,
-O(n f) each: J2 and their rows of N* are zero on the bound columns, where
-the bound rows of N* do not change.  A row that depends on the rows
-before it is left out.  From the factors, x = J2 J2'd + N*'b is the
-minimizer on the set and u = N*(Dx - d) its multipliers.  One Cholesky
+set with k bounds and f = n - k free variables costs O(f^3 + k f^2).
+The general rows, the equalities among them, and a second bound on a
+variable are appended by the add step on the free columns alone, O(n f)
+each: J2 and their rows of N* are zero on the bound columns, where the
+bound rows of N* do not change.  A row that depends on the rows before
+it is left out.  From the factors, x = J2 J2'd + N*'b is the minimizer
+on the set and u = N*(Dx - d) its multipliers.  One Cholesky
 factorization of the whole of D per distinct D checks that D is positive
-definite; a set without bounds, such as the equalities a cold start
-begins from, takes it as its own, and the factors and the loop read the
-dependence test's first scale n+'D^-1 n+ from it.  The factor of the
-last D solved is kept, so a sweep whose programs share their quadratic
-term factors it once.  Seeded or guessed inequalities with
-u < 0 leave one at a time, most negative first, by the drop step, x and
-u read from the factors after each, until the set is dual feasible; the
-add/drop loop above then runs unchanged and certifies the optimum.  The
-start changes the path, not the optimum, which is unique.  The loop's x
-drifts over many small steps, so the answer is always the final working
-set's settled point, never the loop's own.  A final set that does not
-settle, or whose settled point or multipliers are not finite, miss a
-row by 1e-8 or hold an inequality multiplier below -1e-8, is refused
-with :class:`NumericalBreakdown`.
+definite; a set without bounds, such as the equalities alone, takes it
+as its own, and the factors and the loop read the dependence test's
+first scale n+'D^-1 n+ from it.  The factor of the last D solved is
+kept, so a sweep whose programs share their quadratic term factors it
+once.  Guessed inequalities with u < 0 leave one at a time, most
+negative first, by the drop step, x and u read from the factors after
+each, until the set is dual feasible; the add/drop loop above then runs
+unchanged and certifies the optimum.  The loop's x drifts over many
+small steps, so the answer is always the final working set's settled
+point, never the loop's own.  A final set that does not settle, or whose
+settled point or multipliers are not finite, miss a row by 1e-8 or hold
+an inequality multiplier below -1e-8, is refused with
+:class:`NumericalBreakdown`.
 
 Everything is plain deterministic linear algebra: the same program solved
 twice, with the same BLAS build, CPU kernel and thread count, yields
@@ -105,7 +104,7 @@ bit-identical results.  Tie-breaks pick the lowest constraint index.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,24 +196,24 @@ class QpSolution:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
+def solve_qp(qp: QuadraticProgram, start: Sequence[int] = ()) -> QpSolution:
     """Solve the program; see the module docstring for the method.
 
-    ``start`` names constraints, in the global numbering of
-    :attr:`QpSolution.active_set`, expected to be active at the optimum: its
-    inequality rows enter the working set with the equalities before the
-    first step (a neighbouring program's ``active_set`` will do).  It
-    changes the path to the optimum, not the optimum; an empty seed is the
-    cold start, which guesses its working set by block pivoting on the
-    inequalities.  A seed or guess that is already optimal is returned at
-    once, with ``iterations`` 0 and the sorted seed (with the equalities) as
+    ``start``, a 1-D sequence of integers (anything else raises
+    :class:`ValueError`), names constraints in the global numbering of
+    :attr:`QpSolution.active_set` expected to be active at the optimum, such
+    as a neighbouring program's ``active_set``: its inequalities are the
+    first set that block pivoting holds, with the equalities, and an empty
+    seed is the cold start.  It changes the path to the optimum, not the
+    optimum.  A guess that is already optimal is returned at once, with
+    ``iterations`` 0 and that sorted set (with the equalities) as
     ``active_set``.  x and the multipliers are settled on the final working
     set alone, so any two solves that end on the same set return the same
     bits.  The Cholesky factor of the whole of D is computed once per
     distinct D: the last one is kept and reused while the next solve's D has
     the same bits, so a reused factor has the bits of a fresh one.
     ``iterations`` counts the add/drop loop's steps; the pivot rounds and
-    the drops that make a seed or guess dual feasible are not among them.
+    the drops that make a guess dual feasible are not among them.
 
     Raises :class:`Infeasible` when no point satisfies the constraints: a
     violated row depends on the working set, no working-set inequality can
@@ -240,10 +239,11 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     # order: its global index, its multiplier (of the row as added: an
     # equality may enter flipped) and its row of N*; jt[q:] holds J2' (jt[:q]
     # goes stale after a drop and is never read).  At most min(n, m)
-    # positions are ever used: an add needs d2 != 0, so q < n, and a seed
-    # holds at most n independent rows.
-    start = np.unique(np.asarray(start, dtype=int))
-    if start.size and (start[0] < 0 or start[-1] >= m):
+    # positions are ever used: an add needs d2 != 0, so q < n, and a
+    # factored set holds at most n independent rows.
+    start = np.asarray(start)
+    integers = start.dtype.kind in "iu" or start.size == 0
+    if start.ndim != 1 or not integers or start.size and not 0 <= start.min() <= start.max() < m:
         raise ValueError("start must index the program's constraints")
     # D's own Cholesky: the positive-definiteness check, and the factor of
     # a set without bounds
@@ -258,13 +258,8 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     power[general] = np.frexp(np.abs(a_all[general]).max(axis=1, initial=0.0))[1]
     a_all[general] = np.ldexp(a_all[general], -power[general, None])
     b_all = np.ldexp(b_all, -power)
-    seeded = start[start >= meq]
-    if seeded.size:
-        rows = np.concatenate([np.arange(meq), seeded])
-        settled = _settle(qp, a_all, b_all, rows, var, whole, power)
-    else:
-        rows, settled = _guess(qp, a_all, b_all, meq, var, whole, power)
-    # a start whose settled point no drop and no add would change is the optimum
+    rows, settled = _guess(qp, a_all, b_all, meq, start.astype(int), var, whole, power)
+    # a guess whose settled point no drop and no add would change is the optimum
     if settled is not None and _holds(a_all, b_all, power, is_eq, rows, *settled, _ADD_TOL, 0.0):
         return _solution(qp, *settled, rows, 0)
     # a'D^-1 a = |L^-1 a|^2 of every row, the dependence test's first scale
@@ -273,8 +268,7 @@ def solve_qp(qp: QuadraticProgram, start: Iterable[int] = ()) -> QpSolution:
     dnorm2[single] = a_all[single, var[single]] ** 2 * column_norms[var[single]]
     dnorm2[general] = ((whole @ a_all[general].T) ** 2).sum(axis=0)
     q, active, u, jt, nstar, x = _factor(qp, a_all, b_all, rows, var, dnorm2, whole)
-    # seeded or guessed inequalities with u < 0 leave one at a time, most
-    # negative first
+    # guessed inequalities with u < 0 leave one at a time, most negative first
     while (dual := np.where(is_eq[active[:q]], 0.0, u[:q])).min(initial=0.0) < 0.0:
         k = int(np.argmin(dual))
         _drop(jt, nstar, q, k, qp.dmat)
@@ -465,11 +459,11 @@ def _factor(qp, a_all, b_all, rows, var, dnorm2, whole):
     return q, active, u, jt, nstar, x
 
 
-def _guess(qp, a_all, b_all, meq, var, whole, power):
-    """The cold start's working set and its settled point (None when a
-    general row fails :func:`_settle`'s dependence test): the equalities,
-    improved by block pivoting on the inequality rows, which are over
-    2^``power`` as in :func:`_settle`.
+def _guess(qp, a_all, b_all, meq, start, var, whole, power):
+    """The solve's guessed working set and its settled point (None when a
+    general row fails :func:`_settle`'s dependence test): the equalities
+    with ``start``'s inequalities, improved by block pivoting on the
+    inequality rows, which are over 2^``power`` as in :func:`_settle`.
 
     A round adds every violated inequality and removes every held one
     whose multiplier is negative, all at once, and settles the new set,
@@ -478,12 +472,13 @@ def _guess(qp, a_all, b_all, meq, var, whole, power):
     round that only adds rows grows the set.  So a removing round that
     changes no fewer rows than the removing round before it is the last
     taken, and the removing rounds' counts fall until then.  The guess need
-    not be optimal, nor even consistent: the seed drops and the add/drop
-    loop certify it.
+    not be optimal, nor even consistent: the drops and the add/drop loop
+    certify it.
     """
     eqs = np.arange(meq)
     rows = np.arange(meq, b_all.shape[0])
     held = np.zeros(rows.size, dtype=bool)
+    held[start[start >= meq] - meq] = True
     # rows changed by the last round taken that removed rows, and whether
     # that round was the last to take
     removed, last = rows.size + 1, False

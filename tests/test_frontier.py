@@ -551,6 +551,31 @@ def test_cold_solves_end_in_the_guess(monkeypatch, kind):
     assert max(scaled_kkt(qp, solution) for qp, solution in solves) <= 1e-8
 
 
+@pytest.mark.parametrize("kind", list(RiskKind))
+def test_sweeps_factor_no_working_set(monkeypatch, kind):
+    # Every point of the three sweeps starts from its segment's bounds and
+    # pivots to its optimal working set: no solve factors a set or takes a
+    # loop step, including the first point of a fit sweep, whose seed can
+    # hold a return row that is slack at the optimum
+    factored = []
+
+    def spy(*args, factor=qp_module._factor):
+        factored.append(args[3])
+        return factor(*args)
+
+    monkeypatch.setattr(qp_module, "_factor", spy)
+    solves = recorded_solves(monkeypatch)
+    for seed in range(6):
+        returns = random_returns(np.random.default_rng(seed), 150, 500)
+        model = build_risk_model(returns, kind=kind)
+        efficient_frontier(model)
+        lambda_frontier(model)
+        frontier_fit(model, random_returns(np.random.default_rng(seed + 100), 150, 250))
+    assert factored == []
+    assert len(solves) == 6 * (40 + 40 + 41)
+    assert [solution.iterations for _, solution in solves] == [0] * len(solves)
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_means_raise_numerical_breakdown(monkeypatch):
     # a semivariance model with a finite mean of 2.5e307: the sweep's rounded
