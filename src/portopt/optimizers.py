@@ -21,11 +21,12 @@ One model's critical line (:mod:`portopt.critical_line`) is kept:
 on that model object is seeded with the bounds that its program's
 segment holds: the segment of a pinned return, of the tradeoff t = l /
 (1 - l) (t = +inf at l = 1), of t = 0 for the minimum-risk program, and
-for a ``>=`` return the higher of its return's segment and t = 0's,
-where the constraint is slack.  The solver pivots from the seed to the
-optimum and certifies it, so the model is matched by identity; a solve
-on any other model object starts cold.  A line whose corners are not
-finite (means so large that the pass overflows) raises
+for a ``>=`` return the higher of its return's segment and t = 0's, with
+the return row only when that is the return's segment: at t = 0's the
+row is slack.  The solver pivots from the seed to the optimum and
+certifies it, so the model is matched by identity; a solve on any other
+model object starts cold.  A line whose corners are not finite (means so
+large that the pass overflows) raises
 :class:`~portopt.errors.NumericalBreakdown`.
 """
 
@@ -172,7 +173,8 @@ def _solve(
     bounds, in that order.  Its optimum is the lowest point of ``model``'s
     critical line with a return of at least ``target`` and a tradeoff of at
     least ``t``; when that line is kept, the solve is seeded with the bounds
-    that the point's segment holds and the return inequality, if any.
+    that the point's segment holds and the return inequality, if any, where
+    it binds: when the return's segment comes no later than the tradeoff's.
     """
     n = model.n_assets
     g = 1 if target == -np.inf else 2  # the general rows: budget, then return
@@ -192,9 +194,11 @@ def _solve(
     kept = _kept
     if kept is not None and kept[0] is model:
         line = kept[1]
-        k = min(line.segment_at_return(target), line.segment_at(t))
-        if k < len(line.free):  # the return inequality, if any, and the held bounds
-            start = np.concatenate([np.arange(meq, g), g + np.delete(np.arange(n), line.free[k])])
+        k_return, k_t = line.segment_at_return(target), line.segment_at(t)
+        k = min(k_return, k_t)
+        if k < len(line.free):  # the return inequality where it binds, and the held bounds
+            returns = np.arange(meq, g if k_return <= k_t else meq)
+            start = np.concatenate([returns, g + np.delete(np.arange(n), line.free[k])])
     return portfolio_from_weights(model, solve_qp(qp, start=start).x)
 
 

@@ -15,40 +15,20 @@ and take primal/dual steps until primal feasibility.  No feasible
 starting point is needed and infeasibility is detected as an unbounded
 dual step.
 
-The working set's q normals N are carried as two factors (G = N'D^-1 N):
-J2, n - q columns with J2'DJ2 = I and N'J2 = 0 that span the directions
-leaving every working-set constraint unchanged (stored transposed, as the
-last rows of an n x n array), and N* = G^-1 N'D^-1, one row per
-working-set constraint, with N'N*' = I and N*DJ2 = 0.  For a candidate
-normal n+ with d2 = J2'n+, the primal step direction is z = J2 d2 and the
-dual one r = N* n+.  Adding n+ reflects J2 so that its first column,
-along z, leaves it, and updates N* by rank 1.  Dropping position k reads
-g = N*DN*'[:, k], column k of G^-1: row k of N* over sqrt(g_k) is the
-direction J2 gains, and the row-deletion formula removes it from N*.  A
-step costs O(n^2) instead of re-solving G; Goldfarb and Idnani's J1 and
-triangle R are not needed.
-
-A constraint that depends on the working set has d2 = 0 (|d2|^2 at most
-1e-10 of both n+'D^-1 n+ and |J2|^2 |n+|^2) and can only take the dual
-step, a drop.  With nothing to drop it proves the program infeasible,
-unless it has taken no dual step and misses its bound by float noise
-(1e-8 of |b| + |a||x|), as one of two opposed inequalities can when
-drift leaves its active twin ~1e-11 off: then it is set aside until the
-next drop.
-
-Every answer is settled from the free block alone.  With Z the bounded
-and F the free variables of a sorted working set, the bounds (one per
-variable) fix x_Z; one solve of D_FF against [d_F - D_FZ x_Z, A_gF'] gives
-x_F as a function of the general rows' multipliers y, and their g x g
-Schur complement A_gF D_FF^-1 A_gF' is factored row by row.  A pivot at
-most 1e-10 of its row's own diagonal entry a_F D_FF^-1 a_F' (never above
-n+'D^-1 n+, and not inflated by a ridge-sized entry of D on a bounded
-variable) hands the set back unsettled.  One refinement step on the
-general rows follows, and the bounds' multipliers are ((Dx - d)_Z -
-A_gZ'y) over their coefficients, O(n f).  A vertex (as many general rows
-as free variables) solves its rows as given, so the LU pivots as on them
-and keeps the vertex's exact zeros.  The settled point depends only on
-the program and the set, so solves that end on one set share its bits.
+Every working set is solved on its free block.  With Z the bounded and F
+the free variables of the set, the bounds (one per variable) fix x_Z;
+one solve of D_FF against [d_F - D_FZ x_Z, A_gF'] gives x_F as a function
+of the general rows' multipliers y, and their g x g Schur complement
+A_gF D_FF^-1 A_gF' is factored row by row.  A general row whose pivot is
+at most 1e-10 of its own diagonal entry a_F D_FF^-1 a_F' (not inflated by
+a ridge-sized entry of D on a bounded variable), or that comes after f
+kept rows, depends on the rows kept before it and is left out; the rows
+kept are then settled alone.  One refinement step on the general rows
+follows, and the bounds' multipliers are ((Dx - d)_Z - A_gZ'y) over
+their coefficients, O(n f).  A vertex (as many general rows as free
+variables) solves its rows as given, so the LU pivots as on them and
+keeps the vertex's exact zeros.  The settled point depends only on the
+program and the rows kept, so solves that end on one set share its bits.
 
 A solve classifies each row once, as a bound (one nonzero) on its
 variable or a general row, and divides each general row and its
@@ -63,38 +43,43 @@ expected to be active, such as the bounds that a frontier point's
 segment of the critical line holds (see :mod:`portopt.critical_line`),
 or none for a cold start.  A round adds every violated inequality,
 removes every held one whose multiplier is negative, and settles the new
-set, up to the fixed point, which is the optimum.  Block pivoting can
-cycle, and only through rounds that remove rows, so a removing round
-that changes no fewer rows than the removing round before it is the
-last taken.  A guess whose inequalities all have multipliers >= 0 and
-that leaves no other inequality below -1e-11 is the optimum (no drop and
-no add would change it): it is returned at once, with no factorization
-and no step.
+set, up to the fixed point, which is the optimum, or up to a set that
+leaves a row out.  Block pivoting can cycle, and only through rounds
+that remove rows, so a removing round that changes no fewer rows than
+the removing round before it is the last taken.  A guess whose
+inequalities all have multipliers >= 0 and that leaves no other row
+unmet (no inequality below -1e-11) is the optimum (no drop and no add
+would change it): it is returned at once, with no loop step.
 
-Otherwise one pass builds the factors of the guess.  Bounds need no
-reflection: with D_FF = CC', J2 is C^-1 in the free columns, and N*'s
-bound rows are [-D_ZF D_FF^-1, I] over their bounds' coefficients, so a
-set with k bounds and f = n - k free variables costs O(f^3 + k f^2).
-The general rows, the equalities among them, and a second bound on a
-variable are appended by the add step on the free columns alone, O(n f)
-each: J2 and their rows of N* are zero on the bound columns, where the
-bound rows of N* do not change.  A row that depends on the rows before
-it is left out.  From the factors, x = J2 J2'd + N*'b is the minimizer
-on the set and u = N*(Dx - d) its multipliers.  One Cholesky
-factorization of the whole of D per distinct D checks that D is positive
-definite; a set without bounds, such as the equalities alone, takes it
-as its own, and the factors and the loop read the dependence test's
-first scale n+'D^-1 n+ from it.  The factor of the last D solved is
+Otherwise the loop starts from the rows of the guess that its settle
+kept, and from their settled point and multipliers.  A step towards
+adding the row n+ solves the set's free block once more, with n+ in
+place of d and zero right-hand sides: its solution z, with
+Dz - n+ = A_W'y and A_W z = 0, is the primal direction and -y the dual
+one (Goldfarb and Idnani's J2 J2'n+ and N* n+; a vertex has z = 0), and
+costs one solve of D_FF and one of the g x g Schur complement,
+O(f^3 + n f) for f free variables.  The guess's inequalities with u < 0
+leave first, one at a time, most negative first: without row k, whose
+multiplier is u_k, the minimizer is x - u_k z and the multipliers are
+u - u_k y, with z and y those of n+ = a_k on the set without it.  The
+add/drop loop then certifies the optimum.  n+ depends on the set when
+n+'z is at most 1e-10 of n+_F D_FF^-1 n+_F', the pivot test that leaves
+a general row out of a settled set, and can then only take the dual
+step, a drop.  With nothing to drop it proves the program infeasible,
+unless it has taken no dual step and misses its bound by float noise
+(1e-8 of |b| + |a||x|), as one of two opposed inequalities can when
+drift leaves its active twin ~1e-11 off: such a row is set aside until
+the next drop, whether or not a row could drop.  The loop's x drifts
+over many small steps, so the answer is always the final working set's
+settled point, never the loop's own.  A final set whose settled point or
+multipliers are not finite, miss a row by 1e-8 or hold an inequality
+multiplier below -1e-8, is refused with :class:`NumericalBreakdown`.
+
+One Cholesky factorization of the whole of D per distinct D checks that
+D is positive definite, and a set without bounds, such as the equalities
+alone, takes it as its free block's.  The factor of the last D solved is
 kept, so a sweep whose programs share their quadratic term factors it
-once.  Guessed inequalities with u < 0 leave one at a time, most
-negative first, by the drop step, x and u read from the factors after
-each, until the set is dual feasible; the add/drop loop above then runs
-unchanged and certifies the optimum.  The loop's x drifts over many
-small steps, so the answer is always the final working set's settled
-point, never the loop's own.  A final set that does not settle, or whose
-settled point or multipliers are not finite, miss a row by 1e-8 or hold
-an inequality multiplier below -1e-8, is refused with
-:class:`NumericalBreakdown`.
+once.
 
 Everything is plain deterministic linear algebra: the same program solved
 twice, with the same BLAS build, CPU kernel and thread count, yields
@@ -125,9 +110,9 @@ _DRIFT_TOL = 1e-8
 
 _EMPTY = np.zeros((0,))
 
-#: The last quadratic term factored, read-only: a copy of D, L^-1 of its
-#: Cholesky factor and L^-1's squared column norms (see :func:`_whole_factor`).
-_last_factor: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+#: The last quadratic term factored, read-only: a copy of D and L^-1 of its
+#: Cholesky factor (see :func:`_whole_factor`).
+_last_factor: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _empty_matrix() -> np.ndarray:
@@ -206,12 +191,12 @@ def solve_qp(qp: QuadraticProgram, start: Sequence[int] = ()) -> QpSolution:
     first set that block pivoting holds, with the equalities, and an empty
     seed is the cold start.  It changes the path to the optimum, not the
     optimum.  A guess that is already optimal is returned at once, with
-    ``iterations`` 0 and that sorted set (with the equalities) as
-    ``active_set``.  x and the multipliers are settled on the final working
-    set alone, so any two solves that end on the same set return the same
-    bits.  The Cholesky factor of the whole of D is computed once per
-    distinct D: the last one is kept and reused while the next solve's D has
-    the same bits, so a reused factor has the bits of a fresh one.
+    ``iterations`` 0 and the sorted rows of it that the free block keeps
+    as ``active_set``.  x and the multipliers are settled on the final
+    working set alone, so any two solves that end on the same set return
+    the same bits.  The Cholesky factor of the whole of D is computed once
+    per distinct D: the last one is kept and reused while the next solve's
+    D has the same bits, so a reused factor has the bits of a fresh one.
     ``iterations`` counts the add/drop loop's steps; the pivot rounds and
     the drops that make a guess dual feasible are not among them.
 
@@ -221,12 +206,11 @@ def solve_qp(qp: QuadraticProgram, start: Sequence[int] = ()) -> QpSolution:
     more than 1e-8 of |b| + |a||x|.  Raises :class:`MaxIterations` past
     100*N working-set steps.  Raises :class:`NumericalBreakdown` when the
     quadratic term fails its Cholesky factorization (not positive
-    definite), whatever block of it the working sets factor, and when the
-    arithmetic overflows: no finite step exists, or the final working set
-    does not settle, or its settled point or multipliers are not finite,
-    miss a row by 1e-8 or hold an inequality multiplier below -1e-8.
-    Numpy's floating-point warnings are silenced inside the solve; these
-    checks stand in for them.
+    definite), whatever block of it the working sets solve, and when the
+    arithmetic overflows: no finite step exists, or the final working set's
+    settled point or multipliers are not finite, miss a row by 1e-8 or hold
+    an inequality multiplier below -1e-8.  Numpy's floating-point warnings
+    are silenced inside the solve; these checks stand in for them.
     """
     n = qp.n
     meq = qp.b_eq.shape[0]
@@ -234,20 +218,13 @@ def solve_qp(qp: QuadraticProgram, start: Sequence[int] = ()) -> QpSolution:
     b_all = np.concatenate([qp.b_eq, qp.b_ineq])
     m = b_all.shape[0]
     is_eq = np.arange(m) < meq
-
-    # The working set, one position per active constraint in insertion
-    # order: its global index, its multiplier (of the row as added: an
-    # equality may enter flipped) and its row of N*; jt[q:] holds J2' (jt[:q]
-    # goes stale after a drop and is never read).  At most min(n, m)
-    # positions are ever used: an add needs d2 != 0, so q < n, and a
-    # factored set holds at most n independent rows.
     start = np.asarray(start)
     integers = start.dtype.kind in "iu" or start.size == 0
     if start.ndim != 1 or not integers or start.size and not 0 <= start.min() <= start.max() < m:
         raise ValueError("start must index the program's constraints")
     # D's own Cholesky: the positive-definiteness check, and the factor of
     # a set without bounds
-    whole, column_norms = _whole_factor(qp.dmat)
+    whole = _whole_factor(qp.dmat)
     # Each row classified once: a bound on one variable, var its index, or a
     # general row, var -1, divided with its right-hand side by 2^power
     nonzero = a_all != 0.0
@@ -258,109 +235,18 @@ def solve_qp(qp: QuadraticProgram, start: Sequence[int] = ()) -> QpSolution:
     power[general] = np.frexp(np.abs(a_all[general]).max(axis=1, initial=0.0))[1]
     a_all[general] = np.ldexp(a_all[general], -power[general, None])
     b_all = np.ldexp(b_all, -power)
-    rows, settled = _guess(qp, a_all, b_all, meq, start.astype(int), var, whole, power)
-    # a guess whose settled point no drop and no add would change is the optimum
-    if settled is not None and _holds(a_all, b_all, power, is_eq, rows, *settled, _ADD_TOL, 0.0):
-        return _solution(qp, *settled, rows, 0)
-    # a'D^-1 a = |L^-1 a|^2 of every row, the dependence test's first scale
-    # (column norms of L^-1 for a bound, a product otherwise)
-    dnorm2 = np.empty(m)
-    dnorm2[single] = a_all[single, var[single]] ** 2 * column_norms[var[single]]
-    dnorm2[general] = ((whole @ a_all[general].T) ** 2).sum(axis=0)
-    q, active, u, jt, nstar, x = _factor(qp, a_all, b_all, rows, var, dnorm2, whole)
-    # guessed inequalities with u < 0 leave one at a time, most negative first
-    while (dual := np.where(is_eq[active[:q]], 0.0, u[:q])).min(initial=0.0) < 0.0:
-        k = int(np.argmin(dual))
-        _drop(jt, nstar, q, k, qp.dmat)
-        active[k : q - 1] = active[k + 1 : q]
-        q -= 1
-        x, u[:q] = _point(qp, b_all, q, active, jt, nstar)
-    # dependent rows violated by drift alone, left out until the next drop
-    aside = np.zeros(m, dtype=bool)
-
-    max_iter = 100 * max(n, 1)
+    rows, x, multipliers = _guess(qp, a_all, b_all, meq, start.astype(int), var, whole, power)
     iterations = 0
-
-    while True:
-        # Most violated row as given outside the working set, lowest index first
-        scaled = a_all @ x - b_all
-        slack = np.ldexp(scaled, power)
-        metric = np.where(is_eq, -np.abs(slack), slack)
-        metric[active[:q]] = np.inf
-        metric[aside] = np.inf
-        p = int(np.argmin(metric)) if m else -1
-        if p < 0 or metric[p] >= -_ADD_TOL:
-            break
-
-        sign = -1.0 if (p < meq and slack[p] > 0.0) else 1.0
-        nplus = sign * a_all[p]
-        s_p = sign * scaled[p]  # negative while violated
-        u_plus = 0.0
-
-        while True:
-            iterations += 1
-            if iterations > max_iter:
-                raise MaxIterations(f"no convergence within {max_iter} working-set steps")
-
-            d2 = jt[q:] @ nplus
-            z = d2 @ jt[q:]  # primal direction J2 d2
-            r = nstar[:q] @ nplus  # dual direction N* n+
-            ztn = float(d2 @ d2)
-            full_step_possible = _independent(ztn, dnorm2[p], jt[q:], nplus)
-
-            # Blocking constraint for the dual variables (equalities never
-            # drop); argmin keeps the lowest position among ties.
-            droppable = np.flatnonzero(~is_eq[active[:q]] & (r > _DROP_TOL))
-            ratios = u[droppable] / r[droppable]
-            t1 = ratios.min(initial=np.inf)
-            t2 = -s_p / ztn if full_step_possible else np.inf
-
-            if not full_step_possible and t1 == np.inf:
-                # a dependent row with nothing to drop: drift or infeasibility
-                scale = abs(b_all[p]) + np.linalg.norm(a_all[p]) * np.linalg.norm(x)
-                if u_plus == 0.0 and -s_p <= _DRIFT_TOL * scale:
-                    aside[p] = True
-                    break
-                raise Infeasible("constraints admit no feasible point")
-
-            step = min(t1, t2)
-            if not step < np.inf:  # overflow: no finite step exists
-                raise NumericalBreakdown("the working-set step is not finite")
-            if full_step_possible:
-                x = x + step * z
-                s_p = float(nplus @ x) - sign * b_all[p]
-            u[:q] -= step * r
-            u_plus += step
-
-            if full_step_possible and step == t2:
-                _add(jt, nstar, q, d2, z, r, ztn)
-                active[q], u[q] = p, u_plus
-                q += 1
-                break
-            # Partial or pure dual step: drop the blocking constraint.
-            k = int(droppable[np.argmin(ratios)])
-            _drop(jt, nstar, q, k, qp.dmat)
-            for v in (active, u):
-                v[k : q - 1] = v[k + 1 : q]
-            q -= 1
-            aside[:] = False
-
-    working = np.sort(active[:q])
-    settled = _settle(qp, a_all, b_all, working, var, whole, power)
-    if settled is None or not _holds(a_all, b_all, power, is_eq, working, *settled, 1e-8, 1e-8):
-        raise NumericalBreakdown("the working set's minimizer is not a finite feasible point")
-    return _solution(qp, *settled, working, iterations)
-
-
-def _solution(qp, x, multipliers, working, iterations) -> QpSolution:
+    # a guess whose settled point no drop and no add would change is the optimum
+    if not _holds(a_all, b_all, power, is_eq, rows, x, multipliers, _ADD_TOL, 0.0):
+        working, iterations = _loop(
+            qp, a_all, b_all, rows, x, multipliers, var, whole, power, is_eq
+        )
+        rows, x, multipliers = _settle(qp, a_all, b_all, np.sort(working), var, whole, power)
+        if not _holds(a_all, b_all, power, is_eq, rows, x, multipliers, 1e-8, 1e-8):
+            raise NumericalBreakdown("the working set's minimizer is not a finite feasible point")
     objective = 0.5 * float(x @ qp.dmat @ x) - float(qp.dvec @ x)
-    return QpSolution(
-        x=x,
-        objective=objective,
-        active_set=tuple(working.tolist()),
-        iterations=iterations,
-        multipliers=multipliers,
-    )
+    return QpSolution(x, objective, tuple(rows.tolist()), iterations, multipliers)
 
 
 def _lower_inverse(low: np.ndarray) -> np.ndarray:
@@ -394,86 +280,37 @@ def _inverse_cholesky(dmat: np.ndarray) -> np.ndarray:
         raise NumericalBreakdown("quadratic term is not positive definite") from None
 
 
-def _whole_factor(dmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """L^-1 for dmat = LL' and L^-1's squared column norms, reused from the
-    last call while ``dmat`` has that call's bits (compared as integers, so
-    -0.0 is not 0.0; the check costs ~8 us at n = 150, the factor ~0.3 ms)."""
+def _whole_factor(dmat: np.ndarray) -> np.ndarray:
+    """L^-1 for dmat = LL', reused from the last call while ``dmat`` has that
+    call's bits (compared as integers, so -0.0 is not 0.0; the check costs
+    ~8 us at n = 150, the factor ~0.3 ms)."""
     global _last_factor
     last = _last_factor  # read once: another thread may replace it
     if last is not None and np.array_equal(last[0].view(np.int64), dmat.view(np.int64)):
-        return last[1], last[2]
-    whole = _inverse_cholesky(dmat)
-    last = (dmat.copy(), whole, (whole * whole).sum(axis=0))
+        return last[1]
+    last = (dmat.copy(), _inverse_cholesky(dmat))
     for array in last:
         array.setflags(write=False)
     _last_factor = last
-    return last[1], last[2]
-
-
-def _factor(qp, a_all, b_all, rows, var, dnorm2, whole):
-    """The solver's state with working set ``rows``, factored in one pass
-    as the module docstring describes; a row that depends on the rows
-    factored before it is left out.  ``rows`` is sorted and split by
-    :func:`_split`, and the general rows are added in that order.  ``var``
-    is each row's variable when it is a bound and -1 otherwise, ``dnorm2``
-    the dependence test's first scale per row, and ``whole`` L^-1 of D's
-    own Cholesky, which a set without bounds takes as its free block's."""
-    n = qp.n
-    cap = min(n, var.size)
-    bound_rows, zvars, grows, fvars = _split(rows, var, n)
-    coef = a_all[bound_rows, zvars]
-    k = zvars.size
-
-    # The factors on the free columns alone: J2' = C^-1 (D_FF = CC') and
-    # N*'s rows there; J2 and the general rows' N* are zero on the bound
-    # columns, where each bound row of N* holds 1 over its coefficient.
-    dmat_free = qp.dmat[fvars]
-    jt_free = _inverse_cholesky(dmat_free[:, fvars]) if k else whole.copy()
-    nstar_free = np.zeros((cap, fvars.size))
-    # N*'s bound rows: [-D_ZF D_FF^-1, I] over the bounds' coefficients,
-    # D_ZF read as D_FZ', as the solver takes D to be symmetric
-    nstar_free[:k] = -((dmat_free[:, zvars].T @ jt_free.T) @ jt_free) / coef[:, None]
-    active = np.zeros(cap, dtype=int)
-    active[:k] = bound_rows
-    q = k
-    for p in grows:
-        row = a_all[p]
-        d2 = jt_free[q - k :] @ row[fvars]
-        ztn = float(d2 @ d2)
-        if not _independent(ztn, dnorm2[p], jt_free[q - k :], row):
-            continue
-        r = nstar_free[:q] @ row[fvars]
-        r[:k] += row[zvars] / coef
-        _add(jt_free, nstar_free, q, d2, d2 @ jt_free[q - k :], r, ztn)
-        active[q] = p
-        q += 1
-
-    # jt[:k] is never read
-    jt = np.zeros((n, n))
-    jt[k:, fvars] = jt_free
-    nstar = np.zeros((cap, n))
-    nstar[:q, fvars] = nstar_free[:q]
-    nstar[np.arange(k), zvars] = 1.0 / coef
-    u = np.zeros(cap)
-    x, u[:q] = _point(qp, b_all, q, active, jt, nstar)
-    return q, active, u, jt, nstar, x
+    return last[1]
 
 
 def _guess(qp, a_all, b_all, meq, start, var, whole, power):
-    """The solve's guessed working set and its settled point (None when a
-    general row fails :func:`_settle`'s dependence test): the equalities
-    with ``start``'s inequalities, improved by block pivoting on the
-    inequality rows, which are over 2^``power`` as in :func:`_settle`.
+    """The solve's guessed working set, as the rows of it that
+    :func:`_settle` keeps, with its settled x and multipliers: the
+    equalities with ``start``'s inequalities, improved by block pivoting on
+    the inequality rows, which are over 2^``power`` as in :func:`_settle`.
 
     A round adds every violated inequality and removes every held one
     whose multiplier is negative, all at once, and settles the new set,
-    up to the fixed point, where no round would change a row: the optimum.
-    Block pivoting can cycle, and only through rounds that remove rows: a
-    round that only adds rows grows the set.  So a removing round that
-    changes no fewer rows than the removing round before it is the last
-    taken, and the removing rounds' counts fall until then.  The guess need
-    not be optimal, nor even consistent: the drops and the add/drop loop
-    certify it.
+    up to the fixed point, where no round would change a row: the optimum,
+    or up to a set of which the settle leaves a row out.  Block pivoting
+    can cycle, and only through rounds that remove rows: a round that only
+    adds rows grows the set.  So a removing round that changes no fewer
+    rows than the removing round before it is the last taken, and the
+    removing rounds' counts fall until then.  The guess need not be
+    optimal, nor even consistent: the drops and the add/drop loop certify
+    it.
     """
     eqs = np.arange(meq)
     rows = np.arange(meq, b_all.shape[0])
@@ -484,24 +321,108 @@ def _guess(qp, a_all, b_all, meq, start, var, whole, power):
     removed, last = rows.size + 1, False
     while True:
         working = np.concatenate([eqs, rows[held]])
-        settled = _settle(qp, a_all, b_all, working, var, whole, power)
-        if settled is None:
-            return working, None
-        x, multipliers = settled
+        settled = kept, x, multipliers = _settle(qp, a_all, b_all, working, var, whole, power)
+        if kept.size < working.size:  # a row depends on the rows kept before it
+            return settled
         leave = held & (multipliers[rows] < 0.0)
         enter = ~held & (a_all[meq:] @ x - b_all[meq:] < -_ADD_TOL)
         changed = int(leave.sum() + enter.sum())
         if changed == 0 or last:
-            return working, settled
+            return settled
         if leave.any():
             removed, last = changed, changed >= removed
         held = held & ~leave | enter
 
 
+def _loop(qp, a_all, b_all, rows, x, multipliers, var, whole, power, is_eq):
+    """The final working set, unsorted, and the step count of Goldfarb and
+    Idnani's dual iteration from the guessed set ``rows``, settled at x
+    with ``multipliers``: its inequalities with u < 0 leave first, one at a
+    time, and the add/drop loop follows, as the module docstring describes.
+    Every step takes its directions from :func:`_direction`.
+
+    The set is kept by position, the bounds in variable order and then the
+    general rows, with an added row last; a drop takes the lowest position
+    among tied ratios.  u holds the multipliers of the rows over 2^``power``,
+    which the loop reads.
+    """
+    n, m = qp.n, b_all.shape[0]
+    bound_rows, _, grows, _ = _split(rows, var, n)
+    active = np.concatenate([bound_rows, grows])
+    u = np.ldexp(multipliers[active], power[active])
+    # guessed inequalities with u < 0 leave one at a time, most negative first
+    while (dual := np.where(is_eq[active], 0.0, u)).min(initial=0.0) < 0.0:
+        k = np.argmin(dual)
+        rest = np.delete(active, k)
+        # the minimizer without row k, x - u_k z, and its multipliers u - u_k y
+        z, r, _, _ = _direction(qp, a_all, rest, var, whole, a_all[active[k]])
+        x, u, active = x - u[k] * z, np.delete(u, k) + u[k] * r[rest], rest
+    # dependent rows violated by drift alone, left out until the next drop
+    aside = np.zeros(m, dtype=bool)
+    max_iter = 100 * max(n, 1)
+    iterations = 0
+
+    while True:
+        # Most violated row as given outside the working set, lowest index first
+        scaled = a_all @ x - b_all
+        slack = np.ldexp(scaled, power)
+        metric = np.where(is_eq, -np.abs(slack), slack)
+        metric[active] = np.inf
+        metric[aside] = np.inf
+        p = int(np.argmin(metric)) if m else -1
+        if p < 0 or metric[p] >= -_ADD_TOL:
+            return active, iterations
+
+        sign = -1.0 if (is_eq[p] and slack[p] > 0.0) else 1.0
+        nplus = sign * a_all[p]
+        s_p = sign * scaled[p]  # negative while violated
+        u_plus = 0.0
+
+        while True:
+            iterations += 1
+            if iterations > max_iter:
+                raise MaxIterations(f"no convergence within {max_iter} working-set steps")
+
+            z, r, ztn, independent = _direction(qp, a_all, active, var, whole, nplus)
+            r = r[active]
+            # Blocking constraint for the dual variables (equalities never
+            # drop); argmin keeps the lowest position among ties.
+            droppable = np.flatnonzero(~is_eq[active] & (r > _DROP_TOL))
+            ratios = u[droppable] / r[droppable]
+            t1 = ratios.min(initial=np.inf)
+            t2 = -s_p / ztn if independent else np.inf
+
+            if not independent:
+                # a dependent row: drift, a drop, or infeasibility
+                scale = abs(b_all[p]) + np.linalg.norm(a_all[p]) * np.linalg.norm(x)
+                if u_plus == 0.0 and -s_p <= _DRIFT_TOL * scale:
+                    aside[p] = True
+                    break
+                if t1 == np.inf:
+                    raise Infeasible("constraints admit no feasible point")
+
+            step = min(t1, t2)
+            if not step < np.inf:  # overflow: no finite step exists
+                raise NumericalBreakdown("the working-set step is not finite")
+            if independent:
+                x = x + step * z
+                s_p = float(nplus @ x) - sign * b_all[p]
+            u = u - step * r
+            u_plus += step
+
+            if independent and step == t2:
+                active, u = np.append(active, p), np.append(u, u_plus)
+                break
+            # Partial or pure dual step: drop the blocking constraint.
+            k = droppable[np.argmin(ratios)]
+            active, u = np.delete(active, k), np.delete(u, k)
+            aside[:] = False
+
+
 def _split(rows, var, n):
-    """The sorted working set ``rows`` as its bounds, one per variable in
-    variable order (the first row of each), their variables, its general
-    rows (a repeated bound among them) and the free variables."""
+    """The working set ``rows`` as its bounds, one per variable in variable
+    order (the first row of each), their variables, its general rows (a
+    repeated bound among them) in the order given, and the free variables."""
     row_var = var[rows]
     general = row_var < 0
     bound = np.flatnonzero(~general)
@@ -517,19 +438,16 @@ def _split(rows, var, n):
 
 
 def _settle(qp, a_all, b_all, rows, var, whole, power):
-    """x and the multipliers (one per global row, of the rows as given) on
-    the sorted working set ``rows``, settled from the free block as the
-    module docstring describes, or None when a general row depends on the
-    rows before it: Schur pivot i is at most 1e-10 of that row's Schur
-    diagonal entry before elimination.  ``a_all`` and ``b_all`` hold each
-    row over 2^``power``.  The set is split by :func:`_split`.
+    """The rows of the sorted working set ``rows`` that its free block
+    keeps, and x and the multipliers (one per global row, of the rows as
+    given) settled on them as the module docstring describes.  ``a_all``
+    and ``b_all`` hold each row over 2^``power``.  The set is split by
+    :func:`_split`.
     """
     n = qp.n
     bound_rows, zvars, grows, fvars = _split(rows, var, n)
     coef = a_all[bound_rows, zvars]
-    f, g = fvars.size, grows.size
-    if g > f:
-        return None
+    f = fvars.size
     x = np.zeros(n)
     x[zvars] = b_all[bound_rows] / coef
     off = zvars[x[zvars] != 0.0]  # bounded variables held away from zero
@@ -537,26 +455,31 @@ def _settle(qp, a_all, b_all, rows, var, whole, power):
     a_gf = a_g[:, fvars]
     dmat_f = qp.dmat[fvars]
     dmat_ff = dmat_f[:, fvars]
-    rhs = np.empty((f, g + 1))
+    rhs = np.empty((f, grows.size + 1))
     rhs[:, 0] = d_f = qp.dvec[fvars] - dmat_f[:, off] @ x[off]
     rhs[:, 1:] = a_gf.T
-    # a set without bounds takes D's own factor, as in _factor
+    # a set without bounds takes D's own factor
     solved = np.linalg.solve(dmat_ff, rhs) if zvars.size else whole.T @ (whole @ rhs)
     x0, w = solved[:, 0], solved[:, 1:]
-    # S = LL' row by row, in Python floats: g is the budget and return rows
-    schur = (a_gf @ w).tolist()
-    low = [[0.0] * g for _ in range(g)]
-    for i in range(g):
-        for j in range(i + 1):
-            entry = schur[i][j] - sum(low[i][k] * low[j][k] for k in range(j))
-            if j < i:
-                low[i][j] = entry / low[j][j]
-            elif entry > 1e-10 * max(schur[i][i], np.finfo(float).tiny):
-                low[i][i] = math.sqrt(entry)
-            else:
-                return None
+    # S = LL' row by row, in Python floats (g is the budget and return rows),
+    # on the rows kept: row i is left out when its pivot is at most 1e-10 of
+    # its diagonal entry before elimination, or when f rows are kept before it
+    low, kept = [], []
+    for i, row in enumerate((a_gf @ w).tolist()):
+        if len(kept) == f:
+            break
+        line = []
+        for j, k in enumerate(kept):
+            line.append((row[k] - sum(line[t] * low[j][t] for t in range(j))) / low[j][j])
+        entry = row[i] - sum(v * v for v in line)
+        if entry > 1e-10 * max(row[i], np.finfo(float).tiny):
+            low.append([*line, math.sqrt(entry)])
+            kept.append(i)
+    if len(kept) < grows.size:  # settled on the kept rows alone, so they alone set the bits
+        rows = np.setdiff1d(rows, np.delete(grows, kept))
+        return _settle(qp, a_all, b_all, rows, var, whole, power)
     b_g = b_all[grows] - a_g[:, off] @ x[off]
-    if f == g:
+    if f == grows.size:
         # the rows as given, so the LU pivots as on them (a vertex keeps its zeros)
         x_f = np.linalg.solve(np.ldexp(a_gf, power[grows, None]), np.ldexp(b_g, power[grows]))
         y = np.linalg.solve(a_gf.T, dmat_ff @ x_f - d_f)
@@ -572,7 +495,34 @@ def _settle(qp, a_all, b_all, rows, var, whole, power):
     gradient = x_f @ dmat_f + x[off] @ qp.dmat[off] - qp.dvec
     multipliers[bound_rows] = (gradient[zvars] - y @ a_g[:, zvars]) / coef
     multipliers[grows] = np.ldexp(y, -power[grows])  # of the rows as given
-    return x, multipliers
+    return rows, x, multipliers
+
+
+def _direction(qp, a_all, rows, var, whole, nplus):
+    """The loop's step towards adding n+ to the working set ``rows``, whose
+    rows are independent: :func:`_settle`'s free-block solve with n+ in
+    place of d and zero right-hand sides, the Schur complement solved by LU.
+    Returns z, with Dz - n+ = A_W'y and A_W z = 0 (0 at a vertex), the dual
+    direction -y per global row (0 off the set), n+'z, and whether n+ is
+    independent of the set: n+'z exceeds 1e-10 of n+_F D_FF^-1 n+_F'."""
+    bound_rows, zvars, grows, fvars = _split(rows, var, qp.n)
+    a_g = a_all[grows]
+    a_gf = a_g[:, fvars]
+    dmat_f = qp.dmat[fvars]
+    rhs = np.column_stack([nplus[fvars], a_gf.T])
+    solved = np.linalg.solve(dmat_f[:, fvars], rhs) if zvars.size else whole.T @ (whole @ rhs)
+    v, w = solved[:, 0], solved[:, 1:]
+    y = -np.linalg.solve(a_gf @ w, a_gf @ v)
+    z = np.zeros(qp.n)
+    if grows.size < fvars.size:
+        z[fvars] = v + w @ y
+    r = np.zeros(var.size)
+    r[grows] = -y
+    # the bounds' rows of Dz - n+ = A_W'y
+    gradient = z[fvars] @ dmat_f - nplus
+    r[bound_rows] = (y @ a_g[:, zvars] - gradient[zvars]) / a_all[bound_rows, zvars]
+    ztn = float(nplus @ z)
+    return z, r, ztn, ztn > 1e-10 * max(float(nplus[fvars] @ v), np.finfo(float).tiny)
 
 
 def _cholesky_solve(low, v):
@@ -603,54 +553,3 @@ def _holds(a_all, b_all, power, is_eq, rows, x, multipliers, slack_tol, dual_tol
         and (slack[out & ~is_eq] >= -slack_tol).all()
         and (multipliers[~is_eq] >= -dual_tol).all()
     )
-
-
-def _independent(ztn, dnorm2_p, jt_free, row) -> bool:
-    """Whether a row n+ with ztn = |J2'n+|^2 is off the working set's span:
-    ztn exceeds 1e-10 of n+'D^-1 n+ or of |J2|^2 |n+|^2.  The second bound,
-    computed only when the first fails, holds where a ridge-sized diagonal
-    entry of D (a constant asset's) inflates n+'D^-1 n+."""
-    tiny = np.finfo(float).tiny
-    if ztn > 1e-10 * max(dnorm2_p, tiny):
-        return True
-    return ztn > 1e-10 * max(float((jt_free * jt_free).sum() * (row @ row)), tiny)
-
-
-def _point(qp, b_all, q, active, jt, nstar):
-    """x = J2 J2'd + N*'b, the minimizer on the working set, and its
-    multipliers u = N*(Dx - d)."""
-    x = jt[q:].T @ (jt[q:] @ qp.dvec) + nstar[:q].T @ b_all[active[:q]]
-    return x, nstar[:q] @ (qp.dmat @ x - qp.dvec)
-
-
-def _add(jt, nstar, q, d2, z, r, ztn):
-    """Append n+ (d2 = J2'n+, z = J2 d2, r = N* n+) to the factors, J2'
-    being the last d2.size rows of ``jt``: the solver's full-width factors,
-    or :func:`_factor`'s on the free columns alone.
-
-    An add needs ztn = |d2|^2 > 1e-10 * tiny (see :func:`_independent`),
-    so |d2| exceeds 1.5e-159 and is never zero or denormal; the reflector
-    is scaled by |d2| so that no product of two small numbers is inverted.
-    """
-    j2t = jt[jt.shape[0] - d2.size :]
-    norm = np.sqrt(ztn)
-    side = 1.0 if d2[0] >= 0.0 else -1.0
-    v = d2 / norm
-    v[0] += side
-    jv = z / norm + side * j2t[0]  # J2 v
-    j2t -= (v / (1.0 + abs(d2[0]) / norm))[:, None] * jv
-    nstar[q] = z / ztn
-    nstar[:q] -= r[:, None] * nstar[q]
-
-
-def _drop(jt, nstar, q, k, dmat):
-    """Remove working-set position ``k`` from the factors.
-
-    g = N*DN*'[:, k] is column k of G^-1.  Row k of N* is orthogonal to the
-    other normals and D-orthogonal to J2; over sqrt(g_k) it becomes J2's new
-    first row, written before the row-deletion formula removes it from N*.
-    """
-    g = nstar[:q] @ (dmat @ nstar[k])
-    jt[q - 1] = nstar[k] / np.sqrt(g[k])
-    nstar[:q] -= (g / g[k])[:, None] * nstar[k]
-    nstar[k : q - 1] = nstar[k + 1 : q]

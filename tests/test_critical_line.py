@@ -146,13 +146,14 @@ def logged_solve(monkeypatch, solve) -> tuple:
 
 
 def segment_seed(qp, line, k) -> np.ndarray:
-    """The rows a solve seeded from segment ``k`` starts from: every
-    inequality that is not a bound, then the bounds of the assets that
-    the segment holds at zero."""
+    """The rows a solve seeded from segment ``k`` starts from: the return
+    inequality, if any, when it binds (``k`` is its target's segment),
+    then the bounds of the assets that the segment holds at zero."""
     meq, n = qp.b_eq.shape[0], qp.n
     first_bound = meq + qp.b_ineq.shape[0] - n
+    binds = first_bound > meq and line.segment_at_return(qp.b_ineq[0]) == k
     held = np.setdiff1d(np.arange(n), line.free[k])
-    return np.concatenate([np.arange(meq, first_bound), first_bound + held])
+    return np.concatenate([np.arange(meq, first_bound if binds else meq), first_bound + held])
 
 
 @pytest.mark.parametrize("kind", list(RiskKind))

@@ -552,18 +552,17 @@ def test_cold_solves_end_in_the_guess(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("kind", list(RiskKind))
-def test_sweeps_factor_no_working_set(monkeypatch, kind):
+def test_sweeps_never_reach_the_loop(monkeypatch, kind):
     # Every point of the three sweeps starts from its segment's bounds and
-    # pivots to its optimal working set: no solve factors a set or takes a
-    # loop step, including the first point of a fit sweep, whose seed can
-    # hold a return row that is slack at the optimum
-    factored = []
+    # pivots to its optimal working set: no solve reaches the dual loop or
+    # takes a loop step, including the first point of a fit sweep
+    looped = []
 
-    def spy(*args, factor=qp_module._factor):
-        factored.append(args[3])
-        return factor(*args)
+    def spy(*args, loop=qp_module._loop):
+        looped.append(args[3])
+        return loop(*args)
 
-    monkeypatch.setattr(qp_module, "_factor", spy)
+    monkeypatch.setattr(qp_module, "_loop", spy)
     solves = recorded_solves(monkeypatch)
     for seed in range(6):
         returns = random_returns(np.random.default_rng(seed), 150, 500)
@@ -571,7 +570,7 @@ def test_sweeps_factor_no_working_set(monkeypatch, kind):
         efficient_frontier(model)
         lambda_frontier(model)
         frontier_fit(model, random_returns(np.random.default_rng(seed + 100), 150, 250))
-    assert factored == []
+    assert looped == []
     assert len(solves) == 6 * (40 + 40 + 41)
     assert [solution.iterations for _, solution in solves] == [0] * len(solves)
 

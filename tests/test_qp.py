@@ -368,47 +368,41 @@ def test_pinned_semivariance_working_set(n, seed, frac, iterations, drops, inact
         a_ineq=np.eye(n),
         b_ineq=np.zeros(n),
     )
-    steps = {"_add": 0, "_drop": 0}
+    sizes = []  # of the working set at the loop's start and at each step
 
-    def check(jt, nstar, q):
-        # J2'DJ2 = I and N*DJ2 = 0 on the working set
-        j2 = jt[q:].T
+    def loop(*args, real=qp_module._loop):
+        sizes.append(len(args[3]))
+        return real(*args)
+
+    def direction(qp, a_all, rows, var, whole, nplus, real=qp_module._direction):
+        # Dz - n+ = A_W'y and A_W z = 0 on the working set, with r = -y
+        sizes.append(len(rows))
+        z, r, *rest = real(qp, a_all, rows, var, whole, nplus)
         close = dict(rtol=0.0, atol=1e-10)
-        np.testing.assert_allclose(j2.T @ qp.dmat @ j2, np.eye(n - q), **close)
-        np.testing.assert_allclose(nstar[:q] @ qp.dmat @ j2, 0.0, **close)
+        np.testing.assert_allclose(a_all[rows] @ z, 0.0, **close)
+        np.testing.assert_allclose(qp.dmat @ z - nplus + r[rows] @ a_all[rows], 0.0, **close)
+        return z, r, *rest
 
-    def checked(name, step, change):
-        def wrapper(jt, nstar, q, *args):
-            step(jt, nstar, q, *args)
-            if jt.shape[1] == n:  # not _factor's adds on the free columns alone
-                steps[name] += 1
-                check(jt, nstar, q + change)
-
-        monkeypatch.setattr(qp_module, name, wrapper)
-
-    def factored(*args, factor=qp_module._factor):
-        # a fresh factorization also has N'N*' = I, N the rows it was given
-        # (each general row over a power of two)
-        q, active, u, jt, nstar, x = state = factor(*args)
-        check(jt, nstar, q)
-        rows = args[1][active[:q]]
-        np.testing.assert_allclose(rows @ nstar[:q].T, np.eye(q), rtol=0.0, atol=1e-10)
-        return state
-
-    checked("_add", qp_module._add, 1)
-    checked("_drop", qp_module._drop, -1)
-    monkeypatch.setattr(qp_module, "_factor", factored)
+    monkeypatch.setattr(qp_module, "_loop", loop)
+    monkeypatch.setattr(qp_module, "_direction", direction)
     cold = solve_qp(qp)
-    steps.update(_add=0, _drop=0)
+    sizes.clear()
     sol = solve_qp(qp, start=range(2, n + 2))
     assert sol.iterations == iterations
-    assert steps["_drop"] == drops
+    # a step after a drop holds one row less
+    assert sum(max(before - after, 0) for before, after in itertools.pairwise(sizes)) == drops
     assert sol.active_set == cold.active_set == tuple(sorted(set(range(n + 2)) - set(inactive)))
     np.testing.assert_array_equal(sol.x, cold.x)
     assert_kkt(qp, sol)
 
 
-@pytest.mark.parametrize("seed", [504, 3868, 4768, 5647, 5897])
+@pytest.mark.parametrize(
+    "seed",
+    [
+        173, 406, 504, 1606, 2332, 2410, 2552, 3013, 3558,
+        3868, 4381, 4730, 4768, 4786, 5183, 5647, 5897,
+    ],
+)
 def test_zero_width_interval_is_not_infeasible(seed):
     # Each program writes an equality as two opposed inequalities.  Drift
     # leaves the working twin ~1e-11 on its side, so the other row reads
@@ -446,54 +440,54 @@ def with_bounds(qp: QuadraticProgram, x0: np.ndarray, gen: np.random.Generator):
     )
 
 
-def test_factor_of_any_row_subset(monkeypatch):
-    # _factor adds a set's general rows on its free columns alone; the
-    # full-width state it returns must still have J2'DJ2 = I, N*DJ2 = 0 and
-    # N'N*' = I, with one bound per variable first, in variable order.  A
-    # repeated or opposed bound enters as a general row or is left out,
-    # and every row left out depends on the factored ones.
-    args = []  # of this solve's _factor calls; a cold solve may make none
+def test_settle_leaves_out_only_dependent_rows(monkeypatch):
+    # _settle keeps one bound per variable, the first of its rows, and a
+    # general row unless it depends on the general rows kept before it on
+    # the free variables (Schur pivot at most 1e-10 of its own diagonal
+    # entry) or f general rows are kept before it; a repeated or opposed
+    # bound is a general row with no free entry, always left out.
+    args = []  # of this solve's _settle calls
 
-    def spy(*a, factor=qp_module._factor):
+    def spy(*a, settle=qp_module._settle):
         args.append(a)
-        return factor(*a)
+        return settle(*a)
 
-    monkeypatch.setattr(qp_module, "_factor", spy)
+    monkeypatch.setattr(qp_module, "_settle", spy)
     seen = {"general": 0, "left_out": 0, "repeats": 0}
+    tiny = np.finfo(float).tiny
     for seed in range(200):
         gen = np.random.default_rng(seed)
         program, x0, _ = random_program(gen)
         qp = with_bounds(program, x0, gen)
-        n, meq, m = qp.n, qp.b_eq.shape[0], qp.b_eq.shape[0] + qp.b_ineq.shape[0]
+        m = qp.b_eq.shape[0] + qp.b_ineq.shape[0]
         args.clear()
-        try:  # seeded with every inequality, a set that the solve factors
-            solve_qp(qp, start=range(meq, m))
+        try:  # the rows as the solve classifies and scales them
+            solve_qp(qp)
         except Infeasible:
             pass
-        _, a_all, b_all, _, var, dnorm2, whole = args[0]
+        _, a_all, b_all, _, var, whole, power = args[0]
         for _ in range(3):
             rows = np.flatnonzero(gen.random(m) < gen.uniform(0.2, 1.0))
-            q, active, _, jt, nstar, _ = qp_module._factor(qp, a_all, b_all, rows, var, dnorm2, whole)
-            j2 = jt[q:].T
-            close = dict(rtol=0.0, atol=1e-10)
-            np.testing.assert_allclose(j2.T @ qp.dmat @ j2, np.eye(n - q), **close)
-            np.testing.assert_allclose(nstar[:q] @ qp.dmat @ j2, 0.0, **close)
-            np.testing.assert_allclose(a_all[active[:q]] @ nstar[:q].T, np.eye(q), **close)
-            # one bound per variable first, in variable order, the first of its rows
+            kept, x, multipliers = qp_module._settle(qp, a_all, b_all, rows, var, whole, power)
+            assert set(kept) <= set(rows) and (np.diff(kept) > 0).all()
+            assert not multipliers[np.setdiff1d(np.arange(m), kept)].any()
             row_var = var[rows]
             bounded = np.unique(row_var[row_var >= 0])
-            k = bounded.size
-            np.testing.assert_array_equal(active[:k], [rows[row_var == v][0] for v in bounded])
-            assert set(active[:q]) <= set(rows)
-            seen["general"] += q - k
-            seen["repeats"] += int((row_var >= 0).sum()) - k
-            # a repeated bound is a general row: it entered after the bounds,
-            # or it was left out, as every row left out, as dependent
-            for p in np.setdiff1d(rows, active[:q]):
-                seen["left_out"] += 1
-                ztn = float(np.sum((jt[q:] @ a_all[p]) ** 2))
-                scale = max(dnorm2[p], float((jt[q:] ** 2).sum() * (a_all[p] @ a_all[p])))
-                assert ztn <= 1e-10 * max(scale, np.finfo(float).tiny)
+            firsts = [rows[row_var == v][0] for v in bounded]
+            assert set(firsts) <= set(kept)
+            free = np.setdiff1d(np.arange(qp.n), bounded)
+            dinv = np.linalg.inv(qp.dmat[np.ix_(free, free)])
+            general = np.setdiff1d(rows, firsts)
+            seen["repeats"] += int((row_var >= 0).sum()) - bounded.size
+            for p in general:
+                before = a_all[np.intersect1d(general[general < p], kept)][:, free]
+                a = a_all[p, free]
+                diagonal = float(a @ dinv @ a)
+                c = before @ dinv @ a
+                pivot = diagonal - float(c @ np.linalg.solve(before @ dinv @ before.T, c))
+                dependent = pivot <= 1e-10 * max(diagonal, tiny) or len(before) == free.size
+                assert dependent == (p not in kept)
+                seen["general" if p in kept else "left_out"] += 1
     # the subsets reach general rows, repeated bounds and dependent rows
     assert min(seen.values()) >= 100, seen
 
@@ -503,36 +497,38 @@ def test_seeded_start_reaches_the_cold_optimum(monkeypatch):
     # raises it; otherwise KKT holds and x is the cold x, the same bits
     # when both end on the same working set.
     seen = {"settled": 0, "skipped": 0, "rows_dropped": 0, "bounds": 0, "infeasible": 0}
-    log = []  # (name, args, result) of this solve's _factor and _point calls
+    log = []  # [name, args, result] of this solve's _settle and _loop calls, in call order
 
     def spy(name):
         real = getattr(qp_module, name)
 
         def wrapper(*args):
-            result = real(*args)
-            log.append((name, args, result))
+            entry = [name, args, None]
+            log.append(entry)
+            entry[2] = result = real(*args)
             return result
 
         monkeypatch.setattr(qp_module, name, wrapper)
 
-    spy("_factor")
-    spy("_point")
+    spy("_settle")
+    spy("_loop")
 
     def seeded_solve(qp, start):
         log.clear()
         try:
             sol = solve_qp(qp, start=start)
         finally:
-            # a guess that settled at once is factored nowhere; otherwise the
-            # first _factor is the guess's, and every other _point follows a
-            # drop
-            factors = [(args, result) for name, args, result in log if name == "_factor"]
-            if factors:
-                (_, a_all, _, rows, *_), (q, active, *_) = factors[0]
-                seen["skipped"] += q < rows.size
-                seen["rows_dropped"] += len(log) > 2 * len(factors)
-                seen["bounds"] += bool(((a_all[active[:q]] != 0.0).sum(axis=1) == 1).any())
-        if not factors:
+            # a guess that settled at once reaches no _loop; otherwise the
+            # loop starts from the rows that the guess's last _settle kept
+            names = [name for name, _, _ in log]
+            if "_loop" in names:
+                i = names.index("_loop")
+                _, a_all, _, rows, _, multipliers, *_, is_eq = log[i][1]
+                guess = [(args[3], result[0]) for _, args, result in log[:i]]
+                seen["skipped"] += any(kept.size < given.size for given, kept in guess)
+                seen["rows_dropped"] += bool((multipliers[rows][~is_eq[rows]] < 0.0).any())
+                seen["bounds"] += bool(((a_all[rows] != 0.0).sum(axis=1) == 1).any())
+        if "_loop" not in names:
             seen["settled"] += 1
             assert sol.iterations == 0
         return sol
@@ -574,7 +570,9 @@ def test_seeded_start_reaches_the_cold_optimum(monkeypatch):
                     np.testing.assert_array_equal(sol.x, cold.x)
                     np.testing.assert_array_equal(sol.multipliers, cold.multipliers)
     # the seeds reach every path: the settled exit, a dependent row left
-    # out, dual-infeasible rows dropped, bounds factored, Infeasible from a seed
+    # out, dual-infeasible rows dropped, a loop holding bounds, Infeasible
+    # from a seed
+    print(seen)
     assert min(seen.values()) >= 30, seen
 
 
@@ -591,28 +589,28 @@ def pinned_semivariance_program(n: int = 30, frac: float = 0.45) -> QuadraticPro
     )
 
 
-def factor_calls(monkeypatch) -> list:
-    """The working sets of every later _factor call."""
-    factored = []
+def loop_calls(monkeypatch) -> list:
+    """The starting working sets of every later _loop call."""
+    started = []
 
-    def spy(*args, factor=qp_module._factor):
-        factored.append(args[3])
-        return factor(*args)
+    def spy(*args, loop=qp_module._loop):
+        started.append(args[3])
+        return loop(*args)
 
-    monkeypatch.setattr(qp_module, "_factor", spy)
-    return factored
+    monkeypatch.setattr(qp_module, "_loop", spy)
+    return started
 
 
 def test_optimal_working_set_as_seed_takes_no_step(monkeypatch):
     # A seed that no drop and no add would change is the final working set:
-    # it is settled and returned at once, with no factorization, and the
-    # bits are the cold ones, which the cold solve settles on the same set.
+    # it is settled and returned at once, with no loop, and the bits are
+    # the cold ones, which the cold solve settles on the same set.
     for frac in (0.05, 0.45, 0.95):
         qp = pinned_semivariance_program(frac=frac)
         cold = solve_qp(qp)
-        factored = factor_calls(monkeypatch)
+        looped = loop_calls(monkeypatch)
         warm = solve_qp(qp, start=cold.active_set)
-        assert factored == []
+        assert looped == []
         assert warm.iterations == 0
         assert warm.active_set == cold.active_set
         np.testing.assert_array_equal(warm.x, cold.x)
@@ -624,7 +622,7 @@ def test_optimal_working_set_as_seed_takes_no_step(monkeypatch):
 def test_seed_that_a_drop_or_an_add_changes_pivots_to_the_cold_set(monkeypatch):
     # A seed with a negative multiplier (a bound on a held asset) or with a
     # violated row (a binding bound released) pivots to the cold working
-    # set: no factorization and no step, and the cold bits.
+    # set: no loop and no step, and the cold bits.
     qp = pinned_semivariance_program()
     cold = solve_qp(qp)
     held = np.flatnonzero(cold.x > 1e-3)
@@ -634,9 +632,9 @@ def test_seed_that_a_drop_or_an_add_changes_pivots_to_the_cold_set(monkeypatch):
         "violated row": np.setdiff1d(cold.active_set, [binding]),
     }
     for name, start in seeds.items():
-        factored = factor_calls(monkeypatch)
+        looped = loop_calls(monkeypatch)
         warm = solve_qp(qp, start=start)
-        assert factored == [] and warm.iterations == 0, name
+        assert looped == [] and warm.iterations == 0, name
         assert warm.active_set == cold.active_set, name
         np.testing.assert_array_equal(warm.x, cold.x)
         np.testing.assert_array_equal(warm.multipliers, cold.multipliers)
@@ -647,13 +645,15 @@ def test_seed_that_a_drop_or_an_add_changes_pivots_to_the_cold_set(monkeypatch):
 def test_dependent_general_rows_take_the_full_path(monkeypatch, kind):
     # Means equal up to rounding make the return row parallel to the budget
     # on every free set, and a duplicated return row depends on its twin:
-    # _settle refuses the set, the factorization leaves the row out, and
-    # the answer meets KKT.
-    settles = []
+    # the guess's first _settle leaves the row out, and the answer meets KKT.
+    settles = []  # [rows given, rows kept] of each _settle call, in call order
 
     def spy(*args, settle=qp_module._settle):
-        settles.append(settle(*args))
-        return settles[-1]
+        entry = [args[3], None]
+        settles.append(entry)
+        settled = settle(*args)
+        entry[1] = settled[0]
+        return settled
 
     monkeypatch.setattr(qp_module, "_settle", spy)
     for seed in range(5):
@@ -678,9 +678,9 @@ def test_dependent_general_rows_take_the_full_path(monkeypatch, kind):
             )
             for start in ((), np.arange(qp.b_eq.shape[0], qp.b_eq.shape[0] + 6)):
                 settles.clear()
-                factored = factor_calls(monkeypatch)
                 sol = solve_qp(qp, start=start)
-                assert settles[0] is None and len(factored) >= 1
+                given, kept = settles[0]
+                assert np.setdiff1d(given, kept).tolist() == [qp.b_eq.shape[0] - 1]
                 assert scaled_kkt(qp, sol) <= 1e-8
 
 
@@ -703,9 +703,9 @@ def test_more_than_two_general_rows_settle(monkeypatch):
     cold = solve_qp(qp)
     general = [row for row in cold.active_set if row < 4]
     assert general == [0, 1, 2, 3]
-    factored = factor_calls(monkeypatch)
+    looped = loop_calls(monkeypatch)
     warm = solve_qp(qp, start=cold.active_set)
-    assert factored == [] and warm.iterations == 0
+    assert looped == [] and warm.iterations == 0
     np.testing.assert_array_equal(warm.x, cold.x)
     np.testing.assert_array_equal(warm.multipliers, cold.multipliers)
     assert_kkt(qp, warm)
