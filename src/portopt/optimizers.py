@@ -11,7 +11,7 @@ Three variants, all long-only over the budget simplex:
 carries, so the same code serves the variance and semivariance models.
 Every program built from a model hands the solver the same quadratic
 term ``2S`` (diagonal-shifted when S is not strictly positive definite),
-so a sweep over one model factors it once: for l < 1 the tradeoff
+so a sweep over one model checks it once: for l < 1 the tradeoff
 program is divided by 1-l, min w'Sw - (l/(1-l)) mu'w, which has the same
 optimum.  At l = 1 the quadratic term vanishes and the solver gets the
 regularization shift alone.
@@ -116,7 +116,7 @@ def _shifted(dmat: np.ndarray, min_eigenvalue: float) -> np.ndarray:
 
 def _risk_term(model: RiskModel) -> np.ndarray:
     """The quadratic term ``2S`` that every program of ``model`` hands the
-    solver (except the tradeoff at l = 1), so a sweep factors it once."""
+    solver (except the tradeoff at l = 1), so a sweep checks it once."""
     return 2.0 * _shifted(model.sigma, model.min_eigenvalue)
 
 

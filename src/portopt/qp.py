@@ -76,10 +76,9 @@ multipliers are not finite, miss a row by 1e-8 or hold an inequality
 multiplier below -1e-8, is refused with :class:`NumericalBreakdown`.
 
 One Cholesky factorization of the whole of D per distinct D checks that
-D is positive definite, and a set without bounds, such as the equalities
-alone, takes it as its free block's.  The factor of the last D solved is
-kept, so a sweep whose programs share their quadratic term factors it
-once.
+D is positive definite; every free block, the whole of D for a set
+without bounds, is solved by LU.  The last D that passed is kept, so a
+sweep whose programs share their quadratic term checks it once.
 
 Everything is plain deterministic linear algebra: the same program solved
 twice, with the same BLAS build, CPU kernel and thread count, yields
@@ -110,9 +109,9 @@ _DRIFT_TOL = 1e-8
 
 _EMPTY = np.zeros((0,))
 
-#: The last quadratic term factored, read-only: a copy of D and L^-1 of its
-#: Cholesky factor (see :func:`_whole_factor`).
-_last_factor: tuple[np.ndarray, np.ndarray] | None = None
+#: A read-only copy of the last quadratic term whose Cholesky factorization
+#: passed (see :func:`_check_definite`).
+_last_factor: np.ndarray | None = None
 
 
 def _empty_matrix() -> np.ndarray:
@@ -194,9 +193,8 @@ def solve_qp(qp: QuadraticProgram, start: Sequence[int] = ()) -> QpSolution:
     ``iterations`` 0 and the sorted rows of it that the free block keeps
     as ``active_set``.  x and the multipliers are settled on the final
     working set alone, so any two solves that end on the same set return
-    the same bits.  The Cholesky factor of the whole of D is computed once
-    per distinct D: the last one is kept and reused while the next solve's
-    D has the same bits, so a reused factor has the bits of a fresh one.
+    the same bits.  D's Cholesky check runs once per distinct D: the last
+    D that passed is kept, and a next solve whose D has its bits skips it.
     ``iterations`` counts the add/drop loop's steps; the pivot rounds and
     the drops that make a guess dual feasible are not among them.
 
@@ -222,9 +220,7 @@ def solve_qp(qp: QuadraticProgram, start: Sequence[int] = ()) -> QpSolution:
     integers = start.dtype.kind in "iu" or start.size == 0
     if start.ndim != 1 or not integers or start.size and not 0 <= start.min() <= start.max() < m:
         raise ValueError("start must index the program's constraints")
-    # D's own Cholesky: the positive-definiteness check, and the factor of
-    # a set without bounds
-    whole = _whole_factor(qp.dmat)
+    _check_definite(qp.dmat)
     # Each row classified once: a bound on one variable, var its index, or a
     # general row, var -1, divided with its right-hand side by 2^power
     nonzero = a_all != 0.0
@@ -235,67 +231,37 @@ def solve_qp(qp: QuadraticProgram, start: Sequence[int] = ()) -> QpSolution:
     power[general] = np.frexp(np.abs(a_all[general]).max(axis=1, initial=0.0))[1]
     a_all[general] = np.ldexp(a_all[general], -power[general, None])
     b_all = np.ldexp(b_all, -power)
-    rows, x, multipliers = _guess(qp, a_all, b_all, meq, start.astype(int), var, whole, power)
+    rows, x, multipliers = _guess(qp, a_all, b_all, meq, start.astype(int), var, power)
     iterations = 0
     # a guess whose settled point no drop and no add would change is the optimum
     if not _holds(a_all, b_all, power, is_eq, rows, x, multipliers, _ADD_TOL, 0.0):
-        working, iterations = _loop(
-            qp, a_all, b_all, rows, x, multipliers, var, whole, power, is_eq
-        )
-        rows, x, multipliers = _settle(qp, a_all, b_all, np.sort(working), var, whole, power)
+        working, iterations = _loop(qp, a_all, b_all, rows, x, multipliers, var, power, is_eq)
+        rows, x, multipliers = _settle(qp, a_all, b_all, np.sort(working), var, power)
         if not _holds(a_all, b_all, power, is_eq, rows, x, multipliers, 1e-8, 1e-8):
             raise NumericalBreakdown("the working set's minimizer is not a finite feasible point")
     objective = 0.5 * float(x @ qp.dmat @ x) - float(qp.dvec @ x)
     return QpSolution(x, objective, tuple(rows.tolist()), iterations, multipliers)
 
 
-def _lower_inverse(low: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by 2x2 blocks.
-
-    [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]]: two matrix
-    products per level instead of an LU solve against the identity,
-    about 5x faster at n = 500 with one BLAS thread.  A base block is
-    inverted through its transpose: the LU of an upper triangle never
-    pivots, so the inverse is exactly zero above the diagonal (the lower
-    triangle's own LU can pivot and leave ~1e-14 there).
-    """
-    n = low.shape[0]
-    if n <= 64:
-        return np.linalg.inv(low.T).T
-    h = n // 2
-    top, bottom = _lower_inverse(low[:h, :h]), _lower_inverse(low[h:, h:])
-    inv = np.zeros_like(low)
-    inv[:h, :h] = top
-    inv[h:, h:] = bottom
-    inv[h:, :h] = -bottom @ (low[h:, :h] @ top)
-    return inv
-
-
-def _inverse_cholesky(dmat: np.ndarray) -> np.ndarray:
-    """L^-1 for dmat = LL'; raises :class:`NumericalBreakdown` when dmat
-    is not positive definite."""
-    try:
-        return _lower_inverse(np.linalg.cholesky(dmat))
-    except np.linalg.LinAlgError:
-        raise NumericalBreakdown("quadratic term is not positive definite") from None
-
-
-def _whole_factor(dmat: np.ndarray) -> np.ndarray:
-    """L^-1 for dmat = LL', reused from the last call while ``dmat`` has that
-    call's bits (compared as integers, so -0.0 is not 0.0; the check costs
-    ~8 us at n = 150, the factor ~0.3 ms)."""
+def _check_definite(dmat: np.ndarray) -> None:
+    """Raise :class:`NumericalBreakdown` unless dmat has a Cholesky factor;
+    skipped while ``dmat`` has the bits of the last matrix that passed
+    (compared as integers, so -0.0 is not 0.0; the comparison costs ~8 us
+    at n = 150, the factor ~0.2 ms)."""
     global _last_factor
     last = _last_factor  # read once: another thread may replace it
-    if last is not None and np.array_equal(last[0].view(np.int64), dmat.view(np.int64)):
-        return last[1]
-    last = (dmat.copy(), _inverse_cholesky(dmat))
-    for array in last:
-        array.setflags(write=False)
+    if last is not None and np.array_equal(last.view(np.int64), dmat.view(np.int64)):
+        return
+    try:
+        np.linalg.cholesky(dmat)
+    except np.linalg.LinAlgError:
+        raise NumericalBreakdown("quadratic term is not positive definite") from None
+    last = dmat.copy()
+    last.setflags(write=False)
     _last_factor = last
-    return last[1]
 
 
-def _guess(qp, a_all, b_all, meq, start, var, whole, power):
+def _guess(qp, a_all, b_all, meq, start, var, power):
     """The solve's guessed working set, as the rows of it that
     :func:`_settle` keeps, with its settled x and multipliers: the
     equalities with ``start``'s inequalities, improved by block pivoting on
@@ -321,7 +287,7 @@ def _guess(qp, a_all, b_all, meq, start, var, whole, power):
     removed, last = rows.size + 1, False
     while True:
         working = np.concatenate([eqs, rows[held]])
-        settled = kept, x, multipliers = _settle(qp, a_all, b_all, working, var, whole, power)
+        settled = kept, x, multipliers = _settle(qp, a_all, b_all, working, var, power)
         if kept.size < working.size:  # a row depends on the rows kept before it
             return settled
         leave = held & (multipliers[rows] < 0.0)
@@ -334,7 +300,7 @@ def _guess(qp, a_all, b_all, meq, start, var, whole, power):
         held = held & ~leave | enter
 
 
-def _loop(qp, a_all, b_all, rows, x, multipliers, var, whole, power, is_eq):
+def _loop(qp, a_all, b_all, rows, x, multipliers, var, power, is_eq):
     """The final working set, unsorted, and the step count of Goldfarb and
     Idnani's dual iteration from the guessed set ``rows``, settled at x
     with ``multipliers``: its inequalities with u < 0 leave first, one at a
@@ -355,7 +321,7 @@ def _loop(qp, a_all, b_all, rows, x, multipliers, var, whole, power, is_eq):
         k = np.argmin(dual)
         rest = np.delete(active, k)
         # the minimizer without row k, x - u_k z, and its multipliers u - u_k y
-        z, r, _, _ = _direction(qp, a_all, rest, var, whole, a_all[active[k]])
+        z, r, _, _ = _direction(qp, a_all, rest, var, a_all[active[k]])
         x, u, active = x - u[k] * z, np.delete(u, k) + u[k] * r[rest], rest
     # dependent rows violated by drift alone, left out until the next drop
     aside = np.zeros(m, dtype=bool)
@@ -383,7 +349,7 @@ def _loop(qp, a_all, b_all, rows, x, multipliers, var, whole, power, is_eq):
             if iterations > max_iter:
                 raise MaxIterations(f"no convergence within {max_iter} working-set steps")
 
-            z, r, ztn, independent = _direction(qp, a_all, active, var, whole, nplus)
+            z, r, ztn, independent = _direction(qp, a_all, active, var, nplus)
             r = r[active]
             # Blocking constraint for the dual variables (equalities never
             # drop); argmin keeps the lowest position among ties.
@@ -437,7 +403,7 @@ def _split(rows, var, n):
     return rows[bound], zvars, rows[general], np.flatnonzero(free)
 
 
-def _settle(qp, a_all, b_all, rows, var, whole, power):
+def _settle(qp, a_all, b_all, rows, var, power):
     """The rows of the sorted working set ``rows`` that its free block
     keeps, and x and the multipliers (one per global row, of the rows as
     given) settled on them as the module docstring describes.  ``a_all``
@@ -458,8 +424,7 @@ def _settle(qp, a_all, b_all, rows, var, whole, power):
     rhs = np.empty((f, grows.size + 1))
     rhs[:, 0] = d_f = qp.dvec[fvars] - dmat_f[:, off] @ x[off]
     rhs[:, 1:] = a_gf.T
-    # a set without bounds takes D's own factor
-    solved = np.linalg.solve(dmat_ff, rhs) if zvars.size else whole.T @ (whole @ rhs)
+    solved = np.linalg.solve(dmat_ff, rhs)
     x0, w = solved[:, 0], solved[:, 1:]
     # S = LL' row by row, in Python floats (g is the budget and return rows),
     # on the rows kept: row i is left out when its pivot is at most 1e-10 of
@@ -477,7 +442,7 @@ def _settle(qp, a_all, b_all, rows, var, whole, power):
             kept.append(i)
     if len(kept) < grows.size:  # settled on the kept rows alone, so they alone set the bits
         rows = np.setdiff1d(rows, np.delete(grows, kept))
-        return _settle(qp, a_all, b_all, rows, var, whole, power)
+        return _settle(qp, a_all, b_all, rows, var, power)
     b_g = b_all[grows] - a_g[:, off] @ x[off]
     if f == grows.size:
         # the rows as given, so the LU pivots as on them (a vertex keeps its zeros)
@@ -498,7 +463,7 @@ def _settle(qp, a_all, b_all, rows, var, whole, power):
     return rows, x, multipliers
 
 
-def _direction(qp, a_all, rows, var, whole, nplus):
+def _direction(qp, a_all, rows, var, nplus):
     """The loop's step towards adding n+ to the working set ``rows``, whose
     rows are independent: :func:`_settle`'s free-block solve with n+ in
     place of d and zero right-hand sides, the Schur complement solved by LU.
@@ -510,7 +475,7 @@ def _direction(qp, a_all, rows, var, whole, nplus):
     a_gf = a_g[:, fvars]
     dmat_f = qp.dmat[fvars]
     rhs = np.column_stack([nplus[fvars], a_gf.T])
-    solved = np.linalg.solve(dmat_f[:, fvars], rhs) if zvars.size else whole.T @ (whole @ rhs)
+    solved = np.linalg.solve(dmat_f[:, fvars], rhs)
     v, w = solved[:, 0], solved[:, 1:]
     y = -np.linalg.solve(a_gf @ w, a_gf @ v)
     z = np.zeros(qp.n)

@@ -346,8 +346,9 @@ class TestWarmSweeps:
 
     @pytest.mark.parametrize("kind", list(RiskKind))
     def test_kept_factor_gives_the_bits_of_a_fresh_one(self, monkeypatch, kind):
-        # every point solved again with the solver's kept factor of the
-        # risk matrix cleared first returns the same bits
+        # every point solved again with the solver's kept risk matrix
+        # cleared first, so its positive-definiteness check runs again,
+        # returns the same bits
         returns = random_returns(np.random.default_rng(4), 30, 250)
         real = optimizers.solve_qp
         log = []

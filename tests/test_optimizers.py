@@ -21,9 +21,15 @@ from portopt.optimizers import (
     regularize,
 )
 from portopt.qp import QuadraticProgram, solve_qp
-from portopt.risk_models import RiskModel, build_risk_model
+from portopt.risk_models import RiskKind, RiskModel, build_risk_model
 
-from conftest import random_model, random_returns, scaled_kkt, simplex_grid
+from conftest import (
+    free_set_optimum,
+    random_model,
+    random_returns,
+    scaled_kkt,
+    simplex_grid,
+)
 
 
 class TestRegularize:
@@ -270,3 +276,61 @@ def test_efficiency_dominance(rng):
         for b in points:
             if a.risk <= b.risk:
                 assert a.expected_return <= b.expected_return + 1e-8
+
+
+
+def family_model(family: str, kind: RiskKind, n: int) -> RiskModel:
+    """A seeded model of one degenerate family: random means (``random``),
+    all negative, all equal, a tie at the top, a collinear pair (the second
+    asset's returns twice the first's, so the risk matrix takes the ridge)
+    or one asset."""
+    returns = random_returns(np.random.default_rng(100 * n + 7), n, 60)
+    values = returns.values.copy()
+    if family == "negative":
+        values -= 0.004
+    if family == "collinear":
+        values[:, 1] = 2.0 * values[:, 0]
+    model = build_risk_model(ReturnsMatrix(returns.assets, values), kind=kind)
+    mu = model.mu.copy()
+    if family == "equal":
+        mu[:] = mu[0]
+    if family == "tie":
+        mu[np.argsort(mu)[-2]] = mu.max()
+    return RiskModel(model.assets, mu, model.sigma, kind=kind)
+
+
+def assert_optimal(weights, dmat, dvec, a_eq, b_eq, a_ineq=None, b_ineq=()):
+    """``weights`` on the budget, with the least objective 0.5 w'Dw - d'w of
+    the long-only program within 1e-12 of |0.5 w'Dw| + |d'w|."""
+    assert abs(weights.sum() - 1.0) <= 1e-12
+    a_ineq = np.zeros((0, dvec.size)) if a_ineq is None else a_ineq
+    b_eq, b_ineq = np.asarray(b_eq, dtype=float), np.asarray(b_ineq, dtype=float)
+    best = free_set_optimum(dmat, dvec, a_eq, b_eq, a_ineq, b_ineq)
+    quadratic, linear = 0.5 * float(weights @ dmat @ weights), float(dvec @ weights)
+    assert abs(quadratic - linear - best) <= 1e-12 * (abs(quadratic) + abs(linear))
+
+
+@pytest.mark.parametrize("kind", list(RiskKind))
+@pytest.mark.parametrize("family", ["random", "negative", "equal", "tie", "collinear", "one"])
+def test_portfolios_match_the_free_set_enumeration(family, kind):
+    # Tradeoff, pinned and >= programs at N = 2-8 against the free-set
+    # oracle, which shares no code with the solver or the critical line.
+    for n in [1] if family == "one" else range(2, 9):
+        model = family_model(family, kind, n)
+        risk = 2.0 * regularize(model.sigma)
+        budget, one, zero = np.ones((1, n)), np.ones(1), np.zeros(n)
+        for lam in (0.0, 0.3, 0.9, 1.0):
+            w = lambda_portfolio(model, ObjectiveParams(lam=lam)).weights
+            if lam == 1.0:
+                assert_optimal(w, REGULARIZATION * np.eye(n), model.mu, budget, one)
+            else:
+                assert_optimal(w, risk, lam / (1.0 - lam) * model.mu, budget, one)
+        lo, hi = float(model.mu.min()), float(model.mu.max())
+        for target in (lo, lo + 0.35 * (hi - lo), hi):
+            pinned = ObjectiveParams(target_return=target, pin_return_equality=True)
+            w = markowitz_portfolio(model, pinned).weights
+            assert abs(w @ model.mu - target) <= 1e-12 * np.abs(model.mu).max()
+            assert_optimal(w, risk, zero, np.vstack([budget, model.mu]), [1.0, target])
+            w = markowitz_portfolio(model, ObjectiveParams(target_return=target)).weights
+            assert w @ model.mu - target >= -1e-12 * np.abs(model.mu).max()
+            assert_optimal(w, risk, zero, budget, one, model.mu[None], [target])

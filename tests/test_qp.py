@@ -374,10 +374,10 @@ def test_pinned_semivariance_working_set(n, seed, frac, iterations, drops, inact
         sizes.append(len(args[3]))
         return real(*args)
 
-    def direction(qp, a_all, rows, var, whole, nplus, real=qp_module._direction):
+    def direction(qp, a_all, rows, var, nplus, real=qp_module._direction):
         # Dz - n+ = A_W'y and A_W z = 0 on the working set, with r = -y
         sizes.append(len(rows))
-        z, r, *rest = real(qp, a_all, rows, var, whole, nplus)
+        z, r, *rest = real(qp, a_all, rows, var, nplus)
         close = dict(rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(a_all[rows] @ z, 0.0, **close)
         np.testing.assert_allclose(qp.dmat @ z - nplus + r[rows] @ a_all[rows], 0.0, **close)
@@ -465,10 +465,10 @@ def test_settle_leaves_out_only_dependent_rows(monkeypatch):
             solve_qp(qp)
         except Infeasible:
             pass
-        _, a_all, b_all, _, var, whole, power = args[0]
+        _, a_all, b_all, _, var, power = args[0]
         for _ in range(3):
             rows = np.flatnonzero(gen.random(m) < gen.uniform(0.2, 1.0))
-            kept, x, multipliers = qp_module._settle(qp, a_all, b_all, rows, var, whole, power)
+            kept, x, multipliers = qp_module._settle(qp, a_all, b_all, rows, var, power)
             assert set(kept) <= set(rows) and (np.diff(kept) > 0).all()
             assert not multipliers[np.setdiff1d(np.arange(m), kept)].any()
             row_var = var[rows]
@@ -790,8 +790,27 @@ def test_non_finite_answer_raises(dmat, dvec, a_eq):
 
 
 class TestKeptFactor:
-    """The factor of the last quadratic term is kept for the next solve
-    with an equal D, and never answers for another one."""
+    """The last quadratic term found positive definite by its Cholesky
+    factorization is kept, so the next solve with an equal D skips the
+    factorization, and it never answers for another one."""
+
+    @staticmethod
+    def factored(monkeypatch) -> list:
+        """The shape of each D that the solves from here on factor: the
+        check keeps a new copy of D exactly when its factorization ran and
+        passed."""
+        monkeypatch.setattr(qp_module, "_last_factor", None)
+        shapes = []
+        real = qp_module._check_definite
+
+        def spy(dmat):
+            before = qp_module._last_factor
+            real(dmat)
+            if qp_module._last_factor is not before:
+                shapes.append(dmat.shape)
+
+        monkeypatch.setattr(qp_module, "_check_definite", spy)
+        return shapes
 
     @staticmethod
     def assert_same_bits(first, second):
@@ -815,17 +834,12 @@ class TestKeptFactor:
         assert not np.array_equal(again.x, first.x)
 
     def test_signed_zero_is_another_matrix(self, monkeypatch):
-        # an entry of -0.0 where the kept D has 0.0 can change the factor's
-        # bits, so the factor is computed again
-        monkeypatch.setattr(qp_module, "_last_factor", None)
-        calls = []
-        real = qp_module._inverse_cholesky
-        monkeypatch.setattr(
-            qp_module, "_inverse_cholesky", lambda dmat: calls.append(1) or real(dmat)
-        )
+        # an entry of -0.0 where the kept D has 0.0 is another matrix to the
+        # check, so D is factored again
+        factored = self.factored(monkeypatch)
         for off in (0.0, -0.0, -0.0):
             solve_qp(simplex_qp(np.array([[2.0, off], [off, 1.0]])))
-        assert len(calls) == 2
+        assert len(factored) == 2
 
     def test_not_positive_definite_is_never_kept(self, rng):
         a = rng.normal(size=(6, 3))
@@ -835,7 +849,7 @@ class TestKeptFactor:
         for _ in range(2):
             with pytest.raises(NumericalBreakdown):
                 solve_qp(bad)
-        np.testing.assert_array_equal(qp_module._last_factor[0], good.dmat)
+        np.testing.assert_array_equal(qp_module._last_factor, good.dmat)
         self.assert_same_bits(first, solve_qp(good))
 
     def test_threads_sharing_the_entry_get_their_own_answers(self, rng):
@@ -870,13 +884,6 @@ class TestKeptFactor:
 
     def test_one_factor_of_the_risk_matrix_per_frontier(self, rng, monkeypatch):
         model = random_model(rng, 20)
-        monkeypatch.setattr(qp_module, "_last_factor", None)
-        shapes = []
-        real = qp_module._inverse_cholesky
-        monkeypatch.setattr(
-            qp_module, "_inverse_cholesky", lambda dmat: shapes.append(dmat.shape) or real(dmat)
-        )
+        shapes = self.factored(monkeypatch)
         efficient_frontier(model, 8)
-        # a working set's free block is smaller than D whenever it holds a
-        # bound, and the whole factor stands in for it otherwise
         assert shapes.count((20, 20)) == 1
